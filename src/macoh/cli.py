@@ -161,17 +161,17 @@ def cmd_compute(args):
     if field is None:
         dd = hd = None
         if need_hh or args.verify:
-            dd = hochster.double_cohomology(k, threads=args.threads)
+            dd = hochster.double_cohomology(k)
             hd = dd.decomposition
         elif need_h:
-            hd = hochster.hochster_cohomology(k, threads=args.threads)
+            hd = hochster.hochster_cohomology(k)
         if need_h:
             h_rows = _rows(hd.invariants())
         if need_hh:
             hh_rows = _rows(dd.invariants())
             euler = dd.euler_characteristic()
         if need_hhhom:
-            hhhom_rows = _rows(hochster.double_homology(k, threads=args.threads).invariants())
+            hhhom_rows = _rows(hochster.double_homology(k).invariants())
         if args.verify:
             rc = koszul.RComplex(k)
             rc.check_identities()
@@ -256,6 +256,8 @@ def cmd_fuzz(args):
 
     if args.m_max < 1 or args.m_max > complexes.MAX_VERTICES:
         raise ComplexError(f"--m-max must be between 1 and {complexes.MAX_VERTICES}")
+    if args.trials < 0:
+        raise ComplexError(f"--trials must be nonnegative, got {args.trials}")
     rng = random.Random(args.seed)
     plan = [("rp2", complexes.rp2_minimal()),
             ("two_squares", complexes.two_squares())][:args.trials]
@@ -320,8 +322,6 @@ def build_parser():
     compute.add_argument("--verify", action="store_true",
                          help="run both pipelines and the bicomplex identity checks")
     compute.add_argument("--json", action="store_true", help="machine-readable output")
-    compute.add_argument("--threads", type=int,
-                         help="worker threads for the subset sweep")
     compute.set_defaults(func=cmd_compute)
 
     verify = sub.add_parser("verify-paper", help="run the stored reference checklist")

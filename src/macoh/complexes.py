@@ -33,7 +33,8 @@ def mask_of(vertices):
     """
     mask = 0
     for v in vertices:
-        v = int(v)
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ComplexError(f"vertex label must be an integer, got {v!r}")
         if v < 1 or v > MAX_VERTICES:
             raise ComplexError(f"vertex label out of range: {v}")
         bit = 1 << (v - 1)
@@ -141,13 +142,15 @@ class SimplicialComplex:
         Every vertex of {1..m} must occur in some face unless allow_ghosts
         is set; singletons are added as maximal faces for isolated vertices.
         """
-        if not isinstance(m, int) or m < 0:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ComplexError("vertex count must be a nonnegative integer")
         if m > MAX_VERTICES:
             raise ComplexError(f"at most {MAX_VERTICES} vertices supported, got {m}")
         full = (1 << m) - 1
         masks = []
         for face in faces:
+            if isinstance(face, bool):
+                raise ComplexError(f"face must be a list of labels or a mask, got {face!r}")
             mask = face if isinstance(face, int) else mask_of(face)
             if mask & ~full:
                 raise ComplexError(
@@ -730,9 +733,3 @@ def _reachable_facets(facets, memo):
                 break
     memo[facets] = result
     return result
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -19,7 +19,6 @@ bidegree is (-k, 2l).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .complexes import mask_of, sign_eps, vertices_of
@@ -48,7 +47,7 @@ class Summand:
     mask: int
     degree: int
     offset: int
-    group: object  # Subquotient of the subset cohomology
+    group: object  # Subquotient or FieldSubquotient of the subset (co)homology
 
 
 @dataclass
@@ -83,81 +82,56 @@ class HochsterDecomposition:
             out[b] = (rank, torsion)
         return out
 
-    def layout(self, b):
-        return self.layouts.get(b)
 
-    def n_gens(self, b):
-        layout = self.layouts.get(b)
-        return len(layout.orders) if layout else 0
-
-    def summand_offset(self, b, mask):
-        """Generator offset of the summand for a subset mask, or None."""
-        layout = self.layouts.get(b)
-        if layout is None:
-            return None
-        for s in layout.summands:
-            if s.mask == mask:
-                return s.offset
-        return None
-
-
-def _subset_data(k, support, side, threads):
-    masks = [mask for mask in range(support + 1) if mask & ~support == 0]
-    compute = cohomology if side == "cohomology" else homology
-
-    def job(mask):
-        cx = reduced_complex(k, mask)
-        return mask, cx, compute(cx)
-
+def _sweep(k, support, compute):
+    """Reduced complex and compute(complex) for every subset of support."""
     cxs = {}
     cohs = {}
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for mask, cx, coh in pool.map(job, masks):
-                cxs[mask] = cx
-                cohs[mask] = coh
-    else:
-        for mask in masks:
-            _, cx, coh = job(mask)
-            cxs[mask] = cx
-            cohs[mask] = coh
+    for mask in range(support + 1):
+        if mask & ~support == 0:
+            cxs[mask] = cx = reduced_complex(k, mask)
+            cohs[mask] = compute(cx)
     return cxs, cohs
 
 
-def _decompose(k, support, side, threads):
-    cxs, cohs = _subset_data(k, support, side, threads)
-    collected = {}
+def _summands(cohs, size):
+    """Per bidegree, the nonzero subset summands in ascending mask order,
+    each at the offset where its generators start; size(group) counts them."""
+    layouts = {}
     for mask in sorted(cohs):
         l = mask.bit_count()
         coh = cohs[mask]
         for p in coh.degrees():
-            collected.setdefault((l - p - 1, l), []).append((mask, p, coh.group(p)))
+            summands = layouts.setdefault((l - p - 1, l), [])
+            last = summands[-1] if summands else None
+            offset = last.offset + size(last.group) if last else 0
+            summands.append(Summand(mask=mask, degree=p, offset=offset, group=coh.group(p)))
+    return layouts
+
+
+def _decompose(k, support, side):
+    compute = cohomology if side == "cohomology" else homology
+    cxs, cohs = _sweep(k, support, compute)
     layouts = {}
-    for b, items in collected.items():
-        summands = []
-        orders = []
-        offset = 0
-        for mask, p, sq in items:
-            summands.append(Summand(mask=mask, degree=p, offset=offset, group=sq))
-            orders.extend(sq.orders)
-            offset += sq.n_gens
-        layouts[b] = BidegreeLayout(orders=tuple(orders), summands=summands,
+    for b, summands in _summands(cohs, lambda sq: sq.n_gens).items():
+        orders = tuple(d for s in summands for d in s.group.orders)
+        layouts[b] = BidegreeLayout(orders=orders, summands=summands,
                                     presented=PresentedGroup.diagonal(orders))
     return HochsterDecomposition(k, support, side, cxs, cohs, layouts)
 
 
-def hochster_cohomology(k, support=None, threads=None):
+def hochster_cohomology(k, support=None):
     """Bigraded cohomology of Z_K as subset-graded direct sums."""
     if support is None:
         support = k.full_mask()
-    return _decompose(k, support, "cohomology", threads)
+    return _decompose(k, support, "cohomology")
 
 
-def hochster_homology(k, support=None, threads=None):
+def hochster_homology(k, support=None):
     """Bigraded homology of Z_K as subset-graded direct sums."""
     if support is None:
         support = k.full_mask()
-    return _decompose(k, support, "homology", threads)
+    return _decompose(k, support, "homology")
 
 
 def _next_bidegree(b, side):
@@ -165,11 +139,30 @@ def _next_bidegree(b, side):
     return (kk - 1, l - 1) if side == "cohomology" else (kk + 1, l + 1)
 
 
-def _block_sign(p, vertex, mask, sign_fault):
-    if sign_fault:
-        return 1  # deliberately wrong, for harness negative controls
-    sign = sign_eps(vertex, mask)
-    return -sign if (p + 1) & 1 else sign
+def _moves(hd, summand, dst_index, sign_fault=False):
+    """The d' blocks out of one summand: (sign, target summand, chain
+    matrix) per vertex move whose subset has a summand in dst_index.
+
+    Cohomology removes a vertex of the subset and restricts cochains;
+    homology adds a vertex of the support and includes chains.
+    """
+    mask, p = summand.mask, summand.degree
+    if hd.side == "cohomology":
+        moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
+        chain_matrix = restriction_matrix
+    else:
+        moves = [(v, mask | (1 << (v - 1))) for v in vertices_of(hd.support & ~mask)]
+        chain_matrix = inclusion_matrix
+    for vertex, other in moves:
+        target = dst_index.get(other)
+        if target is None:
+            continue
+        if sign_fault:
+            sign = 1  # deliberately wrong, for harness negative controls
+        else:
+            sign = sign_eps(vertex, mask)
+            sign = -sign if (p + 1) & 1 else sign
+        yield sign, target, chain_matrix(hd.cxs[mask], hd.cxs[other], p)
 
 
 def d_prime(hd, sign_fault=False):
@@ -191,24 +184,11 @@ def d_prime(hd, sign_fault=False):
         dst_index = {s.mask: s for s in dst_layout.summands}
         mat = IntMatrix.zeros(dst_group.n_gens, src_group.n_gens)
         for summand in src_layout.summands:
-            mask, p = summand.mask, summand.degree
-            if hd.side == "cohomology":
-                moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
-            else:
-                moves = [(v, mask | (1 << (v - 1)))
-                         for v in vertices_of(hd.support & ~mask)]
-            for vertex, other in moves:
-                dst_summand = dst_index.get(other)
-                if dst_summand is None:
-                    continue
-                if hd.side == "cohomology":
-                    chain = restriction_matrix(hd.cxs[mask], hd.cxs[other], p)
-                else:
-                    chain = inclusion_matrix(hd.cxs[mask], hd.cxs[other], p)
-                block = induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
-                sign = _block_sign(p, vertex, mask, sign_fault)
+            for sign, target, chain in _moves(hd, summand, dst_index, sign_fault):
+                block = induced_map(hd.cohs[summand.mask], hd.cohs[target.mask], chain,
+                                    summand.degree)
                 for r in range(block.nrows):
-                    row = mat.rows[dst_summand.offset + r]
+                    row = mat.rows[target.offset + r]
                     brow = block.rows[r]
                     for c in range(block.ncols):
                         row[summand.offset + c] += sign * brow[c]
@@ -273,18 +253,14 @@ def _double(hd, sign_fault=False):
     return DoubleGroups(hd, morphisms, groups)
 
 
-def double_cohomology(k, threads=None, sign_fault=False):
+def double_cohomology(k, sign_fault=False):
     """HH*(Z_K) over Z, from the cohomology-side connecting differential."""
-    return _double(hochster_cohomology(k, threads=threads), sign_fault=sign_fault)
+    return _double(hochster_cohomology(k), sign_fault=sign_fault)
 
 
-def double_homology(k, threads=None, sign_fault=False):
+def double_homology(k, sign_fault=False):
     """HH_*(Z_K) over Z, from the homology-side connecting differential."""
-    return _double(hochster_homology(k, threads=threads), sign_fault=sign_fault)
-
-
-def euler_characteristic(double_groups):
-    return double_groups.euler_characteristic()
+    return _double(hochster_homology(k), sign_fault=sign_fault)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +290,7 @@ def _check_commutes(hd_src, hd_dst, matrices, message):
                 raise VerificationError(message)
 
 
-def ch_restriction_morphism(k, vertices, threads=None):
+def ch_restriction_morphism(k, vertices):
     """Inclusion CH*(Z_{K_I}) -> CH*(Z_K) for a vertex subset I.
 
     The decomposition over subsets of I is a sub-collection of summands
@@ -324,8 +300,8 @@ def ch_restriction_morphism(k, vertices, threads=None):
     checking commutation with d'.
     """
     imask = vertices if isinstance(vertices, int) else mask_of(vertices)
-    hd_full = hochster_cohomology(k, threads=threads)
-    hd_sub = hochster_cohomology(k, support=imask, threads=threads)
+    hd_full = hochster_cohomology(k)
+    hd_sub = hochster_cohomology(k, support=imask)
     matrices = {}
     for b, sub_layout in hd_sub.layouts.items():
         full_layout = hd_full.layouts.get(b)
@@ -419,7 +395,7 @@ class FieldHochster:
         self.cxs = cxs
         self.cohs = cohs
         self.dims = dims          # (k, l) -> dimension
-        self.layouts = layouts    # (k, l) -> list of (mask, p, offset, dim)
+        self.layouts = layouts    # (k, l) -> list of Summand
 
 
 def hochster_field(k, field, side="cohomology", support=None):
@@ -427,29 +403,10 @@ def hochster_field(k, field, side="cohomology", support=None):
     if support is None:
         support = k.full_mask()
     ops = FieldOps(field)
-    cxs = {}
-    cohs = {}
-    collected = {}
-    for mask in range(support + 1):
-        if mask & ~support:
-            continue
-        cx = reduced_complex(k, mask)
-        cxs[mask] = cx
-        coh = FieldComplexCohomology(cx, ops, side=side)
-        cohs[mask] = coh
-        l = mask.bit_count()
-        for p in coh.degrees():
-            collected.setdefault((l - p - 1, l), []).append((mask, p, coh.dim(p)))
-    dims = {}
-    layouts = {}
-    for b, items in collected.items():
-        offset = 0
-        layout = []
-        for mask, p, dim in items:
-            layout.append((mask, p, offset, dim))
-            offset += dim
-        layouts[b] = layout
-        dims[b] = offset
+    cxs, cohs = _sweep(k, support, lambda cx: FieldComplexCohomology(cx, ops, side=side))
+    layouts = _summands(cohs, lambda sq: sq.dim)
+    dims = {b: summands[-1].offset + summands[-1].group.dim
+            for b, summands in layouts.items()}
     return FieldHochster(k, support, side, field, ops, cxs, cohs, dims, layouts)
 
 
@@ -463,32 +420,17 @@ def d_prime_field(fh):
         if dst_layout is None:
             out[b] = None
             continue
-        dst_index = {mask: (offset, dim, p) for mask, p, offset, dim in dst_layout}
+        dst_index = {s.mask: s for s in dst_layout}
         mat = [[ops.of_int(0)] * fh.dims[b] for _ in range(fh.dims[target_b])]
-        for mask, p, offset, dim in layout:
-            if fh.side == "cohomology":
-                moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
-            else:
-                moves = [(v, mask | (1 << (v - 1)))
-                         for v in vertices_of(fh.support & ~mask)]
-            for vertex, other in moves:
-                hit = dst_index.get(other)
-                if hit is None:
-                    continue
-                dst_offset, dst_dim, _ = hit
-                if fh.side == "cohomology":
-                    chain = restriction_matrix(fh.cxs[mask], fh.cxs[other], p)
-                else:
-                    chain = inclusion_matrix(fh.cxs[mask], fh.cxs[other], p)
-                sign = _block_sign(p, vertex, mask, False)
-                for c in range(dim):
-                    pushed = ops.apply_int_matrix(chain, fh.cohs[mask].rep(p, c))
-                    coords = fh.cohs[other].express(p, pushed)
-                    for r in range(dst_dim):
-                        if coords[r]:
-                            mat[dst_offset + r][offset + c] = ops.add(
-                                mat[dst_offset + r][offset + c],
-                                ops.scale_int(sign, coords[r]))
+        for summand in layout:
+            for sign, target, chain in _moves(fh, summand, dst_index):
+                for c, rep in enumerate(summand.group.reps):
+                    coords = target.group.express(ops.apply_int_matrix(chain, rep))
+                    for r, x in enumerate(coords):
+                        if x:
+                            row = mat[target.offset + r]
+                            row[summand.offset + c] = ops.add(
+                                row[summand.offset + c], ops.scale_int(sign, x))
         out[b] = mat
     return out
 

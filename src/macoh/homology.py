@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import sign_eps, vertices_of
+from .complexes import sign_eps
 from .linalg import (
     GroupMorphism,
     IntMatrix,
     LinalgError,
     PresentedGroup,
-    Subquotient,
-    homology_of_pair,
+    free_homology,
     kernel_subgroup,
 )
 
@@ -66,6 +65,13 @@ class ReducedComplex:
     def boundary(self, p):
         """Matrix of the transpose operator C_p -> C_{p-1} on chains."""
         return self.coboundary(p - 1).transpose()
+
+    def differentials(self, p, side):
+        """(incoming, outgoing) matrices at degree p: coboundaries on the
+        "cohomology" side, boundaries on the "homology" side."""
+        if side == "cohomology":
+            return self.coboundary(p - 1), self.coboundary(p)
+        return self.boundary(p + 1), self.boundary(p)
 
 
 def reduced_complex(k, support=None):
@@ -115,47 +121,25 @@ class ComplexCohomology:
         g = self.groups.get(p)
         return g.invariants() if g is not None else (0, ())
 
-    def n_gens(self, p):
-        g = self.groups.get(p)
-        return g.n_gens if g is not None else 0
+
+def _groups(cx, side):
+    groups = {}
+    for q, basis in enumerate(cx.bases):
+        if basis:
+            sq = free_homology(*cx.differentials(q - 1, side))
+            if not sq.is_trivial():
+                groups[q - 1] = sq
+    return ComplexCohomology(cx, groups)
 
 
 def cohomology(cx):
     """Reduced cohomology with representatives, per degree."""
-    groups = {}
-    for q in range(len(cx.bases)):
-        p = q - 1
-        n = len(cx.bases[q])
-        if n == 0:
-            continue
-        mid = PresentedGroup.free(n)
-        d_out = cx.coboundary(p)
-        d_in = cx.coboundary(p - 1)
-        f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
-        g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
-        sq = homology_of_pair(f, g)
-        if not sq.is_trivial():
-            groups[p] = sq
-    return ComplexCohomology(cx, groups)
+    return _groups(cx, "cohomology")
 
 
 def homology(cx):
     """Reduced homology with representatives, per degree, on the same bases."""
-    groups = {}
-    for q in range(len(cx.bases)):
-        p = q - 1
-        n = len(cx.bases[q])
-        if n == 0:
-            continue
-        mid = PresentedGroup.free(n)
-        del_out = cx.boundary(p)       # C_p -> C_{p-1}
-        del_in = cx.boundary(p + 1)    # C_{p+1} -> C_p
-        f = GroupMorphism(PresentedGroup.free(del_in.ncols), mid, del_in)
-        g = GroupMorphism(mid, PresentedGroup.free(del_out.nrows), del_out)
-        sq = homology_of_pair(f, g)
-        if not sq.is_trivial():
-            groups[p] = sq
-    return ComplexCohomology(cx, groups)
+    return _groups(cx, "homology")
 
 
 def restriction_matrix(cx_big, cx_small, p):
@@ -258,65 +242,29 @@ def uct_consistency(cx):
     return True
 
 
-def describe_support(support):
-    return "{" + ",".join(str(v) for v in vertices_of(support)) + "}"
-
-
 class FieldComplexCohomology:
     """(Co)homology of one reduced complex over a field, with representatives.
 
-    Representatives are cycle vectors whose classes form a basis; they
-    are chosen deterministically as the pivot columns of the echelon
-    form of [boundaries | cycles].
+    groups maps each degree with a nonzero group to its FieldSubquotient.
     """
 
-    __slots__ = ("cx", "ops", "side", "data")
+    __slots__ = ("cx", "ops", "side", "groups")
 
     def __init__(self, cx, ops, side="cohomology"):
         self.cx = cx
         self.ops = ops
         self.side = side
-        self.data = {}
-        for q in range(len(cx.bases)):
-            p = q - 1
-            n = len(cx.bases[q])
-            if n == 0:
-                continue
-            if side == "cohomology":
-                out_mat = cx.coboundary(p)
-                in_mat = cx.coboundary(p - 1)
-            else:
-                out_mat = cx.boundary(p)
-                in_mat = cx.boundary(p + 1)
-            cycles = ops.kernel_basis(ops.of_int_matrix(out_mat), n)
-            bounds = [[ops.of_int(x) for x in in_mat.column(j)]
-                      for j in range(in_mat.ncols)]
-            allcols = bounds + cycles
-            reps = []
-            if cycles:
-                rows = [[col[i] for col in allcols] for i in range(n)]
-                _, pivots = ops.rref(rows)
-                reps = [allcols[j] for j in pivots if j >= len(bounds)]
-            if reps:
-                self.data[p] = (bounds, reps)
+        self.groups = {}
+        for q, basis in enumerate(cx.bases):
+            if basis:
+                d_in, d_out = cx.differentials(q - 1, side)
+                sq = ops.subquotient(len(basis), ops.of_int_matrix(d_out),
+                                     ops.of_int_matrix(d_in.transpose()))
+                if sq.dim:
+                    self.groups[q - 1] = sq
 
     def degrees(self):
-        return sorted(self.data)
+        return sorted(self.groups)
 
-    def dim(self, p):
-        entry = self.data.get(p)
-        return len(entry[1]) if entry else 0
-
-    def rep(self, p, i):
-        return self.data[p][1][i]
-
-    def express(self, p, vec):
-        """Class coordinates of a cycle vector in the chosen representatives."""
-        entry = self.data.get(p)
-        if entry is None:
-            return []
-        bounds, reps = entry
-        x = self.ops.solve(bounds + reps, vec)
-        if x is None:
-            raise LinalgError("vector is not a cycle of the subcomplex")
-        return x[len(bounds):]
+    def group(self, p):
+        return self.groups.get(p)

@@ -19,14 +19,14 @@ are disjoint and I + I' is a face, in which case the coefficient is
 
 from __future__ import annotations
 
-from .complexes import sign_eps, sign_eps_set, submasks, vertices_of
+from .complexes import sign_eps, sign_eps_set, submasks
 from .errors import VerificationError
-from .homology import reduced_complex
 from .linalg import (
     FieldOps,
     GroupMorphism,
     IntMatrix,
     PresentedGroup,
+    free_homology,
     homology_of_pair,
 )
 
@@ -194,13 +194,7 @@ def cohomology_via_koszul(k_or_rc):
     groups = {}
     for b in rc.bidegrees:
         kk, l = b
-        n = rc.dim(b)
-        mid = PresentedGroup.free(n)
-        d_out = rc.d_matrix(b)
-        d_in = rc.d_matrix((kk + 1, l))
-        f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
-        g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
-        sq = homology_of_pair(f, g)
+        sq = free_homology(rc.d_matrix((kk + 1, l)), rc.d_matrix(b))
         if not sq.is_trivial():
             groups[b] = sq
     return KoszulCohomology(rc, groups)
@@ -374,13 +368,7 @@ def d_prime_acyclicity(k):
     groups = {}
     for b in rc.bidegrees:
         kk, l = b
-        n = rc.dim(b)
-        mid = PresentedGroup.free(n)
-        d_out = rc.dprime_matrix(b)
-        d_in = rc.dprime_matrix((kk + 1, l + 1))
-        f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
-        g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
-        sq = homology_of_pair(f, g)
+        sq = free_homology(rc.dprime_matrix((kk + 1, l + 1)), rc.dprime_matrix(b))
         if not sq.is_trivial():
             groups[b] = sq
     return rc, groups
@@ -390,50 +378,18 @@ def d_prime_acyclicity(k):
 # products over a field
 
 
-class _FieldLayer:
-    """ker(out)/im(in) over a field with representatives in the ambient space."""
-
-    __slots__ = ("ops", "bounds", "reps")
-
-    def __init__(self, ops, n, out_rows, in_cols):
-        self.ops = ops
-        cycles = ops.kernel_basis(out_rows, n)
-        self.bounds = in_cols
-        self.reps = []
-        if cycles:
-            allcols = in_cols + cycles
-            rows = [[col[i] for col in allcols] for i in range(n)]
-            _, pivots = ops.rref(rows)
-            self.reps = [allcols[j] for j in pivots if j >= len(in_cols)]
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def express(self, vec):
-        x = self.ops.solve(self.bounds + self.reps, vec)
-        if x is None:
-            raise VerificationError("vector is not a cycle in the field layer")
-        return x[len(self.bounds):]
-
-
 class KoszulFieldAlgebra:
     """Cohomology and double cohomology of R(K) over a field, with the
     multiplicative structure on classes."""
 
     def __init__(self, k, field):
-        self.rc = RComplex(k)
-        self.ops = FieldOps(field)
-        ops = self.ops
+        self.rc = rc = RComplex(k)
+        self.ops = ops = FieldOps(field)
         self.h_layers = {}
-        for b in self.rc.bidegrees:
+        for b in rc.bidegrees:
             kk, l = b
-            n = self.rc.dim(b)
-            out_rows = ops.of_int_matrix(self.rc.d_matrix(b))
-            in_mat = self.rc.d_matrix((kk + 1, l))
-            in_cols = [[ops.of_int(x) for x in in_mat.column(j)]
-                       for j in range(in_mat.ncols)]
-            layer = _FieldLayer(ops, n, out_rows, in_cols)
+            layer = ops.subquotient(rc.dim(b), ops.of_int_matrix(rc.d_matrix(b)),
+                                    ops.of_int_matrix(rc.d_matrix((kk + 1, l)).transpose()))
             if layer.dim:
                 self.h_layers[b] = layer
         # descended d' on class coordinates
@@ -459,7 +415,7 @@ class KoszulFieldAlgebra:
                 width = self.h_layers[(kk + 1, l + 1)].dim
                 in_cols = [[incoming[r][c] for r in range(layer.dim)]
                            for c in range(width)]
-            hh = _FieldLayer(ops, layer.dim, out_rows, in_cols)
+            hh = ops.subquotient(layer.dim, out_rows, in_cols)
             if hh.dim:
                 self.hh_layers[b] = hh
 
@@ -487,7 +443,8 @@ class KoszulFieldAlgebra:
         the double cohomology basis at b1 + b2 (empty if that is zero)."""
         x = self.hh_cocycle(b1, i)
         y = self.hh_cocycle(b2, j)
-        target, z = self._multiply_field(b1, x, b2, y)
+        target, z = self.rc.multiply(b1, x, b2, y)
+        z = [self.ops.of_int(c) for c in z]
         h_layer = self.h_layers.get(target)
         if h_layer is None:
             return target, []
@@ -496,24 +453,3 @@ class KoszulFieldAlgebra:
         if hh_layer is None:
             return target, []
         return target, hh_layer.express(h_coords)
-
-    def _multiply_field(self, b1, vec1, b2, vec2):
-        target = (b1[0] + b2[0], b1[1] + b2[1])
-        out = [self.ops.of_int(0)] * self.rc.dim(target)
-        idx = self.rc.index.get(target, {})
-        basis1 = self.rc.basis(b1)
-        basis2 = self.rc.basis(b2)
-        for c1, x1 in enumerate(vec1):
-            if not x1:
-                continue
-            for c2, x2 in enumerate(vec2):
-                if not x2:
-                    continue
-                hit = self.rc.monomial_product(basis1[c1], basis2[c2])
-                if hit is None:
-                    continue
-                sign, mon = hit
-                pos = idx[mon]
-                out[pos] = self.ops.add(out[pos],
-                                        self.ops.scale_int(sign, self.ops.mul(x1, x2)))
-        return target, out

@@ -65,18 +65,12 @@ class IntMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self):
-        return IntMatrix([row[:] for row in self.rows], self.ncols)
-
     def transpose(self):
         return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
                           for j in range(self.ncols)], self.nrows)
 
     def column(self, j):
         return [row[j] for row in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def hstack(self, other):
         if other.nrows != self.nrows:
@@ -451,27 +445,6 @@ class GroupMorphism:
     def zero(cls, source, target):
         return cls(source, target, IntMatrix.zeros(target.n_gens, source.n_gens))
 
-    def is_valid(self):
-        """Whether relations of the source land in the relation lattice of the target."""
-        solver = self.target.relation_solver()
-        for col in self.relations_image().columns():
-            if not solver.contains(col):
-                return False
-        return True
-
-    def relations_image(self):
-        return self.matrix @ self.source.relations
-
-    def compose(self, earlier):
-        """self after earlier."""
-        if earlier.target is not self.source and earlier.target.n_gens != self.source.n_gens:
-            raise LinalgError("composition mismatch")
-        return GroupMorphism(earlier.source, self.target, self.matrix @ earlier.matrix)
-
-    def is_zero_map(self):
-        return all(self.target.element_is_zero(self.matrix.column(j))
-                   for j in range(self.matrix.ncols))
-
 
 class Subquotient:
     """ker(g)/im(f) with normalized generators and an express() map.
@@ -600,32 +573,12 @@ def kernel_subgroup(g):
     return homology_of_pair(zero, g)
 
 
-def _rank_bareiss(rows, nrows, ncols):
-    m = [row[:] for row in rows]
-    rank = 0
-    denom = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            mi = m[i]
-            mr = m[rank]
-            factor = mi[col]
-            for j in range(col, ncols):
-                mi[j] = (mi[j] * pv - factor * mr[j]) // denom
-        denom = pv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def free_homology(d_in, d_out):
+    """ker(d_out)/im(d_in) for integer matrices Z^a --d_in--> Z^n --d_out--> Z^b."""
+    mid = PresentedGroup.free(d_out.ncols)
+    f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
+    g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
+    return homology_of_pair(f, g)
 
 
 def is_prime(p):
@@ -640,39 +593,15 @@ def is_prime(p):
 
 
 def field_rank(a, field):
-    """Rank over Q (field='Q', fraction-free) or over F_p (field=p, p prime).
+    """Rank over Q (field='Q') or over F_p (field=p, p prime).
 
     >>> field_rank(IntMatrix([[2, 4], [1, 2]]), 'Q')
     1
     >>> field_rank(IntMatrix([[2, 4], [1, 2]]), 2)
     1
     """
-    if field == "Q":
-        return _rank_bareiss(a.rows, a.nrows, a.ncols)
-    p = field
-    if not isinstance(p, int) or not is_prime(p):
-        raise LinalgError(f"not a prime: {p!r}")
-    m = [[x % p for x in row] for row in a.rows]
-    rank = 0
-    for col in range(a.ncols):
-        pivot = None
-        for i in range(rank, a.nrows):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for i in range(a.nrows):
-            if i != rank and m[i][col]:
-                c = m[i][col]
-                m[i] = [(x - c * y) % p for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == a.nrows:
-            break
-    return rank
+    ops = FieldOps(field)
+    return ops.rank(ops.of_int_matrix(a))
 
 
 class FieldOps:
@@ -777,6 +706,21 @@ class FieldOps:
             basis.append(vec)
         return basis
 
+    def subquotient(self, n, out_rows, in_cols):
+        """ker(out)/im(in) on F^n, out given by its rows and in by its columns.
+
+        The representatives are the cycles among the pivot columns of the
+        echelon form of [boundaries | kernel basis], so they are
+        deterministic and their classes form a basis.
+        """
+        cycles = self.kernel_basis(out_rows, n)
+        reps = []
+        if cycles:
+            allcols = in_cols + cycles
+            _, pivots = self.rref([[col[i] for col in allcols] for i in range(n)])
+            reps = [allcols[j] for j in pivots if j >= len(in_cols)]
+        return FieldSubquotient(self, in_cols, reps)
+
     def solve(self, columns, b):
         """Any coefficient vector x with sum x_j * columns[j] = b, or None."""
         n = len(b)
@@ -791,7 +735,23 @@ class FieldOps:
         return x
 
 
-if __name__ == "__main__":
-    import doctest
+class FieldSubquotient:
+    """ker(out)/im(in) over a field, with cycle representatives of a basis."""
 
-    doctest.testmod()
+    __slots__ = ("ops", "bounds", "reps")
+
+    def __init__(self, ops, bounds, reps):
+        self.ops = ops
+        self.bounds = bounds
+        self.reps = reps
+
+    @property
+    def dim(self):
+        return len(self.reps)
+
+    def express(self, vec):
+        """Coordinates of the class of a cycle in the representatives."""
+        x = self.ops.solve(self.bounds + self.reps, vec)
+        if x is None:
+            raise LinalgError("vector is not a cycle")
+        return x[len(self.bounds):]

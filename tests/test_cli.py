@@ -111,6 +111,10 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["compute"])
     assert info.value.code == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["compute", "--gen", "cycle:4", "--threads", "2"])
+    assert info.value.code == 1
 
 
 def test_reads_text_and_json_files(tmp_path, capsys):
@@ -185,6 +189,13 @@ def test_fuzz_zero_trials(capsys):
     code, out, _ = run(["fuzz", "--trials", "0"], capsys)
     assert code == 0
     assert "0 trials, 0 violations" in out
+
+
+def test_fuzz_negative_trials_is_an_input_error(capsys):
+    code, out, err = run(["fuzz", "--trials", "-5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_fuzz_negative_control_catches_the_fault(capsys):

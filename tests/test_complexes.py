@@ -255,6 +255,12 @@ def test_json_roundtrip():
         SimplicialComplex.from_json('{"m": 3}')
     with pytest.raises(ComplexError):
         SimplicialComplex.from_json('{"m": 2, "maximal_faces": [[1, 2, 3]]}')
+    for bad in ('{"m": 3, "maximal_faces": [[1.7, 2]]}',
+                '{"m": 3, "maximal_faces": [[true, 2]]}',
+                '{"m": 3, "maximal_faces": [["a", 2]]}',
+                '{"m": true, "maximal_faces": [[1]]}'):
+        with pytest.raises(ComplexError):
+            SimplicialComplex.from_json(bad)
 
 
 def test_text_roundtrip():

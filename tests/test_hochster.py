@@ -25,7 +25,6 @@ from macoh.hochster import (
     double_cohomology,
     double_field,
     double_homology,
-    euler_characteristic,
     hochster_cohomology,
     hochster_field,
     hochster_homology,
@@ -79,7 +78,7 @@ def test_pentagon_double_cohomology():
         (0, 0): (1, ()), (1, 2): (1, ()), (2, 3): (1, ()), (3, 5): (1, ()),
     }
     assert hh.total_rank() == 4
-    assert euler_characteristic(hh) == 0
+    assert hh.euler_characteristic() == 0
 
 
 def test_rp2_bigraded_table_and_double():
@@ -127,14 +126,14 @@ def test_boundary_simplex_double():
     for m in range(2, 6):
         hh = double_cohomology(boundary_simplex(m))
         assert hh.invariants() == {(0, 0): (1, ()), (1, m): (1, ())}
-        assert euler_characteristic(hh) == 0
+        assert hh.euler_characteristic() == 0
 
 
 def test_simplex_double_is_a_single_z():
     for m in range(1, 5):
         hh = double_cohomology(simplex(m))
         assert hh.invariants() == {(0, 0): (1, ())}
-        assert euler_characteristic(hh) == 1
+        assert hh.euler_characteristic() == 1
 
 
 def test_cycle_double_tables():
@@ -146,12 +145,6 @@ def test_cycle_double_tables():
             expected = {(0, 0): 1, (1, 2): 2, (2, 4): 1}
         assert {b: r for b, (r, t) in inv.items()} == expected
         assert all(t == () for _, t in inv.values())
-
-
-def test_threads_give_identical_results():
-    base = hochster_cohomology(two_squares()).invariants()
-    threaded = hochster_cohomology(two_squares(), threads=4).invariants()
-    assert base == threaded
 
 
 def test_cohomology_and_homology_decompositions_are_uct_consistent():

@@ -3,7 +3,7 @@
 import doctest
 import random
 
-from macoh import linalg
+from macoh import complexes, linalg
 from macoh.linalg import (
     FieldOps,
     GroupMorphism,
@@ -64,8 +64,11 @@ def _random_matrix(rng, nrows, ncols, span=4):
 
 
 def test_doctests_pass():
-    results = doctest.testmod(linalg)
-    assert results.failed == 0
+    # the doctests of both modules that carry them: linalg and complexes
+    for module in (linalg, complexes):
+        results = doctest.testmod(module)
+        assert results.attempted > 0, module.__name__
+        assert results.failed == 0, module.__name__
 
 
 def test_matmul_and_stacking():
@@ -269,10 +272,22 @@ def test_field_rank_q_vs_fp():
 
 
 def test_field_rank_matches_smith_rank_over_q():
+    # rank over F_p = rank over Q - #{invariant factors d : p | d}; field_rank
+    # and smith_normal_form are independent eliminations
     rng = random.Random(5)
-    for _ in range(30):
+    for trial in range(60):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert field_rank(a, "Q") == smith_normal_form(a).rank
+        if trial % 2:
+            # force torsion: scale random rows by a small prime
+            a = IntMatrix([[x * rng.choice((2, 3, 5)) for x in row] if rng.random() < 0.5
+                           else row for row in a.rows], a.ncols)
+        dec = smith_normal_form(a)
+        assert field_rank(a, "Q") == dec.rank
+        for p in (2, 3, 5):
+            assert field_rank(a, p) == dec.rank - sum(1 for d in dec.divisors if d % p == 0)
+    # a torsion-only example where the ranks differ
+    a = IntMatrix([[2, 0, 0], [0, 6, 0], [0, 0, 15]])
+    assert [field_rank(a, f) for f in ("Q", 2, 3, 5)] == [3, 1, 1, 2]
 
 
 def test_field_ops_kernel_and_solve():
