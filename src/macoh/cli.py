@@ -89,6 +89,8 @@ def _parse_field(args):
     p = args.p
     if p is None:
         raise ComplexError("--coeff Fp requires --p <prime>")
+    if p >= 1 << 64:
+        raise ComplexError(f"--p must be below 2**64, got {p}")
     if not is_prime(p):
         raise ComplexError(f"--p must be prime, got {p}")
     return f"F{p}", p

@@ -88,40 +88,6 @@ def sign_eps_set(lmask, imask):
     return sign
 
 
-class VertexSet:
-    """Subset of the ground set, a thin wrapper around a bitmask."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, vertices=()):
-        self.mask = vertices if isinstance(vertices, int) else mask_of(vertices)
-
-    @classmethod
-    def from_mask(cls, mask):
-        return cls(mask)
-
-    def labels(self):
-        return vertices_of(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter(self.labels())
-
-    def __contains__(self, v):
-        return bool(self.mask >> (v - 1) & 1)
-
-    def __eq__(self, other):
-        return isinstance(other, VertexSet) and self.mask == other.mask
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __repr__(self):
-        return f"VertexSet{self.labels()}"
-
-
 class SimplicialComplex:
     """Simplicial complex given by maximal faces, closed downward implicitly."""
 
@@ -182,9 +148,6 @@ class SimplicialComplex:
         if not isinstance(mask, int):
             mask = mask_of(mask)
         return any(mask & top == mask for top in self.maximal_faces) or mask == 0
-
-    def face_count(self):
-        return len(self.faces)
 
     def dim(self):
         if not self.maximal_faces:

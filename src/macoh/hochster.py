@@ -33,12 +33,13 @@ from .homology import (
     restriction_matrix,
 )
 from .linalg import (
+    BigradedGroups,
     FieldOps,
     GroupMorphism,
     IntMatrix,
     PresentedGroup,
-    homology_of_pair,
-    merge_torsion,
+    graded_homology,
+    homology_of_pair,  # noqa: F401 (perfbench tests read hochster.homology_of_pair)
 )
 
 
@@ -52,9 +53,8 @@ class Summand:
 
 @dataclass
 class BidegreeLayout:
-    orders: tuple
     summands: list
-    presented: PresentedGroup
+    group: PresentedGroup  # generator orders of the summands, in layout order
 
 
 class HochsterDecomposition:
@@ -75,12 +75,7 @@ class HochsterDecomposition:
 
     def invariants(self):
         """dict (k, l) -> (rank, invariant factors) per nontrivial bidegree."""
-        out = {}
-        for b, layout in self.layouts.items():
-            rank = sum(1 for d in layout.orders if d == 0)
-            torsion = merge_torsion([d for d in layout.orders if d > 1])
-            out[b] = (rank, torsion)
-        return out
+        return {b: layout.group.invariants() for b, layout in self.layouts.items()}
 
 
 def _sweep(k, support, compute):
@@ -114,9 +109,8 @@ def _decompose(k, support, side):
     cxs, cohs = _sweep(k, support, compute)
     layouts = {}
     for b, summands in _summands(cohs, lambda sq: sq.n_gens).items():
-        orders = tuple(d for s in summands for d in s.group.orders)
-        layouts[b] = BidegreeLayout(orders=orders, summands=summands,
-                                    presented=PresentedGroup.diagonal(orders))
+        group = PresentedGroup(d for s in summands for d in s.group.orders)
+        layouts[b] = BidegreeLayout(summands=summands, group=group)
     return HochsterDecomposition(k, support, side, cxs, cohs, layouts)
 
 
@@ -134,9 +128,14 @@ def hochster_homology(k, support=None):
     return _decompose(k, support, "homology")
 
 
+def _step(side):
+    """Bidegree change of d': down on the cohomology side, up on the homology side."""
+    return (-1, -1) if side == "cohomology" else (1, 1)
+
+
 def _next_bidegree(b, side):
-    kk, l = b
-    return (kk - 1, l - 1) if side == "cohomology" else (kk + 1, l + 1)
+    dk, dl = _step(side)
+    return (b[0] + dk, b[1] + dl)
 
 
 def _moves(hd, summand, dst_index, sign_fault=False):
@@ -175,12 +174,12 @@ def d_prime(hd, sign_fault=False):
     morphisms = {}
     for b in hd.bidegrees():
         src_layout = hd.layouts[b]
-        src_group = src_layout.presented
+        src_group = src_layout.group
         dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
         if dst_layout is None:
             morphisms[b] = GroupMorphism.zero(src_group, PresentedGroup.free(0))
             continue
-        dst_group = dst_layout.presented
+        dst_group = dst_layout.group
         dst_index = {s.mask: s for s in dst_layout.summands}
         mat = IntMatrix.zeros(dst_group.n_gens, src_group.n_gens)
         for summand in src_layout.summands:
@@ -210,47 +209,19 @@ def _verify_squares_to_zero(hd, morphisms):
                     f"(-{b[0]}, {2 * b[1]})")
 
 
-class DoubleGroups:
+class DoubleGroups(BigradedGroups):
     """Double (co)homology: per-bidegree subquotients under d'."""
 
-    __slots__ = ("decomposition", "morphisms", "groups")
+    __slots__ = ("decomposition",)
 
-    def __init__(self, decomposition, morphisms, groups):
+    def __init__(self, decomposition, groups):
+        super().__init__(groups)
         self.decomposition = decomposition
-        self.morphisms = morphisms
-        self.groups = groups  # (k, l) -> Subquotient, nontrivial only
-
-    def bidegrees(self):
-        return sorted(self.groups)
-
-    def invariants(self):
-        return {b: sq.invariants() for b, sq in self.groups.items()}
-
-    def group(self, b):
-        return self.groups.get(b)
-
-    def total_rank(self):
-        return sum(sq.rank for sq in self.groups.values())
-
-    def euler_characteristic(self):
-        return sum((-1) ** (b[0] & 1) * sq.rank for b, sq in self.groups.items())
 
 
 def _double(hd, sign_fault=False):
     morphisms = d_prime(hd, sign_fault=sign_fault)
-    groups = {}
-    for b in hd.bidegrees():
-        kk, l = b
-        incoming_b = (kk + 1, l + 1) if hd.side == "cohomology" else (kk - 1, l - 1)
-        mid = hd.layouts[b].presented
-        f = morphisms.get(incoming_b)
-        if f is None or f.target.n_gens == 0:
-            f = GroupMorphism.zero(PresentedGroup.free(0), mid)
-        g = morphisms[b]
-        sq = homology_of_pair(f, g)
-        if not sq.is_trivial():
-            groups[b] = sq
-    return DoubleGroups(hd, morphisms, groups)
+    return DoubleGroups(hd, graded_homology(morphisms, _step(hd.side)))
 
 
 def double_cohomology(k, sign_fault=False):
@@ -276,8 +247,8 @@ def _check_commutes(hd_src, hd_dst, matrices, message):
         dst_next = hd_dst.layouts.get(nxt)
         if dst_next is None:
             continue
-        n_rows = len(dst_next.orders)
-        n_cols = len(hd_src.layouts[b].orders)
+        n_rows = dst_next.group.n_gens
+        n_cols = hd_src.layouts[b].group.n_gens
         left = IntMatrix.zeros(n_rows, n_cols)
         if nxt in hd_src.layouts and nxt in matrices:
             left = matrices[nxt] @ d_src[b].matrix
@@ -286,7 +257,7 @@ def _check_commutes(hd_src, hd_dst, matrices, message):
             right = d_dst[b].matrix @ matrices[b]
         diff = left - right
         for j in range(diff.ncols):
-            if not dst_next.presented.element_is_zero(diff.column(j)):
+            if not dst_next.group.element_is_zero(diff.column(j)):
                 raise VerificationError(message)
 
 
@@ -308,7 +279,7 @@ def ch_restriction_morphism(k, vertices):
         if full_layout is None:
             raise VerificationError("subcomplex summand missing from the ambient complex")
         full_index = {s.mask: s for s in full_layout.summands}
-        mat = IntMatrix.zeros(len(full_layout.orders), len(sub_layout.orders))
+        mat = IntMatrix.zeros(full_layout.group.n_gens, sub_layout.group.n_gens)
         for summand in sub_layout.summands:
             target = full_index.get(summand.mask)
             if target is None or target.group.n_gens != summand.group.n_gens:
@@ -354,8 +325,8 @@ def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
     matrices = {}
     for b, src_layout in hd_src.layouts.items():
         dst_layout = hd_dst.layouts.get(b)
-        n_dst = len(dst_layout.orders) if dst_layout else 0
-        mat = IntMatrix.zeros(n_dst, len(src_layout.orders))
+        n_dst = dst_layout.group.n_gens if dst_layout else 0
+        mat = IntMatrix.zeros(n_dst, src_layout.group.n_gens)
         if dst_layout is not None:
             dst_index = {(s.mask, s.degree): s for s in dst_layout.summands}
             for summand in src_layout.summands:
@@ -440,13 +411,12 @@ def double_field(k, field, side="cohomology"):
     fh = hochster_field(k, field, side=side)
     mats = d_prime_field(fh)
     ops = fh.ops
+    dk, dl = _step(fh.side)
     dims = {}
     for b, dim in fh.dims.items():
-        kk, l = b
-        incoming_b = (kk + 1, l + 1) if fh.side == "cohomology" else (kk - 1, l - 1)
         g_mat = mats.get(b)
         rank_g = ops.rank(g_mat) if g_mat else 0
-        f_mat = mats.get(incoming_b)
+        f_mat = mats.get((b[0] - dk, b[1] - dl))
         rank_f = ops.rank(f_mat) if f_mat else 0
         hh = dim - rank_g - rank_f
         if hh:

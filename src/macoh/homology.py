@@ -213,9 +213,7 @@ def top_classes(k, coh=None):
                 stacked = stacked.vstack(b)
         else:
             stacked = IntMatrix.zeros(0, src.n_gens)
-        source_group = PresentedGroup.diagonal(src.orders)
-        target_group = PresentedGroup.diagonal(orders)
-        g = GroupMorphism(source_group, target_group, stacked)
+        g = GroupMorphism(PresentedGroup(src.orders), PresentedGroup(orders), stacked)
         vanish = kernel_subgroup(g)
         for j in range(vanish.n_gens):
             coords = vanish.gens.column(j)

@@ -22,12 +22,13 @@ from __future__ import annotations
 from .complexes import sign_eps, sign_eps_set, submasks
 from .errors import VerificationError
 from .linalg import (
+    BigradedGroups,
     FieldOps,
     GroupMorphism,
     IntMatrix,
     PresentedGroup,
     free_homology,
-    homology_of_pair,
+    graded_homology,
 )
 
 
@@ -170,23 +171,14 @@ class RComplex:
         return target, out
 
 
-class KoszulCohomology:
+class KoszulCohomology(BigradedGroups):
     """Cohomology of (R, d) per bidegree, with representatives."""
 
-    __slots__ = ("rc", "groups")
+    __slots__ = ("rc",)
 
     def __init__(self, rc, groups):
+        super().__init__(groups)
         self.rc = rc
-        self.groups = groups
-
-    def bidegrees(self):
-        return sorted(self.groups)
-
-    def group(self, b):
-        return self.groups.get(b)
-
-    def invariants(self):
-        return {b: sq.invariants() for b, sq in self.groups.items()}
 
 
 def cohomology_via_koszul(k_or_rc):
@@ -210,16 +202,14 @@ def _descend_dprime(kc):
         tgt = kc.groups.get(target_b)
         dp = rc.dprime_matrix(b)
         if tgt is None:
-            out[b] = GroupMorphism.zero(PresentedGroup.diagonal(sq.orders),
-                                        PresentedGroup.free(0))
+            out[b] = GroupMorphism.zero(PresentedGroup(sq.orders), PresentedGroup.free(0))
             continue
         cols = []
         for j in range(sq.n_gens):
             pushed = dp.mulvec(sq.gens.column(j))
             cols.append(tgt.express(pushed))
         mat = IntMatrix.from_columns(cols, tgt.n_gens)
-        out[b] = GroupMorphism(PresentedGroup.diagonal(sq.orders),
-                               PresentedGroup.diagonal(tgt.orders), mat)
+        out[b] = GroupMorphism(PresentedGroup(sq.orders), PresentedGroup(tgt.orders), mat)
     for b, mor in out.items():
         kk, l = b
         nxt = out.get((kk - 1, l - 1))
@@ -233,44 +223,19 @@ def _descend_dprime(kc):
     return out
 
 
-class KoszulDouble:
+class KoszulDouble(BigradedGroups):
     """HH from the Koszul side: per-bidegree subquotients of classes."""
 
-    __slots__ = ("kc", "morphisms", "groups")
+    __slots__ = ("kc",)
 
-    def __init__(self, kc, morphisms, groups):
+    def __init__(self, kc, groups):
+        super().__init__(groups)
         self.kc = kc
-        self.morphisms = morphisms
-        self.groups = groups
-
-    def bidegrees(self):
-        return sorted(self.groups)
-
-    def invariants(self):
-        return {b: sq.invariants() for b, sq in self.groups.items()}
-
-    def total_rank(self):
-        return sum(sq.rank for sq in self.groups.values())
-
-    def euler_characteristic(self):
-        return sum((-1) ** (b[0] & 1) * sq.rank for b, sq in self.groups.items())
 
 
 def hh_via_koszul(k_or_rc):
     kc = cohomology_via_koszul(k_or_rc)
-    morphisms = _descend_dprime(kc)
-    groups = {}
-    for b, sq in kc.groups.items():
-        kk, l = b
-        mid = PresentedGroup.diagonal(sq.orders)
-        f = morphisms.get((kk + 1, l + 1))
-        if f is None or f.target.n_gens == 0:
-            f = GroupMorphism.zero(PresentedGroup.free(0), mid)
-        g = morphisms[b]
-        hh = homology_of_pair(f, g)
-        if not hh.is_trivial():
-            groups[b] = hh
-    return KoszulDouble(kc, morphisms, groups)
+    return KoszulDouble(kc, graded_homology(_descend_dprime(kc), (-1, -1)))
 
 
 # ---------------------------------------------------------------------------

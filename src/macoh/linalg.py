@@ -3,13 +3,15 @@
 Everything in the bigraded pipelines reduces to a handful of integer
 lattice computations: Smith normal forms with tracked unimodular
 transforms, saturated kernel lattices, solving A x = b over Z, and
-presenting subquotients ker(g)/im(f) of finitely presented abelian
-groups with enough bookkeeping to express an arbitrary element in the
-chosen generators.  All entries are Python ints, so results are exact.
+presenting subquotients ker(g)/im(f) with enough bookkeeping to express
+an arbitrary element in the chosen generators.  The groups involved are
+direct sums of cyclic groups, each given by its generator orders (0 for
+Z, d for Z/d), so membership in their relations is a divisibility test.
+All entries are Python ints, so results are exact.
 
-Matrix convention: relation matrices act by columns (each column is one
-relator), morphism matrices act on column vectors of generator
-coordinates.
+Matrix convention: morphism matrices act on column vectors of generator
+coordinates; a group's relation matrix has one column d * e_k per
+generator k of order d > 0.
 """
 
 from __future__ import annotations
@@ -299,9 +301,6 @@ class SmithSolver:
             return None
         return self.dec.V.mulvec(xhat)
 
-    def contains(self, b):
-        return self.solve(b) is not None
-
     def kernel_basis(self):
         cols = [self.dec.V.column(j) for j in range(self.dec.rank, self.a.ncols)]
         return IntMatrix.from_columns(cols, self.a.ncols)
@@ -361,64 +360,47 @@ def merge_torsion(orders):
 
 
 class PresentedGroup:
-    """Abelian group Z^n modulo the column lattice of a relation matrix."""
+    """Direct sum of cyclic groups, one generator per order: Z/d for
+    d > 0, Z for d = 0.
 
-    __slots__ = ("n_gens", "relations", "_solver", "_invariants")
+    >>> PresentedGroup((0, 4, 2)).invariants()
+    (1, (2, 4))
+    """
 
-    def __init__(self, n_gens, relations=None):
-        if relations is None:
-            relations = IntMatrix.zeros(n_gens, 0)
-        if relations.nrows != n_gens:
-            raise LinalgError("relation matrix height must equal generator count")
-        self.n_gens = n_gens
-        self.relations = relations
-        self._solver = None
-        self._invariants = None
+    __slots__ = ("orders",)
+
+    def __init__(self, orders):
+        orders = tuple(orders)
+        if any(not isinstance(d, int) or d < 0 for d in orders):
+            raise LinalgError("generator orders must be non-negative integers")
+        self.orders = orders
 
     @classmethod
     def free(cls, n):
-        return cls(n)
+        return cls((0,) * n)
 
-    @classmethod
-    def diagonal(cls, orders):
-        """Group with one generator per entry; order 0 means free."""
-        orders = list(orders)
-        n = len(orders)
-        cols = [[orders[k] if i == k else 0 for i in range(n)]
-                for k in range(n) if orders[k]]
-        return cls(n, IntMatrix.from_columns(cols, n))
+    @property
+    def n_gens(self):
+        return len(self.orders)
 
-    def relation_solver(self):
-        if self._solver is None:
-            self._solver = SmithSolver(self.relations)
-        return self._solver
+    @property
+    def relations(self):
+        """Relation matrix: one column d * e_k per generator k of order d > 0."""
+        n = len(self.orders)
+        cols = [[d if i == k else 0 for i in range(n)]
+                for k, d in enumerate(self.orders) if d]
+        return IntMatrix.from_columns(cols, n)
 
     def invariants(self):
         """(rank, invariant factors > 1, ascending divisibility)."""
-        if self._invariants is None:
-            dec = smith_normal_form(self.relations)
-            torsion = tuple(d for d in dec.divisors if d > 1)
-            self._invariants = (self.n_gens - dec.rank, torsion)
-        return self._invariants
-
-    @property
-    def rank(self):
-        return self.invariants()[0]
-
-    @property
-    def torsion(self):
-        return self.invariants()[1]
-
-    def is_trivial(self):
-        rank, torsion = self.invariants()
-        return rank == 0 and not torsion
+        return (self.orders.count(0), merge_torsion([d for d in self.orders if d > 1]))
 
     def element_is_zero(self, coords):
-        """Whether a coordinate vector lies in the relation lattice."""
+        """Whether each coordinate is divisible by its generator's order."""
         coords = list(coords)
-        if all(x == 0 for x in coords):
-            return True
-        return self.relation_solver().contains(coords)
+        if len(coords) != len(self.orders):
+            raise LinalgError("coordinate vector has wrong length")
+        return all(x % d == 0 if d else x == 0 for x, d in zip(coords, self.orders))
 
     def __repr__(self):
         rank, torsion = self.invariants()
@@ -454,19 +436,15 @@ class Subquotient:
     its order, then free generators with order 0.
     """
 
-    __slots__ = ("middle_n", "rank", "torsion", "orders", "gens",
-                 "_kernel_solver", "_ux", "_divisors", "_kept")
+    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_solver", "_ux", "_kept")
 
-    def __init__(self, middle_n, rank, torsion, orders, gens,
-                 kernel_solver, ux, divisors, kept):
-        self.middle_n = middle_n
+    def __init__(self, rank, torsion, orders, gens, kernel_solver, ux, kept):
         self.rank = rank
         self.torsion = torsion
         self.orders = orders
         self.gens = gens
         self._kernel_solver = kernel_solver
         self._ux = ux
-        self._divisors = divisors
         self._kept = kept
 
     @property
@@ -518,10 +496,8 @@ def homology_of_pair(f, g):
     n_b = b.n_gens
 
     composite = g.matrix @ f.matrix
-    target_solver = g.target.relation_solver()
     for j in range(composite.ncols):
-        col = composite.column(j)
-        if any(col) and not target_solver.contains(col):
+        if not g.target.element_is_zero(composite.column(j)):
             raise LinalgError("g∘f is not the zero morphism")
 
     # lattice {x in Z^n_b : g(x) lies in the relation lattice of C}
@@ -555,14 +531,12 @@ def homology_of_pair(f, g):
     gens = IntMatrix.from_columns(gen_cols, n_b)
 
     return Subquotient(
-        middle_n=n_b,
         rank=rank,
         torsion=torsion,
         orders=orders,
         gens=gens,
         kernel_solver=kernel_solver,
         ux=dec.U,
-        divisors=tuple(divisors),
         kept=kept,
     )
 
@@ -581,14 +555,78 @@ def free_homology(d_in, d_out):
     return homology_of_pair(f, g)
 
 
+def graded_homology(morphisms, step):
+    """Homology of a bigraded complex of groups at every bidegree.
+
+    morphisms maps each bidegree b to its outgoing morphism, into
+    b + step; a bidegree with no incoming morphism gets the zero map.
+    Returns bidegree -> Subquotient for the nontrivial homology groups.
+    """
+    groups = {}
+    for (kk, l), g in morphisms.items():
+        f = morphisms.get((kk - step[0], l - step[1]))
+        if f is None:
+            f = GroupMorphism.zero(PresentedGroup.free(0), g.source)
+        sq = homology_of_pair(f, g)
+        if not sq.is_trivial():
+            groups[(kk, l)] = sq
+    return groups
+
+
+class BigradedGroups:
+    """Subquotients per bidegree (k, l), nontrivial ones only."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def bidegrees(self):
+        return sorted(self.groups)
+
+    def group(self, b):
+        return self.groups.get(b)
+
+    def invariants(self):
+        return {b: sq.invariants() for b, sq in self.groups.items()}
+
+    def total_rank(self):
+        return sum(sq.rank for sq in self.groups.values())
+
+    def euler_characteristic(self):
+        return sum((-1) ** (b[0] & 1) * sq.rank for b, sq in self.groups.items())
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin, exact for every p < 2**64.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime(2 ** 61 - 1), is_prime(3215031751)
+    (True, False)
+    """
+    if p >= 1 << 64:
+        raise LinalgError(f"primality is only decided below 2**64, got {p}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in bases:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -84,6 +84,19 @@ def test_field_coefficients(capsys):
     assert code == 1
 
 
+def test_large_prime_field(capsys):
+    rows = {}
+    for coeff in (["Q"], ["Fp", "--p", str(2 ** 61 - 1)]):
+        code, out, _ = run(["compute", "--gen", "cycle:4", "--what", "H", "--json",
+                            "--coeff"] + coeff, capsys)
+        assert code == 0
+        rows[coeff[0]] = json.loads(out)["H"]
+    assert rows["Fp"] == rows["Q"]
+    code, out, err = run(["compute", "--gen", "cycle:4", "--coeff", "Fp",
+                          "--p", "18446744073709551629"], capsys)
+    assert code == 1 and out == "" and err.startswith("error:") and "2**64" in err
+
+
 def test_mod_two_of_the_projective_plane(capsys):
     code, out, _ = run(["compute", "--gen", "rp2", "--what", "HH",
                         "--coeff", "Fp", "--p", "2", "--json", "--verify"], capsys)

@@ -7,7 +7,6 @@ import pytest
 from macoh.complexes import (
     ComplexError,
     SimplicialComplex,
-    VertexSet,
     attach_simplex,
     boundary_simplex,
     clique_complex,
@@ -43,14 +42,6 @@ def test_mask_roundtrip():
         mask_of([0])
     with pytest.raises(ComplexError):
         mask_of([2, 2])
-
-
-def test_vertex_set():
-    s = VertexSet([2, 4])
-    assert len(s) == 2
-    assert list(s) == [2, 4]
-    assert 2 in s and 3 not in s
-    assert VertexSet.from_mask(s.mask) == s
 
 
 def test_submasks_enumerates_power_set():

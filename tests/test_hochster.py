@@ -191,9 +191,9 @@ def test_subcomplex_pushforward_kernel_is_generated_by_vertex_differences():
     hd_src, hd_dst, matrices = ch_subcomplex_morphisms(ell, kay, side="homology")
     kernels = {}
     for b, mat in matrices.items():
-        src_group = hd_src.layouts[b].presented
+        src_group = hd_src.layouts[b].group
         dst_layout = hd_dst.layouts.get(b)
-        dst_group = dst_layout.presented if dst_layout else PresentedGroup.free(0)
+        dst_group = dst_layout.group if dst_layout else PresentedGroup.free(0)
         mor = GroupMorphism(src_group, dst_group, mat)
         ker = kernel_subgroup(mor)
         if not ker.is_trivial():
@@ -209,7 +209,7 @@ def test_subcomplex_pushforward_kernel_is_generated_by_vertex_differences():
     basis = hd_src.cxs[summand.mask].basis(0)
     assert basis == [mask_of([1]), mask_of([3])]
     coords = summand.group.express([1, -1])
-    ambient = [0] * len(layout.orders)
+    ambient = [0] * layout.group.n_gens
     for i, c in enumerate(coords):
         ambient[summand.offset + i] = c
     gen = kernels[(1, 2)].gens.column(0)
