@@ -79,13 +79,24 @@ class HochsterDecomposition:
 
 
 def _sweep(k, support, compute):
-    """Reduced complex and compute(complex) for every subset of support."""
+    """Reduced complex and compute(complex) for every subset of support.
+
+    Subsets whose coboundary matrices are equal share one result object,
+    computed once.  An order-preserving relabelling of a full subcomplex
+    keeps its ascending-mask bases and every sign_eps, so repeats are
+    common, and equal matrices give an identical computation.
+    """
     cxs = {}
     cohs = {}
+    computed = {}
     for mask in range(support + 1):
         if mask & ~support == 0:
             cxs[mask] = cx = reduced_complex(k, mask)
-            cohs[mask] = compute(cx)
+            key = tuple((d.shape, tuple(map(tuple, d.rows))) for d in cx.coboundaries)
+            coh = computed.get(key)
+            if coh is None:
+                coh = computed[key] = compute(cx)
+            cohs[mask] = coh
     return cxs, cohs
 
 

@@ -105,10 +105,9 @@ def reduced_complex(k, support=None):
 class ComplexCohomology:
     """Cohomology of one reduced complex, every degree, with representatives."""
 
-    __slots__ = ("cx", "groups")
+    __slots__ = ("groups",)
 
-    def __init__(self, cx, groups):
-        self.cx = cx
+    def __init__(self, groups):
         self.groups = groups  # degree p -> Subquotient, only nondegenerate p kept
 
     def degrees(self):
@@ -129,7 +128,7 @@ def _groups(cx, side):
             sq = free_homology(*cx.differentials(q - 1, side))
             if not sq.is_trivial():
                 groups[q - 1] = sq
-    return ComplexCohomology(cx, groups)
+    return ComplexCohomology(groups)
 
 
 def cohomology(cx):
@@ -246,12 +245,9 @@ class FieldComplexCohomology:
     groups maps each degree with a nonzero group to its FieldSubquotient.
     """
 
-    __slots__ = ("cx", "ops", "side", "groups")
+    __slots__ = ("groups",)
 
     def __init__(self, cx, ops, side="cohomology"):
-        self.cx = cx
-        self.ops = ops
-        self.side = side
         self.groups = {}
         for q, basis in enumerate(cx.bases):
             if basis:

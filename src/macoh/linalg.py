@@ -16,6 +16,7 @@ generator k of order d > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -89,10 +90,17 @@ class IntMatrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
-        bt = other.transpose().rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.rows],
-            other.ncols)
+        # row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i][k]; zero entries cost nothing
+        n = other.ncols
+        out = []
+        for row in self.rows:
+            acc = [0] * n
+            for a, brow in zip(row, other.rows):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            out.append(acc)
+        return IntMatrix(out, n)
 
     def mulvec(self, vec):
         vec = list(vec)
@@ -275,7 +283,8 @@ class SmithSolver:
 
     solve(b) finds x with A x = b over Z (or None), kernel_basis() gives
     a basis of the saturated kernel lattice, column_lattice_basis() a
-    basis of the image lattice.
+    basis of the image lattice and lattice_coordinates(b) the
+    coordinates of b in that basis.
     """
 
     def __init__(self, a):
@@ -310,52 +319,51 @@ class SmithSolver:
                 for i, d in enumerate(self.dec.divisors)]
         return IntMatrix.from_columns(cols, self.a.nrows)
 
+    def lattice_coordinates(self, b):
+        """The unique x with column_lattice_basis() @ x = b, or None.
+
+        U times that basis is diag(d_1, ..., d_r) above a zero block, so
+        x_i = (U b)_i / d_i, provided every division is exact and U b
+        vanishes below row r.
+        """
+        b = list(b)
+        if len(b) != self.a.nrows:
+            raise LinalgError("rhs length mismatch")
+        y = self.dec.U.mulvec(b)
+        if any(y[i] for i in range(self.dec.rank, len(y))):
+            return None
+        x = []
+        for yi, d in zip(y, self.dec.divisors):
+            if yi % d:
+                return None
+            x.append(yi // d)
+        return x
+
 
 def kernel_basis(a):
     """Basis of the saturated lattice {x : A x = 0}."""
     return SmithSolver(a).kernel_basis()
 
 
-def column_lattice_basis(a):
-    """Basis of the lattice spanned by the columns of A."""
-    return SmithSolver(a).column_lattice_basis()
-
-
-def _factorize(n):
-    factors = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def merge_torsion(orders):
     """Invariant factors of a direct sum of cyclic groups of the given orders.
+
+    Z/a + Z/b is isomorphic to Z/gcd(a, b) + Z/lcm(a, b), so one pass of
+    that replacement over every pair i < j leaves a divisor chain.
 
     >>> merge_torsion([2, 3])
     (6,)
     >>> merge_torsion([2, 2, 4])
     (2, 2, 4)
     """
-    by_prime = {}
-    for n in orders:
-        if n <= 1:
-            raise LinalgError("cyclic order must exceed 1")
-        for p, e in _factorize(n).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    width = max(len(v) for v in by_prime.values())
-    factors = [1] * width
-    for p, exps in by_prime.items():
-        exps = sorted(exps, reverse=True)
-        for i, e in enumerate(exps):
-            factors[width - 1 - i] *= p ** e  # largest exponents go to the last factor
+    factors = list(orders)
+    if any(n <= 1 for n in factors):
+        raise LinalgError("cyclic order must exceed 1")
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            g = math.gcd(a, b)
+            factors[i], factors[j] = g, a // g * b
     return tuple(f for f in factors if f > 1)
 
 
@@ -436,14 +444,14 @@ class Subquotient:
     its order, then free generators with order 0.
     """
 
-    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_solver", "_ux", "_kept")
+    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_coords", "_ux", "_kept")
 
-    def __init__(self, rank, torsion, orders, gens, kernel_solver, ux, kept):
+    def __init__(self, rank, torsion, orders, gens, kernel_coords, ux, kept):
         self.rank = rank
         self.torsion = torsion
         self.orders = orders
         self.gens = gens
-        self._kernel_solver = kernel_solver
+        self._kernel_coords = kernel_coords
         self._ux = ux
         self._kept = kept
 
@@ -463,7 +471,7 @@ class Subquotient:
         vec must represent an element of ker(g); torsion coordinates are
         reduced into [0, order).
         """
-        a = self._kernel_solver.solve(list(vec))
+        a = self._kernel_coords(list(vec))
         if a is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
         z = self._ux.mulvec(a)
@@ -500,20 +508,22 @@ def homology_of_pair(f, g):
         if not g.target.element_is_zero(composite.column(j)):
             raise LinalgError("g∘f is not the zero morphism")
 
-    # lattice {x in Z^n_b : g(x) lies in the relation lattice of C}
+    # lattice {x in Z^n_b : g(x) lies in the relation lattice of C}, with
+    # the coordinates of a vector in its basis ker (None outside it)
     if g.target.n_gens == 0:
         ker = IntMatrix.identity(n_b)
+        kernel_coords = list
     else:
         stacked = g.matrix.hstack(g.target.relations)
         full_kernel = kernel_basis(stacked)
-        projected = IntMatrix(full_kernel.rows[:n_b], full_kernel.ncols)
-        ker = column_lattice_basis(projected)
+        projected = SmithSolver(IntMatrix(full_kernel.rows[:n_b], full_kernel.ncols))
+        ker = projected.column_lattice_basis()
+        kernel_coords = projected.lattice_coordinates
 
-    kernel_solver = SmithSolver(ker)
     relators = f.matrix.hstack(b.relations)
     expressed = []
     for j in range(relators.ncols):
-        x = kernel_solver.solve(relators.column(j))
+        x = kernel_coords(relators.column(j))
         if x is None:
             raise LinalgError("im(f) or a relation of B escapes ker(g)")
         expressed.append(x)
@@ -535,7 +545,7 @@ def homology_of_pair(f, g):
         torsion=torsion,
         orders=orders,
         gens=gens,
-        kernel_solver=kernel_solver,
+        kernel_coords=kernel_coords,
         ux=dec.U,
         kept=kept,
     )

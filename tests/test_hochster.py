@@ -9,6 +9,7 @@ from macoh.complexes import (
     boundary_simplex,
     cycle,
     disjoint_points,
+    join,
     mask_of,
     random_complex,
     rp2_minimal,
@@ -29,6 +30,7 @@ from macoh.hochster import (
     hochster_field,
     hochster_homology,
 )
+from macoh.homology import FieldComplexCohomology, cohomology, homology, reduced_complex
 from macoh.linalg import GroupMorphism, PresentedGroup, homology_of_pair, kernel_subgroup, smith_normal_form
 
 # bidegrees are keyed (k, l); the display bidegree is (-k, 2l)
@@ -238,3 +240,33 @@ def test_homology_side_field_matches_cohomology_side_field():
         co = double_field(k, "Q", side="cohomology")
         ho = double_field(k, "Q", side="homology")
         assert co == ho
+
+
+def test_sweep_results_equal_a_direct_computation_for_every_subset():
+    # the sweep computes each distinct subcomplex once and hands the result
+    # to every subset with equal coboundary matrices
+    relabelled = cycle(7).relabeled(dict(zip(range(1, 8), (4, 7, 1, 6, 2, 5, 3))))
+    cases = [relabelled, rp2_minimal(), join(cycle(4), cycle(4)),
+             random_complex(random.Random(17), 7)]
+    for k in cases:
+        for decompose, direct in ((hochster_cohomology, cohomology),
+                                  (hochster_homology, homology)):
+            hd = decompose(k)
+            assert len(hd.cohs) == 1 << k.m
+            for mask, coh in hd.cohs.items():
+                expected = direct(reduced_complex(k, mask))
+                assert coh.degrees() == expected.degrees()
+                for p in expected.degrees():
+                    assert coh.group(p).orders == expected.group(p).orders
+                    assert coh.group(p).gens.rows == expected.group(p).gens.rows
+        fh = hochster_field(k, "Q")
+        for mask, coh in fh.cohs.items():
+            expected = FieldComplexCohomology(reduced_complex(k, mask), fh.ops)
+            assert coh.degrees() == expected.degrees()
+            for p in expected.degrees():
+                assert coh.group(p).reps == expected.group(p).reps
+
+
+def test_sweep_shares_results_between_repeated_subcomplexes():
+    hd = hochster_cohomology(cycle(8))
+    assert len({id(coh) for coh in hd.cohs.values()}) < len(hd.cohs)

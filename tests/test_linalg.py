@@ -2,6 +2,7 @@
 
 import doctest
 import random
+import time
 
 from macoh import complexes, linalg
 from macoh.linalg import (
@@ -168,6 +169,14 @@ def test_merge_torsion():
     assert merge_torsion([2, 2]) == (2, 2)
     assert merge_torsion([4, 6]) == (2, 12)
     assert merge_torsion([2, 4, 3]) == (2, 12)
+
+
+def test_invariants_of_huge_orders_are_fast():
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    invariants = PresentedGroup((p, p, 6)).invariants()
+    assert time.perf_counter() - start < 0.1
+    assert invariants == (0, (p, 6 * p))
 
 
 def test_presented_group_invariants():

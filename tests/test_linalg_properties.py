@@ -2,16 +2,20 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macoh.linalg import (
     GroupMorphism,
     IntMatrix,
+    LinalgError,
     PresentedGroup,
     SmithSolver,
+    free_homology,
     homology_of_pair,
     kernel_basis,
+    merge_torsion,
     smith_normal_form,
 )
 
@@ -89,3 +93,73 @@ def test_element_is_zero_agrees_with_the_smith_solver(group_orders, data):
         vec = [d * data.draw(entries) + data.draw(st.sampled_from((0, 0, 0, 1, -1)))
                for d in group_orders]
         assert group.element_is_zero(vec) == (solver.solve(vec) is not None)
+
+
+sparse_entries = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
+
+
+@st.composite
+def sparse_matrix(draw, nrows, ncols):
+    rows = draw(st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return IntMatrix(rows, ncols)
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_the_triple_sum(n, k, m, data):
+    a = data.draw(sparse_matrix(n, k))
+    b = data.draw(sparse_matrix(k, m))
+    naive = [[sum(a.rows[i][t] * b.rows[t][j] for t in range(k)) for j in range(m)]
+             for i in range(n)]
+    assert a @ b == IntMatrix(naive, m)
+
+
+@PROPERTY
+@given(st.lists(st.integers(min_value=2, max_value=72), max_size=5))
+def test_merge_torsion_matches_smith_of_the_diagonal(group_orders):
+    n = len(group_orders)
+    diagonal = IntMatrix([[d if i == j else 0 for j in range(n)]
+                          for i, d in enumerate(group_orders)], n)
+    divisors = smith_normal_form(diagonal).divisors
+    assert merge_torsion(group_orders) == tuple(d for d in divisors if d > 1)
+
+
+@st.composite
+def free_complexes(draw):
+    """(d_in, d_out, cycles): d_out random, d_in built from its kernel so
+    d_out @ d_in = 0, and cycles a basis of ker(d_out)."""
+    d_out = draw(matrices())
+    cycles = kernel_basis(d_out)
+    n_in = draw(st.integers(min_value=0, max_value=3))
+    coefs = draw(sparse_matrix(cycles.ncols, n_in))
+    return cycles @ coefs, d_out, cycles
+
+
+@PROPERTY
+@given(free_complexes(), st.data())
+def test_free_homology_express_leaves_a_boundary(cx, data):
+    d_in, d_out, cycles = cx
+    h = free_homology(d_in, d_out)
+    boundaries = SmithSolver(d_in)  # independent of the kernel coordinates
+    for _ in range(3):
+        w = data.draw(st.lists(entries, min_size=cycles.ncols, max_size=cycles.ncols))
+        v = cycles.mulvec(w)
+        coords = h.express(v)
+        residual = v[:]
+        for j, c in enumerate(coords):
+            residual = [x - c * y for x, y in zip(residual, h.gens.column(j))]
+        assert boundaries.solve(residual) is not None
+
+
+@PROPERTY
+@given(free_complexes(), st.data())
+def test_free_homology_rejects_a_non_cycle(cx, data):
+    d_in, d_out, _ = cx
+    h = free_homology(d_in, d_out)
+    v = data.draw(st.lists(entries, min_size=d_out.ncols, max_size=d_out.ncols))
+    if any(d_out.mulvec(v)):
+        with pytest.raises(LinalgError):
+            h.express(v)
+    else:
+        h.express(v)
