@@ -92,7 +92,7 @@ def _sweep(k, support, compute):
     for mask in range(support + 1):
         if mask & ~support == 0:
             cxs[mask] = cx = reduced_complex(k, mask)
-            key = tuple((d.shape, tuple(map(tuple, d.rows))) for d in cx.coboundaries)
+            key = tuple(cx.coboundaries)  # IntMatrix compares shape and entries
             coh = computed.get(key)
             if coh is None:
                 coh = computed[key] = compute(cx)
