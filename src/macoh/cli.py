@@ -187,7 +187,8 @@ def cmd_compute(args):
             if need_h:
                 h_rows = _rows({b: d for b, d in fh.dims.items() if d})
         if need_hh or args.verify:
-            hh_dims = hochster.double_field(k, field, side="cohomology")
+            hh_dims = hochster.double_field(fh if fh is not None else k, field,
+                                            side="cohomology")
             if need_hh:
                 hh_rows = _rows(hh_dims)
                 euler = _euler_from_rows(hh_rows)

@@ -417,19 +417,25 @@ def d_prime_field(fh):
     return out
 
 
-def double_field(k, field, side="cohomology"):
-    """Dimensions of double (co)homology over the field, per bidegree."""
-    fh = hochster_field(k, field, side=side)
-    mats = d_prime_field(fh)
+def double_field(k_or_fh, field, side="cohomology"):
+    """Dimensions of double (co)homology over the field, per bidegree.
+
+    k_or_fh is a complex, or the FieldHochster that hochster_field(k,
+    field, side) returned, whose sweep is then reused.
+    """
+    if isinstance(k_or_fh, FieldHochster):
+        fh = k_or_fh
+        if (fh.field, fh.side) != (field, side):
+            raise ValueError(f"decomposition is over {fh.field} on the {fh.side} side, "
+                             f"not over {field} on the {side} side")
+    else:
+        fh = hochster_field(k_or_fh, field, side=side)
     ops = fh.ops
+    ranks = {b: ops.rank(mat) if mat else 0 for b, mat in d_prime_field(fh).items()}
     dk, dl = _step(fh.side)
     dims = {}
     for b, dim in fh.dims.items():
-        g_mat = mats.get(b)
-        rank_g = ops.rank(g_mat) if g_mat else 0
-        f_mat = mats.get((b[0] - dk, b[1] - dl))
-        rank_f = ops.rank(f_mat) if f_mat else 0
-        hh = dim - rank_g - rank_f
+        hh = dim - ranks[b] - ranks.get((b[0] - dk, b[1] - dl), 0)
         if hh:
             dims[b] = hh
     return dims

@@ -17,7 +17,10 @@ generator k of order d > 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 
 
 class LinalgError(ValueError):
@@ -653,8 +656,14 @@ def field_rank(a, field):
 
 
 class FieldOps:
-    """Minimal dense linear algebra over Q (Fraction) or F_p, for the
-    field fast paths.  Matrices are lists of rows of field elements."""
+    """Minimal dense linear algebra over Q or F_p, for the field fast paths.
+
+    Matrices are lists of rows of field elements: Fractions over Q, ints
+    in [0, p) over F_p.  Over Q the elimination runs on integer rows: each
+    row is cleared of denominators, rows are combined by cross-multiplying
+    and divided by the gcd of their entries, and Fractions are built only
+    from the finished rows.
+    """
 
     def __init__(self, field):
         if field == "Q":
@@ -667,45 +676,82 @@ class FieldOps:
 
     def of_int(self, x):
         if self.p is None:
-            from fractions import Fraction
             return Fraction(x)
         return x % self.p
 
     def of_int_matrix(self, a):
         return [[self.of_int(x) for x in row] for row in a.rows]
 
-    def _inv(self, x):
-        if self.p is None:
-            return 1 / x
-        return pow(x, self.p - 2, self.p)
+    def _integers(self, vec):
+        """(v, s) with vec = v / s and v a list of ints; s = 1 over F_p."""
+        if self.p is not None:
+            return [x % self.p for x in vec], 1
+        # reduce, not lcm(*...) or gcd(*row): the argument tuples of starred
+        # calls raised the tracemalloc peak of a field-ladder pass from 1.2
+        # to 1.6 MiB
+        s = reduce(math.lcm, [x.denominator for x in vec], 1)
+        return [x.numerator * (s // x.denominator) for x in vec], s
 
-    def rref(self, m):
-        """Reduced row echelon form, returns (rows, pivot column list)."""
-        m = [row[:] for row in m]
+    def _echelon(self, m, reduced):
+        """Eliminate the rows of m in place; returns the pivot columns.
+
+        The pivot rows come first, in pivot order, and zero rows last.
+        With reduced, each pivot column is cleared above its pivot as well
+        as below.  Over F_p the pivot entries are scaled to 1; over Q the
+        rows are ints and each pivot entry is left as it is.
+        """
+        p = self.p
         nrows = len(m)
         ncols = len(m[0]) if m else 0
         pivots = []
         r = 0
         for col in range(ncols):
-            pivot = None
-            for i in range(r, nrows):
-                if m[i][col]:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(r, nrows) if m[i][col]), None)
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            inv = self._inv(m[r][col])
-            m[r] = [self.mul(x, inv) for x in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][col]:
-                    c = m[i][col]
-                    m[i] = [self._sub(x, self.mul(c, y)) for x, y in zip(m[i], m[r])]
+            prow = m[r]
+            if p is not None and prow[col] != 1:
+                inv = pow(prow[col], -1, p)
+                prow = m[r] = [x * inv % p for x in prow]
+            a = prow[col]
+            support = [j for j in range(col, ncols) if prow[j]]
+            for i in range(0 if reduced else r + 1, nrows):
+                c = m[i][col]
+                if not c or i == r:
+                    continue
+                row = m[i]
+                if p is not None:
+                    for j in support:
+                        row[j] = (row[j] - c * prow[j]) % p
+                    continue
+                g = math.gcd(a, c)
+                a_g, c_g = a // g, c // g
+                if a_g != 1:
+                    row = [a_g * x for x in row]
+                for j in support:
+                    row[j] -= c_g * prow[j]
+                g = reduce(math.gcd, row, 0)
+                m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(col)
             r += 1
             if r == nrows:
                 break
-        return m, pivots
+        return pivots
+
+    def rref(self, m):
+        """Reduced row echelon form, returns (rows, pivot column list)."""
+        ints = [self._integers(row)[0] for row in m]
+        pivots = self._echelon(ints, reduced=True)
+        if self.p is not None:
+            return ints, pivots
+        zero = Fraction(0)
+        out = []
+        for row, col in zip(ints, pivots):
+            d = row[col]
+            out.append([Fraction(x, d) if x else zero for x in row])
+        out.extend([zero] * len(row) for row in ints[len(pivots):])
+        return out, pivots
 
     def mul(self, a, b):
         return (a * b) % self.p if self.p is not None else a * b
@@ -735,7 +781,7 @@ class FieldOps:
     def rank(self, m):
         if not m or not m[0]:
             return 0
-        return len(self.rref(m)[1])
+        return len(self._echelon([self._integers(row)[0] for row in m], reduced=False))
 
     def kernel_basis(self, m, ncols):
         """Basis vectors of the right kernel of the matrix (rows given)."""
@@ -769,37 +815,70 @@ class FieldOps:
             reps = [allcols[j] for j in pivots if j >= len(in_cols)]
         return FieldSubquotient(self, in_cols, reps)
 
+    def solver(self, columns, first=0):
+        """A function b -> the coefficients of columns[first:] in some x with
+        sum x_j * columns[j] = b, or None when b is outside their span.
+
+        [columns | identity] is eliminated once: its rows then hold T and
+        T * columns in echelon form.  A pivot in the identity block gives a
+        row t of T with t * b = 0 exactly on the span; a pivot in column j
+        gives x_j = t * b / pivot entry, and x_j = 0 off the pivots.
+        """
+        width = len(columns)
+        n = len(columns[0]) if columns else 0
+        m = [self._integers([col[i] for col in columns] + [int(i == j) for j in range(n)])[0]
+             for i in range(n)]
+        pivots = self._echelon(m, reduced=True)
+        checks = [row[width:] for row, col in zip(m, pivots) if col >= width]
+        coords = {col - first: (row[width:], row[col])
+                  for row, col in zip(m, pivots) if first <= col < width}
+        zero = self.of_int(0)
+        p = self.p
+
+        def solve(b):
+            v, s = self._integers(b)
+            if not columns:
+                return None if any(v) else []
+            for t in checks:
+                dot = sum(map(operator.mul, t, v))
+                if dot % p if p else dot:
+                    return None
+            x = [zero] * (width - first)
+            for j, (t, d) in coords.items():
+                dot = sum(map(operator.mul, t, v))
+                x[j] = dot % p if p else Fraction(dot, d * s)  # d = s = 1 over F_p
+            return x
+
+        return solve
+
     def solve(self, columns, b):
         """Any coefficient vector x with sum x_j * columns[j] = b, or None."""
-        n = len(b)
-        aug = [[col[i] for col in columns] + [b[i]] for i in range(n)]
-        r, pivots = self.rref(aug)
-        width = len(columns)
-        if width in pivots:
-            return None  # pivot in the rhs column: inconsistent
-        x = [self.of_int(0)] * width
-        for i, pj in enumerate(pivots):
-            x[pj] = r[i][width]
-        return x
+        return self.solver(columns)(b)
 
 
 class FieldSubquotient:
     """ker(out)/im(in) over a field, with cycle representatives of a basis."""
 
-    __slots__ = ("ops", "bounds", "reps")
+    __slots__ = ("ops", "bounds", "reps", "_coords")
 
     def __init__(self, ops, bounds, reps):
         self.ops = ops
         self.bounds = bounds
         self.reps = reps
+        self._coords = None
 
     @property
     def dim(self):
         return len(self.reps)
 
     def express(self, vec):
-        """Coordinates of the class of a cycle in the representatives."""
-        x = self.ops.solve(self.bounds + self.reps, vec)
+        """Coordinates of the class of a cycle in the representatives.
+
+        Every representative column is a pivot of [bounds | reps], so the
+        coordinates are unique; the elimination runs on the first call."""
+        if self._coords is None:
+            self._coords = self.ops.solver(self.bounds + self.reps, first=len(self.bounds))
+        x = self._coords(vec)
         if x is None:
             raise LinalgError("vector is not a cycle")
-        return x[len(self.bounds):]
+        return x

@@ -23,6 +23,7 @@ from macoh.hochster import (
     ch_restriction_morphism,
     ch_subcomplex_morphisms,
     d_prime,
+    d_prime_field,
     double_cohomology,
     double_field,
     double_homology,
@@ -31,7 +32,14 @@ from macoh.hochster import (
     hochster_homology,
 )
 from macoh.homology import FieldComplexCohomology, cohomology, homology, reduced_complex
-from macoh.linalg import GroupMorphism, PresentedGroup, homology_of_pair, kernel_subgroup, smith_normal_form
+from macoh.linalg import (
+    FieldOps,
+    GroupMorphism,
+    PresentedGroup,
+    homology_of_pair,
+    kernel_subgroup,
+    smith_normal_form,
+)
 
 # bidegrees are keyed (k, l); the display bidegree is (-k, 2l)
 
@@ -240,6 +248,21 @@ def test_homology_side_field_matches_cohomology_side_field():
         co = double_field(k, "Q", side="cohomology")
         ho = double_field(k, "Q", side="homology")
         assert co == ho
+
+
+def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypatch):
+    k = cycle(6)
+    for field in ("Q", 3):
+        fh = hochster_field(k, field)
+        n_matrices = sum(1 for mat in d_prime_field(fh).values() if mat)
+        calls = []
+        rank = FieldOps.rank
+        monkeypatch.setattr(FieldOps, "rank", lambda ops, m: calls.append(m) or rank(ops, m))
+        assert double_field(fh, field) == double_field(k, field)
+        assert len(calls) == 2 * n_matrices
+        monkeypatch.undo()
+        with pytest.raises(ValueError):
+            double_field(fh, field, side="homology")
 
 
 def test_sweep_results_equal_a_direct_computation_for_every_subset():
