@@ -243,7 +243,8 @@ def cmd_verify_paper(args):
 
 
 def _fuzz_one(k, inject_sign_fault):
-    """Both pipelines plus identities on one complex; raises on violation."""
+    """Both pipelines, the bicomplex identities and the free ranks of HH_*
+    against HH^* on one complex; raises on violation."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -252,6 +253,13 @@ def _fuzz_one(k, inject_sign_fault):
         raise VerificationError("cohomology tables disagree between pipelines")
     if hhk.invariants() != dd.invariants():
         raise VerificationError("double cohomology tables disagree between pipelines")
+    # HH_* and HH^* tensored with Q are dual vector spaces, bidegree by bidegree
+    hom = hochster.double_homology(k).invariants()
+    coh = dd.invariants()
+    for kk, l in sorted(set(hom) | set(coh)):
+        if hom.get((kk, l), (0,))[0] != coh.get((kk, l), (0,))[0]:
+            raise VerificationError("free ranks of double homology and double "
+                                    f"cohomology disagree at bidegree ({-kk}, {2 * l})")
 
 
 def cmd_fuzz(args):

@@ -174,11 +174,7 @@ def induced_map(src_coh, dst_coh, chain_matrix, p):
     n_dst = dst.n_gens if dst is not None else 0
     if n_src == 0 or n_dst == 0:
         return IntMatrix.zeros(n_dst, n_src)
-    cols = []
-    for j in range(n_src):
-        image = chain_matrix.mulvec(src.gens.column(j))
-        cols.append(dst.express(image))
-    return IntMatrix.from_columns(cols, n_dst)
+    return dst.express_columns(chain_matrix @ src.gens)
 
 
 def top_classes(k, coh=None):

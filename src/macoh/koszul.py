@@ -204,11 +204,7 @@ def _descend_dprime(kc):
         if tgt is None:
             out[b] = GroupMorphism.zero(PresentedGroup(sq.orders), PresentedGroup.free(0))
             continue
-        cols = []
-        for j in range(sq.n_gens):
-            pushed = dp.mulvec(sq.gens.column(j))
-            cols.append(tgt.express(pushed))
-        mat = IntMatrix.from_columns(cols, tgt.n_gens)
+        mat = tgt.express_columns(dp @ sq.gens)
         out[b] = GroupMorphism(PresentedGroup(sq.orders), PresentedGroup(tgt.orders), mat)
     for b, mor in out.items():
         kk, l = b

@@ -37,10 +37,10 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = [list(r) for r in rows]
+        rows = list(map(list, rows))
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if len(set(map(len, rows))) > 1:
                 raise LinalgError("ragged rows")
             if ncols is not None and ncols != width:
                 raise LinalgError("ncols disagrees with row width")
@@ -72,8 +72,9 @@ class IntMatrix:
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)], self.nrows)
+        if not self.rows:
+            return IntMatrix([[] for _ in range(self.ncols)], 0)
+        return IntMatrix(zip(*self.rows), self.nrows)
 
     def column(self, j):
         return [row[j] for row in self.rows]
@@ -161,7 +162,10 @@ def smith_normal_form(a):
     """Smith normal form with transforms, deterministic pivoting.
 
     Pivot choice: smallest nonzero absolute value in the working
-    submatrix, ties broken by (row, column).
+    submatrix, ties broken by (row, column).  No entry is smaller than a
+    unit, so the search stops at the first entry of absolute value 1 in
+    row-major order, which is that same pick; a unit pivot divides every
+    entry, so the divisibility scan of the rest is skipped for it.
 
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]])).divisors
     (1, 6)
@@ -220,6 +224,10 @@ def smith_normal_form(a):
                     ax = abs(x)
                     if best is None or ax < best[0]:
                         best = (ax, i, j)
+                        if ax == 1:
+                            break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -254,6 +262,8 @@ def smith_normal_form(a):
                         break
             if dirty:
                 continue
+            if p == 1:
+                break
             # pivot divides its row and column; enforce divisibility of the rest
             pull = None
             for i in range(t + 1, m):
@@ -286,8 +296,8 @@ class SmithSolver:
 
     solve(b) finds x with A x = b over Z (or None), kernel_basis() gives
     a basis of the saturated kernel lattice, column_lattice_basis() a
-    basis of the image lattice and lattice_coordinates(b) the
-    coordinates of b in that basis.
+    basis of the image lattice and lattice_coordinates(B) the
+    coordinates of every column of a matrix B in that basis at once.
     """
 
     def __init__(self, a):
@@ -323,24 +333,29 @@ class SmithSolver:
         return IntMatrix.from_columns(cols, self.a.nrows)
 
     def lattice_coordinates(self, b):
-        """The unique x with column_lattice_basis() @ x = b, or None.
+        """The unique X with column_lattice_basis() @ X = B, or None when
+        some column of B lies outside the lattice.
 
         U times that basis is diag(d_1, ..., d_r) above a zero block, so
-        x_i = (U b)_i / d_i, provided every division is exact and U b
-        vanishes below row r.
+        X[i][j] = (U B)[i][j] / d_i, provided every division is exact and
+        U B vanishes below row r.  U B is formed as (B^T U^T)^T, so the
+        product walks the nonzeros of B, which is sparse in every caller.
         """
-        b = list(b)
-        if len(b) != self.a.nrows:
+        if b.nrows != self.a.nrows:
             raise LinalgError("rhs length mismatch")
-        y = self.dec.U.mulvec(b)
-        if any(y[i] for i in range(self.dec.rank, len(y))):
-            return None
-        x = []
-        for yi, d in zip(y, self.dec.divisors):
-            if yi % d:
+        divisors = self.dec.divisors
+        r = len(divisors)
+        coords = []
+        for y in (b.transpose() @ self.dec.U.transpose()).rows:  # U @ (column j of B)
+            if any(y[r:]):
                 return None
-            x.append(yi // d)
-        return x
+            x = []
+            for yi, d in zip(y, divisors):
+                if yi % d:
+                    return None
+                x.append(yi // d)
+            coords.append(x)
+        return IntMatrix(coords, r).transpose()
 
 
 def kernel_basis(a):
@@ -440,23 +455,22 @@ class GroupMorphism:
 
 
 class Subquotient:
-    """ker(g)/im(f) with normalized generators and an express() map.
+    """ker(g)/im(f) with normalized generators and express() maps.
 
     Generators are coordinate vectors in the middle group's generator
     basis.  Units are dropped; torsion generators come first, each with
     its order, then free generators with order 0.
     """
 
-    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_coords", "_ux", "_kept")
+    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_coords", "_ux")
 
-    def __init__(self, rank, torsion, orders, gens, kernel_coords, ux, kept):
+    def __init__(self, rank, torsion, orders, gens, kernel_coords, ux):
         self.rank = rank
         self.torsion = torsion
         self.orders = orders
         self.gens = gens
         self._kernel_coords = kernel_coords
-        self._ux = ux
-        self._kept = kept
+        self._ux = ux  # the rows of U that give the kept coordinates
 
     @property
     def n_gens(self):
@@ -468,21 +482,26 @@ class Subquotient:
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
 
-    def express(self, vec):
-        """Coordinates of the class of vec in the normalized generators.
+    def express_columns(self, mat):
+        """Coordinates of the classes of the columns of mat, one column each,
+        in the normalized generators.
 
-        vec must represent an element of ker(g); torsion coordinates are
-        reduced into [0, order).
+        Every column must represent an element of ker(g); torsion
+        coordinates are reduced into [0, order).
         """
-        a = self._kernel_coords(list(vec))
+        a = self._kernel_coords(mat)
         if a is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
-        z = self._ux.mulvec(a)
-        coords = []
-        for pos, i in enumerate(self._kept):
-            d = self.orders[pos]
-            coords.append(z[i] % d if d else z[i])
-        return coords
+        z = self._ux @ a
+        for row, d in zip(z.rows, self.orders):
+            if d:
+                row[:] = [x % d for x in row]
+        return z
+
+    def express(self, vec):
+        """express_columns of the one-column matrix vec."""
+        vec = list(vec)
+        return self.express_columns(IntMatrix.from_columns([vec], len(vec))).column(0)
 
     def class_is_zero(self, vec):
         return all(c == 0 for c in self.express(vec))
@@ -512,10 +531,11 @@ def homology_of_pair(f, g):
             raise LinalgError("g∘f is not the zero morphism")
 
     # lattice {x in Z^n_b : g(x) lies in the relation lattice of C}, with
-    # the coordinates of a vector in its basis ker (None outside it)
+    # the coordinates of the columns of a matrix in its basis ker (None
+    # when a column lies outside it)
     if g.target.n_gens == 0:
         ker = IntMatrix.identity(n_b)
-        kernel_coords = list
+        kernel_coords = _same_columns
     else:
         stacked = g.matrix.hstack(g.target.relations)
         full_kernel = kernel_basis(stacked)
@@ -523,15 +543,10 @@ def homology_of_pair(f, g):
         ker = projected.column_lattice_basis()
         kernel_coords = projected.lattice_coordinates
 
-    relators = f.matrix.hstack(b.relations)
-    expressed = []
-    for j in range(relators.ncols):
-        x = kernel_coords(relators.column(j))
-        if x is None:
-            raise LinalgError("im(f) or a relation of B escapes ker(g)")
-        expressed.append(x)
+    x_mat = kernel_coords(f.matrix.hstack(b.relations))
+    if x_mat is None:
+        raise LinalgError("im(f) or a relation of B escapes ker(g)")
     k = ker.ncols
-    x_mat = IntMatrix.from_columns(expressed, k)
     dec = smith_normal_form(x_mat)
 
     divisors = list(dec.divisors) + [0] * (k - dec.rank)
@@ -540,8 +555,7 @@ def homology_of_pair(f, g):
     torsion = tuple(d for d in orders if d)
     rank = sum(1 for d in orders if d == 0)
 
-    gen_cols = [ker.mulvec(dec.U_inv.column(i)) for i in kept]
-    gens = IntMatrix.from_columns(gen_cols, n_b)
+    gens = ker @ IntMatrix([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
 
     return Subquotient(
         rank=rank,
@@ -549,9 +563,13 @@ def homology_of_pair(f, g):
         orders=orders,
         gens=gens,
         kernel_coords=kernel_coords,
-        ux=dec.U,
-        kept=kept,
+        ux=IntMatrix([dec.U.rows[i] for i in kept], k),
     )
+
+
+def _same_columns(mat):
+    """Coordinates in the standard basis: the matrix itself."""
+    return mat
 
 
 def kernel_subgroup(g):

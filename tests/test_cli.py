@@ -8,6 +8,7 @@ import pytest
 
 from macoh import cli
 from macoh import complexes
+from macoh import hochster
 from macoh.complexes import SimplicialComplex
 
 
@@ -220,6 +221,21 @@ def test_fuzz_negative_control_catches_the_fault(capsys):
     serialized = serialized[:serialized.index("}") + 1]
     reparsed = SimplicialComplex.from_json(serialized)
     assert reparsed == complexes.rp2_minimal()
+
+
+def test_fuzz_catches_double_homology_ranks_that_disagree(monkeypatch, capsys):
+    real = hochster.double_homology
+
+    def drop_a_bidegree(k, sign_fault=False):
+        dd = real(k, sign_fault)
+        del dd.groups[next(b for b, sq in sorted(dd.groups.items()) if sq.rank)]
+        return dd
+
+    monkeypatch.setattr(hochster, "double_homology", drop_a_bidegree)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: free ranks of double homology and double " \
+           "cohomology disagree at bidegree (0, 0)" in out
 
 
 def test_generate(tmp_path, capsys):

@@ -53,6 +53,114 @@ def test_smith_transforms_and_divisor_chain(a):
     assert all(big % small == 0 for small, big in zip(dec.divisors, dec.divisors[1:]))
 
 
+def _smith_by_full_scan(a):
+    """Smith normal form with the pivot rule applied literally: every step
+    scans the whole working submatrix for the smallest nonzero |x|, ties
+    by (row, column), and checks the divisibility of the rest whatever the
+    pivot.  The oracle for the early stops of smith_normal_form.
+    Returns (U, S, V, U_inv)."""
+    m, n = a.nrows, a.ncols
+    s = [row[:] for row in a.rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    ui = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+        for row in ui:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(i, j, c):
+        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in ui:
+            row[j] -= c * row[i]
+
+    def col_swap(i, j):
+        for row in s + v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, c):
+        for row in s + v:
+            row[i] += c * row[j]
+
+    for t in range(min(m, n)):
+        nonzero = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
+        if not nonzero:
+            break
+        _, bi, bj = min(nonzero)
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+                u[t] = [-x for x in u[t]]
+                for row in ui:
+                    row[t] = -row[t]
+            p = s[t][t]
+            stolen = next((i for i in range(t + 1, m) if s[i][t] % p), None)
+            for i in range(t + 1, m if stolen is None else stolen + 1):
+                if s[i][t] // p:
+                    row_add(i, t, -(s[i][t] // p))
+            if stolen is not None:
+                row_swap(t, stolen)
+                continue
+            stolen = next((j for j in range(t + 1, n) if s[t][j] % p), None)
+            for j in range(t + 1, n if stolen is None else stolen + 1):
+                if s[t][j] // p:
+                    col_add(j, t, -(s[t][j] // p))
+            if stolen is not None:
+                col_swap(t, stolen)
+                continue
+            pull = next((i for i in range(t + 1, m)
+                         if any(s[i][j] % p for j in range(t + 1, n))), None)
+            if pull is None:
+                break
+            row_add(t, pull, 1)
+    return (IntMatrix(u, m), IntMatrix(s, n), IntMatrix(v, n), IntMatrix(ui, m))
+
+
+unit_rich = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6))
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Matrices of mostly zeros and units, with some zero rows and columns
+    and a few non-unit entries."""
+    nrows = draw(st.integers(min_value=0, max_value=6))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    rows = draw(st.lists(st.lists(unit_rich, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [0] * ncols
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)) if ncols else ():
+        for row in rows:
+            row[j] = 0
+    return IntMatrix(rows, ncols)
+
+
+def _assert_same_as_full_scan(a):
+    dec = smith_normal_form(a)
+    assert (dec.U, dec.S, dec.V, dec.U_inv) == _smith_by_full_scan(a)
+
+
+@PROPERTY
+@given(st.one_of(unit_rich_matrices(), matrices()))
+def test_smith_early_stops_match_the_full_scan(a):
+    _assert_same_as_full_scan(a)
+
+
+def test_smith_early_stops_match_the_full_scan_on_sparse_unit_matrices():
+    rng = random.Random(5)
+    for values in ((1, -1), (1, -1), (1, -1, 1, -1, 2)):
+        rows = [[rng.choice(values) if rng.random() < 0.08 else 0 for _ in range(40)]
+                for _ in range(30)]
+        _assert_same_as_full_scan(IntMatrix(rows, 40))
+
+
 def _well_defined_step(d, e):
     """Smallest x > 0 with d * x in e * Z, or 0 when only x = 0 works."""
     if d == 0:
@@ -62,9 +170,10 @@ def _well_defined_step(d, e):
     return e // math.gcd(d, e)
 
 
-@PROPERTY
-@given(orders, orders, st.data())
-def test_homology_of_pair_on_diagonal_groups(b_orders, c_orders, data):
+def _diagonal_pair(b_orders, c_orders, data):
+    """(h, g, f_cols): h = ker(g)/im(f) for a random well-defined
+    g: B -> C between diagonal groups and f given by the columns f_cols,
+    random elements of ker(g)."""
     b, c = PresentedGroup(b_orders), PresentedGroup(c_orders)
     # g is well defined: each relation d * e_k of B maps into the relations of C
     g_mat = IntMatrix([[data.draw(entries) * _well_defined_step(d, e) for d in b_orders]
@@ -77,13 +186,88 @@ def test_homology_of_pair_on_diagonal_groups(b_orders, c_orders, data):
              for _ in range(n_f)]
     f_cols = [lattice.mulvec(w)[:b.n_gens] for w in coefs]
     f = GroupMorphism(PresentedGroup.free(n_f), b, IntMatrix.from_columns(f_cols, b.n_gens))
-    h = homology_of_pair(f, g)
+    return homology_of_pair(f, g), g, f_cols
+
+
+@PROPERTY
+@given(orders, orders, st.data())
+def test_homology_of_pair_on_diagonal_groups(b_orders, c_orders, data):
+    h, g, f_cols = _diagonal_pair(b_orders, c_orders, data)
+    b = g.source
     for j in range(h.n_gens):
         d = h.orders[j]
         assert h.express(h.gens.column(j)) == [int(i == j) % d if d else int(i == j)
                                                for i in range(h.n_gens)]
     for col in f_cols + [b.relations.column(j) for j in range(b.relations.ncols)]:
         assert h.class_is_zero(col)
+
+
+@PROPERTY
+@given(orders, orders, st.data())
+def test_express_columns_matches_express_column_by_column(b_orders, c_orders, data):
+    h, g, f_cols = _diagonal_pair(b_orders, c_orders, data)
+    b = g.source
+    n = b.n_gens
+    boundaries = f_cols + [b.relations.column(j) for j in range(b.relations.ncols)]
+    # columns: combinations of the generators plus boundaries, so the
+    # coordinates are known, torsion ones reduced into [0, order)
+    cols, expected = [], []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        coefs = data.draw(st.lists(entries, min_size=h.n_gens, max_size=h.n_gens))
+        col = h.gens.mulvec(coefs)
+        for bound in boundaries:
+            c = data.draw(entries)
+            col = [x + c * y for x, y in zip(col, bound)]
+        cols.append(col)
+        expected.append([x % d if d else x for x, d in zip(coefs, h.orders)])
+    got = h.express_columns(IntMatrix.from_columns(cols, n))
+    assert got == IntMatrix.from_columns(expected, h.n_gens)
+    assert got == IntMatrix.from_columns([h.express(col) for col in cols], h.n_gens)
+    # a column outside ker(g) fails the whole matrix
+    v = data.draw(st.lists(entries, min_size=n, max_size=n))
+    if not g.target.element_is_zero(g.matrix.mulvec(v)):
+        with pytest.raises(LinalgError, match="does not lie in the kernel subgroup"):
+            h.express_columns(IntMatrix.from_columns(cols + [v], n))
+        with pytest.raises(LinalgError, match="does not lie in the kernel subgroup"):
+            h.express(v)
+
+
+@PROPERTY
+@given(matrices(max_rows=5, max_cols=4), st.data())
+def test_lattice_coordinates_match_per_column_solves(a, data):
+    solver = SmithSolver(a)
+    basis = solver.column_lattice_basis()
+    per_column = SmithSolver(basis)  # its columns are independent: x is unique
+    cols = []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        col = a.mulvec(data.draw(st.lists(entries, min_size=a.ncols, max_size=a.ncols)))
+        if a.nrows and data.draw(st.booleans()):  # often leaves the lattice
+            col[data.draw(st.integers(min_value=0, max_value=a.nrows - 1))] += 1
+        cols.append(col)
+    got = solver.lattice_coordinates(IntMatrix.from_columns(cols, a.nrows))
+    expected = [per_column.solve(col) for col in cols]
+    if any(x is None for x in expected):
+        assert got is None
+    else:
+        assert got == IntMatrix.from_columns(expected, basis.ncols)
+        assert basis @ got == IntMatrix.from_columns(cols, a.nrows)
+
+
+def test_lattice_coordinates_shapes_and_a_single_bad_column():
+    solver = SmithSolver(IntMatrix([[2, 0], [0, 3], [0, 0]]))
+    assert solver.lattice_coordinates(IntMatrix.zeros(3, 0)).shape == (2, 0)
+    good = IntMatrix([[2, 4], [0, -3], [0, 0]])
+    assert solver.column_lattice_basis() @ solver.lattice_coordinates(good) == good
+    assert solver.lattice_coordinates(IntMatrix([[2, 4, 1], [0, -3, 0], [0, 0, 0]])) is None
+    assert solver.lattice_coordinates(IntMatrix([[2, 4], [0, -3], [0, 1]])) is None
+    with pytest.raises(LinalgError):
+        solver.lattice_coordinates(IntMatrix.zeros(2, 1))
+    empty = SmithSolver(IntMatrix.zeros(0, 3))
+    assert empty.lattice_coordinates(IntMatrix.zeros(0, 2)).shape == (0, 2)
+    assert empty.lattice_coordinates(IntMatrix.zeros(0, 0)).shape == (0, 0)
+    rank_zero = SmithSolver(IntMatrix.zeros(2, 3))
+    assert rank_zero.lattice_coordinates(IntMatrix.zeros(2, 2)).shape == (0, 2)
+    assert rank_zero.lattice_coordinates(IntMatrix([[0], [1]])) is None
 
 
 @PROPERTY
