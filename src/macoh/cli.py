@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 
 from . import complexes
 from . import hochster
@@ -243,8 +244,9 @@ def cmd_verify_paper(args):
 
 
 def _fuzz_one(k, inject_sign_fault):
-    """Both pipelines, the bicomplex identities and the free ranks of HH_*
-    against HH^* on one complex; raises on violation."""
+    """Both pipelines, the bicomplex identities, HH_* against HH^*, and the
+    field paths against the integral tables; raises on violation.  The
+    pipelines share homology_of_pair, so only the field paths catch its faults."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -253,13 +255,27 @@ def _fuzz_one(k, inject_sign_fault):
         raise VerificationError("cohomology tables disagree between pipelines")
     if hhk.invariants() != dd.invariants():
         raise VerificationError("double cohomology tables disagree between pipelines")
-    # HH_* and HH^* tensored with Q are dual vector spaces, bidegree by bidegree
-    hom = hochster.double_homology(k).invariants()
-    coh = dd.invariants()
-    for kk, l in sorted(set(hom) | set(coh)):
-        if hom.get((kk, l), (0,))[0] != coh.get((kk, l), (0,))[0]:
-            raise VerificationError("free ranks of double homology and double "
-                                    f"cohomology disagree at bidegree ({-kk}, {2 * l})")
+    coh = {b: rank for b, (rank, _) in dd.invariants().items()}
+    hom = {b: rank for b, (rank, _) in hochster.double_homology(k).invariants().items()}
+    # universal coefficients: H^n(F_2) = H^n (x) F_2 + Tor(H^{n+1}, F_2), and
+    # H^{n+1} at the same l is the bidegree (k - 1, l)
+    uct = Counter()
+    for (kk, l), (rank, torsion) in dd.decomposition.invariants().items():
+        even = sum(1 for d in torsion if d % 2 == 0)
+        uct[(kk, l)] += rank + even
+        uct[(kk + 1, l)] += even
+    checks = (
+        # HH_* and HH^* tensored with Q are dual vector spaces
+        (hom, coh, "free ranks of double homology and double cohomology disagree"),
+        (hochster.double_field(k, "Q"), coh,
+         "double cohomology over Q disagrees with the free ranks over Z"),
+        (hochster.hochster_field(k, 2).dims, uct,
+         "cohomology over F_2 disagrees with the universal coefficient theorem"),
+    )
+    for got, want, message in checks:
+        for kk, l in sorted(set(got) | set(want)):
+            if got.get((kk, l), 0) != want.get((kk, l), 0):
+                raise VerificationError(f"{message} at bidegree ({-kk}, {2 * l})")
 
 
 def cmd_fuzz(args):

@@ -180,14 +180,20 @@ class SimplicialComplex:
             g.sort()
         return groups
 
+    def vertex_mask(self, vertices):
+        """Bitmask of a vertex subset given as a mask or as labels; a
+        negative mask or a vertex beyond the ground set is an input error."""
+        imask = vertices if isinstance(vertices, int) else mask_of(vertices)
+        if imask & ~self.full_mask():
+            raise ComplexError("subcomplex vertices exceed the ground set")
+        return imask
+
     def full_subcomplex(self, vertices):
         """Full subcomplex on the given vertices, relabeled order-preservingly.
 
         The label map sends the i-th smallest chosen vertex to i.
         """
-        imask = vertices if isinstance(vertices, int) else mask_of(vertices)
-        if imask & ~self.full_mask():
-            raise ComplexError("subcomplex vertices exceed the ground set")
+        imask = self.vertex_mask(vertices)
         labels = vertices_of(imask)
         newbit = {v: 1 << i for i, v in enumerate(labels)}
         faces = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import mask_of, sign_eps, vertices_of
+from .complexes import sign_eps, vertices_of
 from .errors import VerificationError
 from .homology import (
     FieldComplexCohomology,
@@ -78,6 +78,11 @@ class HochsterDecomposition:
         return {b: layout.group.invariants() for b, layout in self.layouts.items()}
 
 
+def _support(k, support):
+    """The swept vertex mask: all of K by default, else a checked subset."""
+    return k.full_mask() if support is None else k.vertex_mask(support)
+
+
 def _sweep(k, support, compute):
     """Reduced complex and compute(complex) for every subset of support.
 
@@ -127,16 +132,12 @@ def _decompose(k, support, side):
 
 def hochster_cohomology(k, support=None):
     """Bigraded cohomology of Z_K as subset-graded direct sums."""
-    if support is None:
-        support = k.full_mask()
-    return _decompose(k, support, "cohomology")
+    return _decompose(k, _support(k, support), "cohomology")
 
 
 def hochster_homology(k, support=None):
     """Bigraded homology of Z_K as subset-graded direct sums."""
-    if support is None:
-        support = k.full_mask()
-    return _decompose(k, support, "homology")
+    return _decompose(k, _support(k, support), "homology")
 
 
 def _step(side):
@@ -281,7 +282,7 @@ def ch_restriction_morphism(k, vertices):
     Returns (hd_sub, hd_full, matrices keyed by sub bidegree) after
     checking commutation with d'.
     """
-    imask = vertices if isinstance(vertices, int) else mask_of(vertices)
+    imask = k.vertex_mask(vertices)
     hd_full = hochster_cohomology(k)
     hd_sub = hochster_cohomology(k, support=imask)
     matrices = {}
@@ -382,8 +383,7 @@ class FieldHochster:
 
 def hochster_field(k, field, side="cohomology", support=None):
     """Bigraded (co)homology dimensions over Q or F_p, with class data."""
-    if support is None:
-        support = k.full_mask()
+    support = _support(k, support)
     ops = FieldOps(field)
     cxs, cohs = _sweep(k, support, lambda cx: FieldComplexCohomology(cx, ops, side=side))
     layouts = _summands(cohs, lambda sq: sq.dim)

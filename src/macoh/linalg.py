@@ -145,11 +145,10 @@ class IntMatrix:
 class SmithDecomposition:
     """S = U @ A @ V with U, V unimodular and S diagonal, d1 | d2 | ... | dr > 0.
 
-    U_inv is the inverse of U, tracked during reduction; it gives an
-    explicit basis of the column lattice of A (d_i times column i of U_inv).
+    U_inv is the inverse of U, tracked during reduction: w^T U_inv holds
+    the coordinates of w in the basis formed by the rows of U.
     """
 
-    matrix: IntMatrix
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
@@ -281,7 +280,6 @@ def smith_normal_form(a):
 
     divisors = tuple(s[i][i] for i in range(limit) if s[i][i])
     return SmithDecomposition(
-        matrix=a,
         U=IntMatrix(u, m),
         S=IntMatrix(s, n),
         V=IntMatrix(v, n),
@@ -294,19 +292,14 @@ def smith_normal_form(a):
 class SmithSolver:
     """One Smith decomposition, many exact questions about A.
 
-    solve(b) finds x with A x = b over Z (or None), kernel_basis() gives
-    a basis of the saturated kernel lattice, column_lattice_basis() a
-    basis of the image lattice and lattice_coordinates(B) the
-    coordinates of every column of a matrix B in that basis at once.
+    solve(b) finds x with A x = b over Z (or None), and kernel_basis()
+    gives a basis of the saturated kernel lattice.  The pipelines do not
+    use it, so tests use it as an oracle independent of homology_of_pair.
     """
 
     def __init__(self, a):
         self.a = a
         self.dec = smith_normal_form(a)
-
-    @property
-    def rank(self):
-        return self.dec.rank
 
     def solve(self, b):
         b = list(b)
@@ -326,41 +319,6 @@ class SmithSolver:
     def kernel_basis(self):
         cols = [self.dec.V.column(j) for j in range(self.dec.rank, self.a.ncols)]
         return IntMatrix.from_columns(cols, self.a.ncols)
-
-    def column_lattice_basis(self):
-        cols = [[d * x for x in self.dec.U_inv.column(i)]
-                for i, d in enumerate(self.dec.divisors)]
-        return IntMatrix.from_columns(cols, self.a.nrows)
-
-    def lattice_coordinates(self, b):
-        """The unique X with column_lattice_basis() @ X = B, or None when
-        some column of B lies outside the lattice.
-
-        U times that basis is diag(d_1, ..., d_r) above a zero block, so
-        X[i][j] = (U B)[i][j] / d_i, provided every division is exact and
-        U B vanishes below row r.  U B is formed as (B^T U^T)^T, so the
-        product walks the nonzeros of B, which is sparse in every caller.
-        """
-        if b.nrows != self.a.nrows:
-            raise LinalgError("rhs length mismatch")
-        divisors = self.dec.divisors
-        r = len(divisors)
-        coords = []
-        for y in (b.transpose() @ self.dec.U.transpose()).rows:  # U @ (column j of B)
-            if any(y[r:]):
-                return None
-            x = []
-            for yi, d in zip(y, divisors):
-                if yi % d:
-                    return None
-                x.append(yi // d)
-            coords.append(x)
-        return IntMatrix(coords, r).transpose()
-
-
-def kernel_basis(a):
-    """Basis of the saturated lattice {x : A x = 0}."""
-    return SmithSolver(a).kernel_basis()
 
 
 def merge_torsion(orders):
@@ -459,18 +417,20 @@ class Subquotient:
 
     Generators are coordinate vectors in the middle group's generator
     basis.  Units are dropped; torsion generators come first, each with
-    its order, then free generators with order 0.
+    its order, then free generators with order 0.  express_columns needs
+    only the coordinate map of _kernel_lattice and the kept rows of the
+    relator U, so nothing else of the Smith forms is kept.
     """
 
     __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_coords", "_ux")
 
-    def __init__(self, rank, torsion, orders, gens, kernel_coords, ux):
-        self.rank = rank
-        self.torsion = torsion
+    def __init__(self, orders, gens, kernel_coords, ux):
+        self.rank = orders.count(0)
+        self.torsion = tuple(d for d in orders if d)
         self.orders = orders
         self.gens = gens
         self._kernel_coords = kernel_coords
-        self._ux = ux  # the rows of U that give the kept coordinates
+        self._ux = ux
 
     @property
     def n_gens(self):
@@ -518,32 +478,20 @@ def homology_of_pair(f, g):
     """ker(g)/im(f) for morphisms A --f--> B --g--> C with g∘f = 0.
 
     Raises LinalgError if the composite is nonzero or if f does not land
-    in ker(g).  Generators are returned in the coordinates of B.
+    in ker(g).  Generators are returned in the coordinates of B.  Two
+    Smith forms at most: _kernel_lattice's when C has generators, and one
+    of the kernel coordinates of im(f) and the relations of B.
     """
     if f.target.n_gens != g.source.n_gens:
         raise LinalgError("f.target and g.source disagree")
-    b = g.source
-    n_b = b.n_gens
 
     composite = g.matrix @ f.matrix
     for j in range(composite.ncols):
         if not g.target.element_is_zero(composite.column(j)):
             raise LinalgError("g∘f is not the zero morphism")
 
-    # lattice {x in Z^n_b : g(x) lies in the relation lattice of C}, with
-    # the coordinates of the columns of a matrix in its basis ker (None
-    # when a column lies outside it)
-    if g.target.n_gens == 0:
-        ker = IntMatrix.identity(n_b)
-        kernel_coords = _same_columns
-    else:
-        stacked = g.matrix.hstack(g.target.relations)
-        full_kernel = kernel_basis(stacked)
-        projected = SmithSolver(IntMatrix(full_kernel.rows[:n_b], full_kernel.ncols))
-        ker = projected.column_lattice_basis()
-        kernel_coords = projected.lattice_coordinates
-
-    x_mat = kernel_coords(f.matrix.hstack(b.relations))
+    ker, kernel_coords = _kernel_lattice(g)
+    x_mat = kernel_coords(f.matrix.hstack(g.source.relations))
     if x_mat is None:
         raise LinalgError("im(f) or a relation of B escapes ker(g)")
     k = ker.ncols
@@ -552,24 +500,50 @@ def homology_of_pair(f, g):
     divisors = list(dec.divisors) + [0] * (k - dec.rank)
     kept = [i for i in range(k) if divisors[i] != 1]
     orders = tuple(divisors[i] for i in kept)
-    torsion = tuple(d for d in orders if d)
-    rank = sum(1 for d in orders if d == 0)
-
     gens = ker @ IntMatrix([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
-
-    return Subquotient(
-        rank=rank,
-        torsion=torsion,
-        orders=orders,
-        gens=gens,
-        kernel_coords=kernel_coords,
-        ux=IntMatrix([dec.U.rows[i] for i in kept], k),
-    )
+    ux = IntMatrix([dec.U.rows[i] for i in kept], k)  # U rows of the kept coordinates
+    return Subquotient(orders, gens, kernel_coords, ux)
 
 
-def _same_columns(mat):
-    """Coordinates in the standard basis: the matrix itself."""
-    return mat
+def _kernel_lattice(g):
+    """(ker, coords): a basis ker of L = {x : g(x) = 0 in C}, and the map
+    from a matrix to the coordinates of its columns in ker, or None when
+    some column lies outside L.
+
+    L is the projection to B of the kernel of A = [g | R_C], R_C the
+    relation matrix of C.  With U A^T V = S of rank r, rows r... of U are
+    a basis of ker A, and R_C is injective, so their first n_B entries
+    are a basis of L.  A column w = (x; z) lies in ker A exactly when rows
+    0..r-1 of U^-T w vanish, and rows r... are its coordinates.  z is
+    forced: z_k = -(g x)_k / d_k for the generator of order d_k on row k
+    of C, and a division that is not exact puts x outside L.
+    """
+    n_b = g.source.n_gens
+    if g.target.n_gens == 0:
+        return IntMatrix.identity(n_b), lambda mat: mat  # the standard basis
+    dec = smith_normal_form(g.matrix.hstack(g.target.relations).transpose())
+    r = len(dec.divisors)
+    ker = IntMatrix([row[:n_b] for row in dec.U.rows[r:]], n_b).transpose()
+    u_inv = dec.U_inv
+    torsion = [d for d in g.target.orders if d]
+    g_torsion_t = IntMatrix([row for row, d in zip(g.matrix.rows, g.target.orders) if d],
+                            n_b).transpose()
+
+    def coords(mat):
+        xs = mat.transpose()
+        ws = xs.rows
+        if torsion:
+            ws = []
+            for x, gx in zip(xs.rows, (xs @ g_torsion_t).rows):
+                if any(y % d for y, d in zip(gx, torsion)):
+                    return None
+                ws.append(x + [-y // d for y, d in zip(gx, torsion)])
+        cs = (IntMatrix(ws, u_inv.nrows) @ u_inv).rows
+        if any(any(c[:r]) for c in cs):
+            return None
+        return IntMatrix([c[r:] for c in cs], u_inv.nrows - r).transpose()
+
+    return ker, coords
 
 
 def kernel_subgroup(g):

@@ -9,6 +9,7 @@ import pytest
 from macoh import cli
 from macoh import complexes
 from macoh import hochster
+from macoh import linalg
 from macoh.complexes import SimplicialComplex
 
 
@@ -236,6 +237,36 @@ def test_fuzz_catches_double_homology_ranks_that_disagree(monkeypatch, capsys):
     assert code == 2
     assert "trial 1 (rp2): VIOLATION: free ranks of double homology and double " \
            "cohomology disagree at bidegree (0, 0)" in out
+
+
+def test_fuzz_catches_a_fault_that_both_pipelines_share(monkeypatch, capsys):
+    real = linalg.homology_of_pair
+
+    def doubled_boundaries(f, g):
+        # ker(g)/im(2f): every homology group of both pipelines gains
+        # 2-torsion, so their tables still agree, and so do the free ranks
+        return real(linalg.GroupMorphism(f.source, f.target, f.matrix.scaled(2)), g)
+
+    monkeypatch.setattr(linalg, "homology_of_pair", doubled_boundaries)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: cohomology over F_2 disagrees with the universal " \
+           "coefficient theorem at bidegree (0, 2)" in out
+
+
+def test_fuzz_catches_double_cohomology_over_q_that_disagrees(monkeypatch, capsys):
+    real = hochster.double_field
+
+    def extra_class(k, field, side="cohomology"):
+        dims = real(k, field, side)
+        dims[(0, 0)] += 1
+        return dims
+
+    monkeypatch.setattr(hochster, "double_field", extra_class)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: double cohomology over Q disagrees with the free " \
+           "ranks over Z at bidegree (0, 0)" in out
 
 
 def test_generate(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from macoh.complexes import (
+    ComplexError,
     SimplicialComplex,
     boundary_simplex,
     cycle,
@@ -188,6 +189,20 @@ def test_full_subcomplex_inclusion_morphism():
         for j in range(mat.ncols):
             col = mat.column(j)
             assert sorted(col, reverse=True)[0] == 1 and sum(abs(x) for x in col) == 1
+
+
+def test_support_outside_the_vertex_set_is_an_input_error():
+    k = cycle(4)
+    for bad in (1 << 6, k.full_mask() | 1 << 4, -1, -(1 << 2)):
+        for sweep in (hochster_cohomology, hochster_homology,
+                      lambda k, support: hochster_field(k, 2, support=support)):
+            with pytest.raises(ComplexError, match="exceed the ground set"):
+                sweep(k, support=bad)
+    with pytest.raises(ComplexError, match="exceed the ground set"):
+        ch_restriction_morphism(k, [1, 9])
+    # the two opposite vertices 1 and 3 of the square: two points
+    assert hochster_cohomology(k, support=0b0101).invariants() == {
+        (0, 0): (1, ()), (1, 2): (1, ())}
 
 
 def _pentagon_plus_triangle():

@@ -15,7 +15,6 @@ from macoh.linalg import (
     field_rank,
     homology_of_pair,
     is_prime,
-    kernel_basis,
     kernel_subgroup,
     merge_torsion,
     smith_normal_form,
@@ -125,7 +124,7 @@ def test_kernel_is_saturated_and_complete():
     rng = random.Random(7)
     for _ in range(40):
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        ker = kernel_basis(a)
+        ker = SmithSolver(a).kernel_basis()
         assert (a @ ker).is_zero()
         assert ker.ncols == a.ncols - smith_normal_form(a).rank
         if ker.ncols:
@@ -146,21 +145,6 @@ def test_solver_roundtrip_and_unsolvable():
     solver = SmithSolver(IntMatrix([[2]]))
     assert solver.solve([1]) is None
     assert solver.solve([4]) == [2]
-
-
-def test_column_lattice_basis_spans_the_same_lattice():
-    rng = random.Random(13)
-    for _ in range(30):
-        a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        basis = SmithSolver(a).column_lattice_basis()
-        back = SmithSolver(basis)
-        forth = SmithSolver(a)
-        for j in range(a.ncols):
-            assert back.solve(a.column(j)) is not None
-        for j in range(basis.ncols):
-            assert forth.solve(basis.column(j)) is not None
-        dec = smith_normal_form(basis)
-        assert dec.rank == basis.ncols == smith_normal_form(a).rank
 
 
 def test_merge_torsion():
@@ -251,7 +235,7 @@ def test_generator_lifting_random_complexes():
         g_mat = _random_matrix(rng, rng.randint(0, 4), n)
         mid = PresentedGroup.free(n)
         g = GroupMorphism(mid, PresentedGroup.free(g_mat.nrows), g_mat)
-        ker = kernel_basis(g_mat)
+        ker = SmithSolver(g_mat).kernel_basis()
         scales = [rng.choice([1, 1, 2, 3]) for _ in range(ker.ncols)]
         f_mat = IntMatrix.from_columns(
             [[s * x for x in ker.column(j)] for j, s in enumerate(scales)], n)

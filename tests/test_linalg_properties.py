@@ -17,7 +17,7 @@ from macoh.linalg import (
     SmithSolver,
     free_homology,
     homology_of_pair,
-    kernel_basis,
+    kernel_subgroup,
     merge_torsion,
     smith_normal_form,
 )
@@ -180,7 +180,7 @@ def _diagonal_pair(b_orders, c_orders, data):
                        for e in c_orders], b.n_gens)
     g = GroupMorphism(b, c, g_mat)
     # f: random combinations of the lattice {x : g(x) = 0 in C}
-    lattice = kernel_basis(g_mat.hstack(c.relations))
+    lattice = SmithSolver(g_mat.hstack(c.relations)).kernel_basis()
     n_f = data.draw(st.integers(min_value=0, max_value=3))
     coefs = [data.draw(st.lists(entries, min_size=lattice.ncols, max_size=lattice.ncols))
              for _ in range(n_f)]
@@ -233,41 +233,34 @@ def test_express_columns_matches_express_column_by_column(b_orders, c_orders, da
 
 
 @PROPERTY
-@given(matrices(max_rows=5, max_cols=4), st.data())
-def test_lattice_coordinates_match_per_column_solves(a, data):
-    solver = SmithSolver(a)
-    basis = solver.column_lattice_basis()
-    per_column = SmithSolver(basis)  # its columns are independent: x is unique
-    cols = []
-    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
-        col = a.mulvec(data.draw(st.lists(entries, min_size=a.ncols, max_size=a.ncols)))
-        if a.nrows and data.draw(st.booleans()):  # often leaves the lattice
-            col[data.draw(st.integers(min_value=0, max_value=a.nrows - 1))] += 1
-        cols.append(col)
-    got = solver.lattice_coordinates(IntMatrix.from_columns(cols, a.nrows))
-    expected = [per_column.solve(col) for col in cols]
-    if any(x is None for x in expected):
-        assert got is None
-    else:
-        assert got == IntMatrix.from_columns(expected, basis.ncols)
-        assert basis @ got == IntMatrix.from_columns(cols, a.nrows)
-
-
-def test_lattice_coordinates_shapes_and_a_single_bad_column():
-    solver = SmithSolver(IntMatrix([[2, 0], [0, 3], [0, 0]]))
-    assert solver.lattice_coordinates(IntMatrix.zeros(3, 0)).shape == (2, 0)
-    good = IntMatrix([[2, 4], [0, -3], [0, 0]])
-    assert solver.column_lattice_basis() @ solver.lattice_coordinates(good) == good
-    assert solver.lattice_coordinates(IntMatrix([[2, 4, 1], [0, -3, 0], [0, 0, 0]])) is None
-    assert solver.lattice_coordinates(IntMatrix([[2, 4], [0, -3], [0, 1]])) is None
-    with pytest.raises(LinalgError):
-        solver.lattice_coordinates(IntMatrix.zeros(2, 1))
-    empty = SmithSolver(IntMatrix.zeros(0, 3))
-    assert empty.lattice_coordinates(IntMatrix.zeros(0, 2)).shape == (0, 2)
-    assert empty.lattice_coordinates(IntMatrix.zeros(0, 0)).shape == (0, 0)
-    rank_zero = SmithSolver(IntMatrix.zeros(2, 3))
-    assert rank_zero.lattice_coordinates(IntMatrix.zeros(2, 2)).shape == (0, 2)
-    assert rank_zero.lattice_coordinates(IntMatrix([[0], [1]])) is None
+@given(orders, orders, st.data())
+def test_kernel_subgroup_spans_the_lattice_of_the_smith_solver(b_orders, c_orders, data):
+    _, g, _ = _diagonal_pair(b_orders, c_orders, data)
+    n = g.source.n_gens
+    ker = kernel_subgroup(g)
+    # the oracle: the first n_B rows of a kernel basis of [g | R_C] span
+    # L = {x : g(x) = 0 in C}; the generators span L modulo the relations
+    # of B, which lie in L because g is well defined
+    full = SmithSolver(g.matrix.hstack(g.target.relations)).kernel_basis()
+    oracle = IntMatrix(full.rows[:n], full.ncols)
+    spanned = ker.gens.hstack(g.source.relations)
+    for basis, other in ((spanned, oracle), (oracle, spanned)):
+        solver = SmithSolver(basis)
+        for j in range(other.ncols):
+            assert solver.solve(other.column(j)) is not None
+    # express accepts exactly the vectors of L
+    in_oracle = SmithSolver(oracle)
+    for _ in range(4):
+        v = oracle.mulvec(data.draw(st.lists(entries, min_size=oracle.ncols,
+                                             max_size=oracle.ncols)))
+        if data.draw(st.booleans()):  # often leaves the lattice
+            v = [x + y for x, y in zip(v, data.draw(st.lists(entries, min_size=n,
+                                                             max_size=n)))]
+        if in_oracle.solve(v) is None:
+            with pytest.raises(LinalgError, match="does not lie in the kernel subgroup"):
+                ker.express(v)
+        else:
+            assert len(ker.express(v)) == ker.n_gens
 
 
 @PROPERTY
@@ -317,7 +310,7 @@ def free_complexes(draw):
     """(d_in, d_out, cycles): d_out random, d_in built from its kernel so
     d_out @ d_in = 0, and cycles a basis of ker(d_out)."""
     d_out = draw(matrices())
-    cycles = kernel_basis(d_out)
+    cycles = SmithSolver(d_out).kernel_basis()
     n_in = draw(st.integers(min_value=0, max_value=3))
     coefs = draw(sparse_matrix(cycles.ncols, n_in))
     return cycles @ coefs, d_out, cycles
