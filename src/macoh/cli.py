@@ -244,9 +244,10 @@ def cmd_verify_paper(args):
 
 
 def _fuzz_one(k, inject_sign_fault):
-    """Both pipelines, the bicomplex identities, HH_* against HH^*, and the
-    field paths against the integral tables; raises on violation.  The
-    pipelines share homology_of_pair, so only the field paths catch its faults."""
+    """Both pipelines, the bicomplex identities, HH_* against HH^*, the
+    field paths against the integral tables, and field HH over F_3 against
+    Koszul field HH and field HH_*; raises on violation.  The pipelines
+    share homology_of_pair, so only the field paths catch its faults."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -264,6 +265,7 @@ def _fuzz_one(k, inject_sign_fault):
         even = sum(1 for d in torsion if d % 2 == 0)
         uct[(kk, l)] += rank + even
         uct[(kk + 1, l)] += even
+    hh3 = hochster.double_field(k, 3)
     checks = (
         # HH_* and HH^* tensored with Q are dual vector spaces
         (hom, coh, "free ranks of double homology and double cohomology disagree"),
@@ -271,6 +273,11 @@ def _fuzz_one(k, inject_sign_fault):
          "double cohomology over Q disagrees with the free ranks over Z"),
         (hochster.hochster_field(k, 2).dims, uct,
          "cohomology over F_2 disagrees with the universal coefficient theorem"),
+        (koszul.KoszulFieldAlgebra(k, 3).hh_dims(), hh3,
+         "double cohomology over F_3 disagrees between pipelines"),
+        # HH_* and HH^* over a field are dual
+        (hochster.double_field(k, 3, "homology"), hh3,
+         "double homology and double cohomology over F_3 disagree"),
     )
     for got, want, message in checks:
         for kk, l in sorted(set(got) | set(want)):

@@ -140,6 +140,11 @@ def hochster_homology(k, support=None):
     return _decompose(k, _support(k, support), "homology")
 
 
+def _check_side(side):
+    if side not in ("cohomology", "homology"):
+        raise ValueError(f"side must be 'cohomology' or 'homology', not {side!r}")
+
+
 def _step(side):
     """Bidegree change of d': down on the cohomology side, up on the homology side."""
     return (-1, -1) if side == "cohomology" else (1, 1)
@@ -321,6 +326,7 @@ def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
     bidegree) after checking commutation with the connecting
     differential.
     """
+    _check_side(side)
     if l_complex.m != k_complex.m:
         raise VerificationError("subcomplex morphism needs a common vertex set")
     for face in l_complex.maximal_faces:
@@ -383,6 +389,7 @@ class FieldHochster:
 
 def hochster_field(k, field, side="cohomology", support=None):
     """Bigraded (co)homology dimensions over Q or F_p, with class data."""
+    _check_side(side)
     support = _support(k, support)
     ops = FieldOps(field)
     cxs, cohs = _sweep(k, support, lambda cx: FieldComplexCohomology(cx, ops, side=side))
@@ -393,8 +400,10 @@ def hochster_field(k, field, side="cohomology", support=None):
 
 
 def d_prime_field(fh):
-    """Connecting differential matrices over the field, keyed by source bidegree."""
-    ops = fh.ops
+    """Connecting differential matrices over the field, as lists of rows
+    keyed by source bidegree (None into a zero bidegree).  Blocks are built
+    as by induced_map over Z, summed, and reduced mod p once at the end."""
+    p = fh.ops.p
     out = {}
     for b, layout in fh.layouts.items():
         target_b = _next_bidegree(b, fh.side)
@@ -403,17 +412,15 @@ def d_prime_field(fh):
             out[b] = None
             continue
         dst_index = {s.mask: s for s in dst_layout}
-        mat = [[ops.of_int(0)] * fh.dims[b] for _ in range(fh.dims[target_b])]
+        mat = [[0] * fh.dims[b] for _ in range(fh.dims[target_b])]
         for summand in layout:
             for sign, target, chain in _moves(fh, summand, dst_index):
-                for c, rep in enumerate(summand.group.reps):
-                    coords = target.group.express(ops.apply_int_matrix(chain, rep))
-                    for r, x in enumerate(coords):
-                        if x:
-                            row = mat[target.offset + r]
-                            row[summand.offset + c] = ops.add(
-                                row[summand.offset + c], ops.scale_int(sign, x))
-        out[b] = mat
+                block = target.group.express_columns(chain @ summand.group.gens)
+                for r, brow in enumerate(block):
+                    row = mat[target.offset + r]
+                    for c, x in enumerate(brow):
+                        row[summand.offset + c] += sign * x
+        out[b] = [[x % p for x in row] for row in mat] if p else mat
     return out
 
 

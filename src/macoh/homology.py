@@ -248,8 +248,7 @@ class FieldComplexCohomology:
         for q, basis in enumerate(cx.bases):
             if basis:
                 d_in, d_out = cx.differentials(q - 1, side)
-                sq = ops.subquotient(len(basis), ops.of_int_matrix(d_out),
-                                     ops.of_int_matrix(d_in.transpose()))
+                sq = ops.subquotient(len(basis), d_out.rows, d_in.transpose().rows)
                 if sq.dim:
                     self.groups[q - 1] = sq
 

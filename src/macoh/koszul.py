@@ -345,12 +345,12 @@ class KoszulFieldAlgebra:
 
     def __init__(self, k, field):
         self.rc = rc = RComplex(k)
-        self.ops = ops = FieldOps(field)
+        ops = FieldOps(field)
         self.h_layers = {}
         for b in rc.bidegrees:
             kk, l = b
-            layer = ops.subquotient(rc.dim(b), ops.of_int_matrix(rc.d_matrix(b)),
-                                    ops.of_int_matrix(rc.d_matrix((kk + 1, l)).transpose()))
+            layer = ops.subquotient(rc.dim(b), rc.d_matrix(b).rows,
+                                    rc.d_matrix((kk + 1, l)).transpose().rows)
             if layer.dim:
                 self.h_layers[b] = layer
         # descended d' on class coordinates
@@ -361,22 +361,14 @@ class KoszulFieldAlgebra:
             if tgt is None:
                 self.class_dprime[b] = None
                 continue
-            dp = self.rc.dprime_matrix(b)
-            cols = [tgt.express(ops.apply_int_matrix(dp, rep)) for rep in layer.reps]
-            self.class_dprime[b] = [[col[r] for col in cols] for r in range(tgt.dim)]
+            self.class_dprime[b] = tgt.express_columns(rc.dprime_matrix(b) @ layer.gens)
         # double cohomology layers in class coordinates
         self.hh_layers = {}
         for b, layer in self.h_layers.items():
             kk, l = b
-            out_mat = self.class_dprime.get(b)
-            out_rows = out_mat if out_mat else []
             incoming = self.class_dprime.get((kk + 1, l + 1))
-            in_cols = []
-            if incoming and self.h_layers.get((kk + 1, l + 1)):
-                width = self.h_layers[(kk + 1, l + 1)].dim
-                in_cols = [[incoming[r][c] for r in range(layer.dim)]
-                           for c in range(width)]
-            hh = ops.subquotient(layer.dim, out_rows, in_cols)
+            in_cols = list(zip(*incoming)) if incoming else []
+            hh = ops.subquotient(layer.dim, self.class_dprime[b] or [], in_cols)
             if hh.dim:
                 self.hh_layers[b] = hh
 
@@ -388,16 +380,7 @@ class KoszulFieldAlgebra:
 
     def hh_cocycle(self, b, i):
         """An R-cocycle representing the i-th double cohomology class at b."""
-        h_layer = self.h_layers[b]
-        class_coords = self.hh_layers[b].reps[i]
-        n = self.rc.dim(b)
-        vec = [self.ops.of_int(0)] * n
-        for c, coef in enumerate(class_coords):
-            if coef:
-                rep = h_layer.reps[c]
-                vec = [self.ops.add(x, self.ops.mul(coef, y))
-                       for x, y in zip(vec, rep)]
-        return vec
+        return self.h_layers[b].gens.mulvec(self.hh_layers[b].gens.column(i))
 
     def hh_product(self, b1, i, b2, j):
         """Coordinates of the product of two double cohomology classes in
@@ -405,7 +388,6 @@ class KoszulFieldAlgebra:
         x = self.hh_cocycle(b1, i)
         y = self.hh_cocycle(b2, j)
         target, z = self.rc.multiply(b1, x, b2, y)
-        z = [self.ops.of_int(c) for c in z]
         h_layer = self.h_layers.get(target)
         if h_layer is None:
             return target, []

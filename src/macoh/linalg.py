@@ -17,7 +17,6 @@ generator k of order d > 0.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -635,26 +634,18 @@ def is_prime(p):
     return True
 
 
-def field_rank(a, field):
-    """Rank over Q (field='Q') or over F_p (field=p, p prime).
-
-    >>> field_rank(IntMatrix([[2, 4], [1, 2]]), 'Q')
-    1
-    >>> field_rank(IntMatrix([[2, 4], [1, 2]]), 2)
-    1
-    """
-    ops = FieldOps(field)
-    return ops.rank(ops.of_int_matrix(a))
-
-
 class FieldOps:
-    """Minimal dense linear algebra over Q or F_p, for the field fast paths.
+    """Dense linear algebra over Q or F_p, for the field fast paths.
 
-    Matrices are lists of rows of field elements: Fractions over Q, ints
-    in [0, p) over F_p.  Over Q the elimination runs on integer rows: each
-    row is cleared of denominators, rows are combined by cross-multiplying
-    and divided by the gcd of their entries, and Fractions are built only
-    from the finished rows.
+    Vectors are lists of ints: entries in [0, p) over F_p, integer
+    multiples of the vectors they stand for over Q, where an input row may
+    also hold Fractions that _integers clears.  Elimination is
+    fraction-free (Bareiss): over Q rows are cross-multiplied and divided
+    by the gcd of their entries.  Fractions appear only in rref's rows and
+    in the coordinates that FieldSubquotient returns over Q.
+
+    >>> [FieldOps(f).rank([[2, 4], [1, 3]]) for f in ('Q', 2, 3)]
+    [2, 1, 2]
     """
 
     def __init__(self, field):
@@ -664,15 +655,6 @@ class FieldOps:
             if not isinstance(field, int) or not is_prime(field):
                 raise LinalgError(f"not a prime: {field!r}")
             self.p = field
-        self.field = field
-
-    def of_int(self, x):
-        if self.p is None:
-            return Fraction(x)
-        return x % self.p
-
-    def of_int_matrix(self, a):
-        return [[self.of_int(x) for x in row] for row in a.rows]
 
     def _integers(self, vec):
         """(v, s) with vec = v / s and v a list of ints; s = 1 over F_p."""
@@ -684,8 +666,9 @@ class FieldOps:
         s = reduce(math.lcm, [x.denominator for x in vec], 1)
         return [x.numerator * (s // x.denominator) for x in vec], s
 
-    def _echelon(self, m, reduced):
-        """Eliminate the rows of m in place; returns the pivot columns.
+    def _echelon(self, m, reduced, stop=None):
+        """Eliminate the rows of m in place, in the columns before stop (all
+        by default); returns the pivot columns.
 
         The pivot rows come first, in pivot order, and zero rows last.
         With reduced, each pivot column is cleared above its pivot as well
@@ -697,7 +680,7 @@ class FieldOps:
         ncols = len(m[0]) if m else 0
         pivots = []
         r = 0
-        for col in range(ncols):
+        for col in range(ncols if stop is None else stop):
             pivot = next((i for i in range(r, nrows) if m[i][col]), None)
             if pivot is None:
                 continue
@@ -745,132 +728,88 @@ class FieldOps:
         out.extend([zero] * len(row) for row in ints[len(pivots):])
         return out, pivots
 
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
-
-    def _sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def scale_int(self, c, x):
-        if self.p is not None:
-            return (c * x) % self.p
-        return c * x
-
-    def apply_int_matrix(self, int_matrix, vec):
-        """Push a field vector through an integer matrix."""
-        out = []
-        for row in int_matrix.rows:
-            acc = self.of_int(0)
-            for coef, x in zip(row, vec):
-                if coef:
-                    acc = self.add(acc, self.scale_int(coef, x))
-            out.append(acc)
-        return out
-
     def rank(self, m):
         if not m or not m[0]:
             return 0
         return len(self._echelon([self._integers(row)[0] for row in m], reduced=False))
 
-    def kernel_basis(self, m, ncols):
-        """Basis vectors of the right kernel of the matrix (rows given)."""
-        if not m:
-            return [[self.of_int(1) if i == j else self.of_int(0) for i in range(ncols)]
-                    for j in range(ncols)]
-        r, pivots = self.rref(m)
-        pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
-        basis = []
-        for fj in free:
-            vec = [self.of_int(0)] * ncols
-            vec[fj] = self.of_int(1)
-            for i, pj in enumerate(pivots):
-                vec[pj] = self._sub(self.of_int(0), r[i][fj])
-            basis.append(vec)
-        return basis
-
     def subquotient(self, n, out_rows, in_cols):
         """ker(out)/im(in) on F^n, out given by its rows and in by its columns.
 
-        The representatives are the cycles among the pivot columns of the
-        echelon form of [boundaries | kernel basis], so they are
-        deterministic and their classes form a basis.
+        Two eliminations.  The reduced echelon form of out gives the cycle
+        checks, its nonzero rows, and one integer kernel vector per free
+        column (over F_p with free coordinate 1).  Then [in | kernel |
+        identity] is eliminated up to the identity block: the kernel
+        columns among its pivots are the representatives, and the identity
+        block of their rows is the express map.
         """
-        cycles = self.kernel_basis(out_rows, n)
-        reps = []
-        if cycles:
-            allcols = in_cols + cycles
-            _, pivots = self.rref([[col[i] for col in allcols] for i in range(n)])
-            reps = [allcols[j] for j in pivots if j >= len(in_cols)]
-        return FieldSubquotient(self, in_cols, reps)
-
-    def solver(self, columns, first=0):
-        """A function b -> the coefficients of columns[first:] in some x with
-        sum x_j * columns[j] = b, or None when b is outside their span.
-
-        [columns | identity] is eliminated once: its rows then hold T and
-        T * columns in echelon form.  A pivot in the identity block gives a
-        row t of T with t * b = 0 exactly on the span; a pivot in column j
-        gives x_j = t * b / pivot entry, and x_j = 0 off the pivots.
-        """
-        width = len(columns)
-        n = len(columns[0]) if columns else 0
-        m = [self._integers([col[i] for col in columns] + [int(i == j) for j in range(n)])[0]
-             for i in range(n)]
-        pivots = self._echelon(m, reduced=True)
-        checks = [row[width:] for row, col in zip(m, pivots) if col >= width]
-        coords = {col - first: (row[width:], row[col])
-                  for row, col in zip(m, pivots) if first <= col < width}
-        zero = self.of_int(0)
         p = self.p
-
-        def solve(b):
-            v, s = self._integers(b)
-            if not columns:
-                return None if any(v) else []
-            for t in checks:
-                dot = sum(map(operator.mul, t, v))
-                if dot % p if p else dot:
-                    return None
-            x = [zero] * (width - first)
-            for j, (t, d) in coords.items():
-                dot = sum(map(operator.mul, t, v))
-                x[j] = dot % p if p else Fraction(dot, d * s)  # d = s = 1 over F_p
-            return x
-
-        return solve
-
-    def solve(self, columns, b):
-        """Any coefficient vector x with sum x_j * columns[j] = b, or None."""
-        return self.solver(columns)(b)
+        ints = [self._integers(row)[0] for row in out_rows]
+        pivots = self._echelon(ints, reduced=True)
+        checks = IntMatrix(ints[:len(pivots)], n)
+        cycles = []
+        for f in sorted(set(range(n)).difference(pivots)):
+            # the least s > 0 that makes every -row[f] * s / row[col] whole;
+            # 1 over F_p, where the pivot entries are 1
+            s = reduce(math.lcm, [row[col] // math.gcd(row[col], row[f])
+                                  for row, col in zip(ints, pivots)], 1)
+            vec = [0] * n
+            vec[f] = s
+            for row, col in zip(ints, pivots):
+                vec[col] = -row[f] * s // row[col]
+            cycles.append([x % p for x in vec] if p else vec)
+        first = len(in_cols)
+        width = first + len(cycles)
+        # the identity block goes through _integers too, so that it records
+        # the scaling of each row over Q; with no cycles there is nothing to pick
+        m = [self._integers([col[i] for col in in_cols] + [c[i] for c in cycles]
+                            + [int(i == j) for j in range(n)])[0]
+             for i in range(n if cycles else 0)]
+        kept = [(row, col) for row, col in zip(m, self._echelon(m, reduced=True, stop=width))
+                if col >= first]
+        gens = IntMatrix.from_columns([cycles[col - first] for _, col in kept], n)
+        t = IntMatrix([row[width:] for row, _ in kept], n)
+        return FieldSubquotient(self, gens, checks, t, [row[col] for row, col in kept])
 
 
 class FieldSubquotient:
-    """ker(out)/im(in) over a field, with cycle representatives of a basis."""
+    """ker(out)/im(in) over a field, in the shape of the integral Subquotient.
 
-    __slots__ = ("ops", "bounds", "reps", "_coords")
+    gens holds the representatives as columns: integer cycles whose classes
+    form a basis.  A vector v is a cycle exactly when checks @ v vanishes
+    (mod p), checks being the echelon rows of out.  Every representative
+    is a pivot column of the reduced echelon form t @ [in | kernel], so the
+    coordinates of a cycle v are (t @ v) / pivots, row by row.
+    """
 
-    def __init__(self, ops, bounds, reps):
+    __slots__ = ("ops", "gens", "_checks", "_t", "_pivots")
+
+    def __init__(self, ops, gens, checks, t, pivots):
         self.ops = ops
-        self.bounds = bounds
-        self.reps = reps
-        self._coords = None
+        self.gens = gens
+        self._checks = checks
+        self._t = t
+        self._pivots = pivots
 
     @property
     def dim(self):
-        return len(self.reps)
+        return self.gens.ncols
+
+    def express_columns(self, mat):
+        """Coordinates of the classes of the columns of the integer matrix
+        mat, as a list of rows with one column each: ints in [0, p) over
+        F_p, Fractions over Q.  Raises LinalgError on a column not a cycle."""
+        p = self.ops.p
+        if any(x % p if p else x for row in (self._checks @ mat).rows for x in row):
+            raise LinalgError("vector is not a cycle")
+        z = (self._t @ mat).rows
+        if p:
+            return [[x % p for x in row] for row in z]
+        return [[Fraction(x, d) for x in row] for row, d in zip(z, self._pivots)]
 
     def express(self, vec):
-        """Coordinates of the class of a cycle in the representatives.
-
-        Every representative column is a pivot of [bounds | reps], so the
-        coordinates are unique; the elimination runs on the first call."""
-        if self._coords is None:
-            self._coords = self.ops.solver(self.bounds + self.reps, first=len(self.bounds))
-        x = self._coords(vec)
-        if x is None:
-            raise LinalgError("vector is not a cycle")
-        return x
+        """express_columns of the one-column matrix vec; over Q, vec may
+        hold Fractions."""
+        v, s = self.ops._integers(vec)
+        coords = [row[0] for row in self.express_columns(IntMatrix([[x] for x in v], 1))]
+        return coords if s == 1 else [x / s for x in coords]

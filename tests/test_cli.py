@@ -9,6 +9,7 @@ import pytest
 from macoh import cli
 from macoh import complexes
 from macoh import hochster
+from macoh import koszul
 from macoh import linalg
 from macoh.complexes import SimplicialComplex
 
@@ -267,6 +268,37 @@ def test_fuzz_catches_double_cohomology_over_q_that_disagrees(monkeypatch, capsy
     assert code == 2
     assert "trial 1 (rp2): VIOLATION: double cohomology over Q disagrees with the free " \
            "ranks over Z at bidegree (0, 0)" in out
+
+
+def test_fuzz_catches_koszul_double_cohomology_over_f3_that_disagrees(monkeypatch, capsys):
+    real = koszul.KoszulFieldAlgebra.hh_dims
+
+    def drop_a_bidegree(alg):
+        dims = real(alg)
+        del dims[min(dims)]
+        return dims
+
+    monkeypatch.setattr(koszul.KoszulFieldAlgebra, "hh_dims", drop_a_bidegree)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: double cohomology over F_3 disagrees between " \
+           "pipelines at bidegree (0, 0)" in out
+
+
+def test_fuzz_catches_double_homology_over_f3_that_disagrees(monkeypatch, capsys):
+    real = hochster.double_field
+
+    def extra_homology_class(k, field, side="cohomology"):
+        dims = real(k, field, side)
+        if (field, side) == (3, "homology"):
+            dims[(0, 0)] += 1
+        return dims
+
+    monkeypatch.setattr(hochster, "double_field", extra_homology_class)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: double homology and double cohomology over F_3 " \
+           "disagree at bidegree (0, 0)" in out
 
 
 def test_generate(tmp_path, capsys):

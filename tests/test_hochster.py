@@ -265,6 +265,15 @@ def test_homology_side_field_matches_cohomology_side_field():
         assert co == ho
 
 
+def test_an_unknown_side_is_rejected():
+    with pytest.raises(ValueError, match="side must be"):
+        hochster_field(rp2_minimal(), 2, side="Cohomology")
+    with pytest.raises(ValueError, match="side must be"):
+        double_field(cycle(4), "Q", side="cohomolgy")
+    with pytest.raises(ValueError, match="side must be"):
+        ch_subcomplex_morphisms(cycle(5), _pentagon_plus_triangle(), side="homolgy")
+
+
 def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypatch):
     k = cycle(6)
     for field in ("Q", 3):
@@ -302,7 +311,7 @@ def test_sweep_results_equal_a_direct_computation_for_every_subset():
             expected = FieldComplexCohomology(reduced_complex(k, mask), fh.ops)
             assert coh.degrees() == expected.degrees()
             for p in expected.degrees():
-                assert coh.group(p).reps == expected.group(p).reps
+                assert coh.group(p).gens == expected.group(p).gens
 
 
 def test_sweep_shares_results_between_repeated_subcomplexes():

@@ -376,6 +376,11 @@ def _naive_rref(m, field):
     return m, pivots
 
 
+def _canonical(field, x):
+    """x as a field element: a Fraction over Q, an int in [0, p) over F_p."""
+    return Fraction(x) if field == "Q" else x % field
+
+
 def _field_entries(field):
     if field == "Q":
         integral = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
@@ -389,7 +394,6 @@ def field_matrices(draw, field, max_rows=6, max_cols=8):
     """Random matrices over the field, with shapes 0 x n and n x 0, zero
     rows, rows that are combinations of earlier ones, and rows with a
     large common factor."""
-    ops = FieldOps(field)
     entries = _field_entries(field)
     ncols = draw(st.integers(min_value=0, max_value=max_cols))
     rows = []
@@ -397,14 +401,14 @@ def field_matrices(draw, field, max_rows=6, max_cols=8):
         kind = draw(st.sampled_from(("random", "random", "zero", "combination", "scaled")))
         row = draw(st.lists(entries, min_size=ncols, max_size=ncols))
         if kind == "zero":
-            row = [ops.of_int(0)] * ncols
+            row = [_canonical(field, 0)] * ncols
         elif kind == "combination" and rows:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             c = draw(entries)
-            row = [ops.add(x, ops.mul(c, y)) for x, y in zip(a, b)]
+            row = [_canonical(field, x + c * y) for x, y in zip(a, b)]
         elif kind == "scaled":
-            c = ops.of_int(draw(st.integers(min_value=1, max_value=10 ** 6)))
-            row = [ops.mul(c, x) for x in row]
+            c = draw(st.integers(min_value=1, max_value=10 ** 6))
+            row = [_canonical(field, c * x) for x in row]
         rows.append(row)
     return rows
 
@@ -434,18 +438,19 @@ def test_field_rref_is_exact_on_dense_rows_with_large_entries():
         assert FieldOps("Q").rref(m) == _naive_rref(m, "Q")
 
 
-def _combine(ops, coefs, vectors, n):
-    out = [ops.of_int(0)] * n
+def _combine(field, coefs, vectors, n):
+    out = [_canonical(field, 0)] * n
     for c, vec in zip(coefs, vectors):
-        out = [ops.add(x, ops.mul(c, y)) for x, y in zip(out, vec)]
+        out = [_canonical(field, x + c * y) for x, y in zip(out, vec)]
     return out
 
 
-def _dot(ops, a, b):
-    out = ops.of_int(0)
-    for x, y in zip(a, b):
-        out = ops.add(out, ops.mul(x, y))
-    return out
+def _dot(field, a, b):
+    return _canonical(field, sum(x * y for x, y in zip(a, b)))
+
+
+def _reps(sq):
+    return [sq.gens.column(j) for j in range(sq.dim)]
 
 
 @st.composite
@@ -455,9 +460,9 @@ def field_complexes(draw, field):
     ops = FieldOps(field)
     out_rows = draw(field_matrices(field, max_rows=4, max_cols=5))
     n = len(out_rows[0]) if out_rows else draw(st.integers(min_value=0, max_value=4))
-    cycles = ops.kernel_basis(out_rows, n)
-    in_cols = [_combine(ops, draw(st.lists(_field_entries(field), min_size=len(cycles),
-                                           max_size=len(cycles))), cycles, n)
+    cycles = _reps(ops.subquotient(n, out_rows, []))
+    in_cols = [_combine(field, draw(st.lists(_field_entries(field), min_size=len(cycles),
+                                             max_size=len(cycles))), cycles, n)
                for _ in range(draw(st.integers(min_value=0, max_value=3)))]
     return ops, n, out_rows, in_cols
 
@@ -472,20 +477,44 @@ def test_field_subquotient_express_round_trips(data):
 def _check_express_round_trips(field, data):
     ops, n, out_rows, in_cols = data.draw(field_complexes(field))
     sq = ops.subquotient(n, out_rows, in_cols)
-    for rep in sq.reps:
-        assert not any(_dot(ops, row, rep) for row in out_rows)
+    reps = _reps(sq)
+    for rep in reps:
+        assert not any(_dot(field, row, rep) for row in out_rows)
     entries = _field_entries(field)
     for _ in range(3):
         coefs = data.draw(st.lists(entries, min_size=sq.dim, max_size=sq.dim))
         weights = data.draw(st.lists(entries, min_size=len(in_cols), max_size=len(in_cols)))
-        boundary = _combine(ops, weights, in_cols, n)
-        for j, rep in enumerate(sq.reps):
-            unit = [ops.of_int(int(i == j)) for i in range(sq.dim)]
+        boundary = _combine(field, weights, in_cols, n)
+        for j, rep in enumerate(reps):
+            unit = [_canonical(field, int(i == j)) for i in range(sq.dim)]
             assert sq.express(rep) == unit
-            assert sq.express([ops.add(x, y) for x, y in zip(rep, boundary)]) == unit
-        cycle = _combine(ops, coefs, sq.reps, n)
-        assert sq.express([ops.add(x, y) for x, y in zip(cycle, boundary)]) == coefs
+            assert sq.express([_canonical(field, x + y) for x, y in zip(rep, boundary)]) == unit
+        cycle = _combine(field, coefs, reps, n)
+        assert sq.express([_canonical(field, x + y) for x, y in zip(cycle, boundary)]) == coefs
     v = data.draw(st.lists(entries, min_size=n, max_size=n))
-    if any(_dot(ops, row, v) for row in out_rows):
+    if any(_dot(field, row, v) for row in out_rows):
         with pytest.raises(LinalgError):
             sq.express(v)
+
+
+@PROPERTY
+@given(st.data())
+def test_field_subquotient_has_integer_reps_and_expresses_columns(data):
+    for field in FIELDS:
+        ops, n, out_rows, in_cols = data.draw(field_complexes(field))
+        sq = ops.subquotient(n, out_rows, in_cols)
+        reps = _reps(sq)
+        for rep in reps:
+            assert all(type(x) is int for x in rep)
+            assert not any(_dot(field, row, rep) for row in out_rows)
+        # integer cycles: integer combinations of the representatives
+        weights = st.lists(st.integers(min_value=-9, max_value=9),
+                           min_size=sq.dim, max_size=sq.dim)
+        cols = [sq.gens.mulvec(ws) for ws in data.draw(st.lists(weights, max_size=3))]
+        coords = sq.express_columns(IntMatrix.from_columns(cols, n))
+        assert [[row[j] for row in coords] for j in range(len(cols))] == \
+            [sq.express(col) for col in cols]
+        v = data.draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n))
+        if any(_dot(field, row, v) for row in out_rows):
+            with pytest.raises(LinalgError):
+                sq.express_columns(IntMatrix.from_columns(cols + [v], n))
