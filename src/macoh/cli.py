@@ -72,7 +72,7 @@ def _load_complex(args):
         try:
             with open(args.file, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ComplexError(f"cannot read {args.file}: {exc}")
         source = args.file
     stripped = text.lstrip()
@@ -146,6 +146,17 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
+def _double_tables(k, field, side):
+    """(decomposition, HH table) on one side: invariants over Z, dimensions
+    over a field."""
+    if field is None:
+        dd = (hochster.double_cohomology(k) if side == "cohomology"
+              else hochster.double_homology(k))
+        return dd.decomposition, dd.invariants()
+    hd = hochster.hochster_field(k, field, side=side)
+    return hd, hochster.double_field(hd, field, side=side)
+
+
 def cmd_compute(args):
     k, source = _load_complex(args)
     if k.m > VERTEX_WARN_THRESHOLD:
@@ -161,45 +172,31 @@ def cmd_compute(args):
     h_rows = hh_rows = hhhom_rows = None
     euler = None
     agreement = None
-    if field is None:
-        dd = hd = None
-        if need_hh or args.verify:
-            dd = hochster.double_cohomology(k)
-            hd = dd.decomposition
-        elif need_h:
-            hd = hochster.hochster_cohomology(k)
-        if need_h:
-            h_rows = _rows(hd.invariants())
-        if need_hh:
-            hh_rows = _rows(dd.invariants())
-            euler = dd.euler_characteristic()
-        if need_hhhom:
-            hhhom_rows = _rows(hochster.double_homology(k).invariants())
-        if args.verify:
+    hd = hh = None
+    if need_hh or args.verify:
+        hd, hh = _double_tables(k, field, "cohomology")
+    elif need_h:
+        hd = (hochster.hochster_cohomology(k) if field is None
+              else hochster.hochster_field(k, field))
+    if need_h:
+        h_rows = _rows(hd.invariants())
+    if need_hh:
+        hh_rows = _rows(hh)
+        euler = _euler_from_rows(hh_rows)
+    if need_hhhom:
+        hhhom_rows = _rows(_double_tables(k, field, "homology")[1])
+    if args.verify:
+        if field is None:
             rc = koszul.RComplex(k)
             rc.check_identities()
             hhk = koszul.hh_via_koszul(rc)
-            agreement = (hhk.kc.invariants() == hd.invariants()
-                         and hhk.invariants() == dd.invariants())
-    else:
-        fh = hh_dims = None
-        if need_h or args.verify:
-            fh = hochster.hochster_field(k, field, side="cohomology")
-            if need_h:
-                h_rows = _rows({b: d for b, d in fh.dims.items() if d})
-        if need_hh or args.verify:
-            hh_dims = hochster.double_field(fh if fh is not None else k, field,
-                                            side="cohomology")
-            if need_hh:
-                hh_rows = _rows(hh_dims)
-                euler = _euler_from_rows(hh_rows)
-        if need_hhhom:
-            hhhom_rows = _rows(hochster.double_field(k, field, side="homology"))
-        if args.verify:
+            koszul_h, koszul_hh = hhk.kc.invariants(), hhk.invariants()
+        else:
             alg = koszul.KoszulFieldAlgebra(k, field)
             alg.rc.check_identities()
-            agreement = (alg.h_dims() == {b: d for b, d in fh.dims.items() if d}
-                         and alg.hh_dims() == hh_dims)
+            koszul_h, koszul_hh = alg.h_dims(), alg.hh_dims()
+        agreement = (_rows(koszul_h) == _rows(hd.invariants())
+                     and _rows(koszul_hh) == _rows(hh))
     elapsed = time.monotonic() - started
 
     if args.json:
@@ -245,9 +242,10 @@ def cmd_verify_paper(args):
 
 def _fuzz_one(k, inject_sign_fault):
     """Both pipelines, the bicomplex identities, HH_* against HH^*, the
-    field paths against the integral tables, and field HH over F_3 against
-    Koszul field HH and field HH_*; raises on violation.  The pipelines
-    share homology_of_pair, so only the field paths catch its faults."""
+    field paths against the integral tables (HH over Q, and H over F_2 and
+    F_3 by universal coefficients), and field HH over F_3 against Koszul
+    field HH and field HH_*; raises on violation.  The pipelines share
+    homology_of_pair, so only the field paths catch its faults."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -258,21 +256,24 @@ def _fuzz_one(k, inject_sign_fault):
         raise VerificationError("double cohomology tables disagree between pipelines")
     coh = {b: rank for b, (rank, _) in dd.invariants().items()}
     hom = {b: rank for b, (rank, _) in hochster.double_homology(k).invariants().items()}
-    # universal coefficients: H^n(F_2) = H^n (x) F_2 + Tor(H^{n+1}, F_2), and
+    # universal coefficients: H^n(F_p) = H^n (x) F_p + Tor(H^{n+1}, F_p), and
     # H^{n+1} at the same l is the bidegree (k - 1, l)
-    uct = Counter()
+    field_h = {p: hochster.hochster_field(k, p) for p in (2, 3)}
+    uct = {p: Counter() for p in field_h}
     for (kk, l), (rank, torsion) in dd.decomposition.invariants().items():
-        even = sum(1 for d in torsion if d % 2 == 0)
-        uct[(kk, l)] += rank + even
-        uct[(kk + 1, l)] += even
-    hh3 = hochster.double_field(k, 3)
+        for p, dims in uct.items():
+            divisible = sum(1 for d in torsion if d % p == 0)
+            dims[(kk, l)] += rank + divisible
+            dims[(kk + 1, l)] += divisible
+    hh3 = hochster.double_field(field_h[3], 3)
     checks = (
         # HH_* and HH^* tensored with Q are dual vector spaces
         (hom, coh, "free ranks of double homology and double cohomology disagree"),
         (hochster.double_field(k, "Q"), coh,
          "double cohomology over Q disagrees with the free ranks over Z"),
-        (hochster.hochster_field(k, 2).dims, uct,
-         "cohomology over F_2 disagrees with the universal coefficient theorem"),
+        *((field_h[p].dims, uct[p],
+           f"cohomology over F_{p} disagrees with the universal coefficient theorem")
+          for p in field_h),
         (koszul.KoszulFieldAlgebra(k, 3).hh_dims(), hh3,
          "double cohomology over F_3 disagrees between pipelines"),
         # HH_* and HH^* over a field are dual

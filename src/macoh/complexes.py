@@ -314,6 +314,8 @@ class SimplicialComplex:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ComplexError(f"invalid JSON: {exc}")
+        except RecursionError:
+            raise ComplexError("invalid JSON: nested too deeply")
         return cls.from_json_dict(data)
 
     @classmethod

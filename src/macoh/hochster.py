@@ -20,6 +20,7 @@ bidegree is (-k, 2l).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .complexes import sign_eps, vertices_of
 from .errors import VerificationError
@@ -48,7 +49,7 @@ class Summand:
     mask: int
     degree: int
     offset: int
-    group: object  # Subquotient or FieldSubquotient of the subset (co)homology
+    group: object  # Subquotient, or over a field FieldSubquotient, of the subset
 
 
 @dataclass
@@ -58,14 +59,21 @@ class BidegreeLayout:
 
 
 class HochsterDecomposition:
-    """Per-bidegree direct sums of subset (co)homology, with layouts."""
+    """Per-bidegree direct sums of subset (co)homology, with layouts.
 
-    __slots__ = ("complex", "support", "side", "cxs", "cohs", "layouts")
+    field is None over Z, else "Q" or a prime p, with ops its FieldOps;
+    over a field every generator is free, so invariants() gives
+    (dimension, ()) per bidegree.
+    """
 
-    def __init__(self, complex_, support, side, cxs, cohs, layouts):
+    __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "layouts")
+
+    def __init__(self, complex_, support, side, field, ops, cxs, cohs, layouts):
         self.complex = complex_
         self.support = support
         self.side = side  # "cohomology" or "homology"
+        self.field = field
+        self.ops = ops
         self.cxs = cxs
         self.cohs = cohs
         self.layouts = layouts
@@ -76,6 +84,11 @@ class HochsterDecomposition:
     def invariants(self):
         """dict (k, l) -> (rank, invariant factors) per nontrivial bidegree."""
         return {b: layout.group.invariants() for b, layout in self.layouts.items()}
+
+    @property
+    def dims(self):
+        """dict (k, l) -> number of generators (over a field, the dimension)."""
+        return {b: layout.group.n_gens for b, layout in self.layouts.items()}
 
 
 def _support(k, support):
@@ -105,9 +118,9 @@ def _sweep(k, support, compute):
     return cxs, cohs
 
 
-def _summands(cohs, size):
+def _summands(cohs):
     """Per bidegree, the nonzero subset summands in ascending mask order,
-    each at the offset where its generators start; size(group) counts them."""
+    each at the offset where its generators start."""
     layouts = {}
     for mask in sorted(cohs):
         l = mask.bit_count()
@@ -115,19 +128,23 @@ def _summands(cohs, size):
         for p in coh.degrees():
             summands = layouts.setdefault((l - p - 1, l), [])
             last = summands[-1] if summands else None
-            offset = last.offset + size(last.group) if last else 0
+            offset = last.offset + last.group.n_gens if last else 0
             summands.append(Summand(mask=mask, degree=p, offset=offset, group=coh.group(p)))
     return layouts
 
 
-def _decompose(k, support, side):
-    compute = cohomology if side == "cohomology" else homology
+def _decompose(k, support, side, field=None):
+    ops = None if field is None else FieldOps(field)
+    if ops is None:
+        compute = cohomology if side == "cohomology" else homology
+    else:
+        compute = partial(FieldComplexCohomology, ops=ops, side=side)
     cxs, cohs = _sweep(k, support, compute)
     layouts = {}
-    for b, summands in _summands(cohs, lambda sq: sq.n_gens).items():
+    for b, summands in _summands(cohs).items():
         group = PresentedGroup(d for s in summands for d in s.group.orders)
         layouts[b] = BidegreeLayout(summands=summands, group=group)
-    return HochsterDecomposition(k, support, side, cxs, cohs, layouts)
+    return HochsterDecomposition(k, support, side, field, ops, cxs, cohs, layouts)
 
 
 def hochster_cohomology(k, support=None):
@@ -181,34 +198,48 @@ def _moves(hd, summand, dst_index, sign_fault=False):
         yield sign, target, chain_matrix(hd.cxs[mask], hd.cxs[other], p)
 
 
+def _place(mat, block, row, col, sign=1):
+    """Add sign * block into mat with its top left entry at (row, col)."""
+    for mrow, brow in zip(mat.rows[row:row + block.nrows], block.rows):
+        for c, x in enumerate(brow, col):
+            mrow[c] += sign * x
+
+
+def _connecting(hd, sign_fault=False):
+    """d' per source bidegree over the ring of hd, as a matrix into the
+    adjacent bidegree (no rows when that is zero).  Blocks are induced_map
+    of each vertex move, summed over Z or Q and reduced mod p once."""
+    p = hd.ops.p if hd.ops is not None else None
+    out = {}
+    for b in hd.bidegrees():
+        src_layout = hd.layouts[b]
+        dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
+        mat = IntMatrix.zeros(dst_layout.group.n_gens if dst_layout else 0,
+                              src_layout.group.n_gens)
+        dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
+        for summand in src_layout.summands:
+            for sign, target, chain in _moves(hd, summand, dst_index, sign_fault):
+                block = induced_map(hd.cohs[summand.mask], hd.cohs[target.mask], chain,
+                                    summand.degree)
+                _place(mat, block, target.offset, summand.offset, sign)
+        if p:
+            mat = IntMatrix._adopt([[x % p for x in row] for row in mat.rows], mat.ncols)
+        out[b] = mat
+    return out
+
+
 def d_prime(hd, sign_fault=False):
-    """Connecting differentials per source bidegree, verified d'^2 = 0.
+    """Connecting differentials per source bidegree over Z, verified d'^2 = 0.
 
     Returns a dict bidegree -> GroupMorphism into the adjacent bidegree
     ((k-1, l-1) on the cohomology side, (k+1, l+1) on the homology
     side); a trivial target yields a morphism to the zero group.
     """
     morphisms = {}
-    for b in hd.bidegrees():
-        src_layout = hd.layouts[b]
-        src_group = src_layout.group
+    for b, mat in _connecting(hd, sign_fault).items():
         dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
-        if dst_layout is None:
-            morphisms[b] = GroupMorphism.zero(src_group, PresentedGroup.free(0))
-            continue
-        dst_group = dst_layout.group
-        dst_index = {s.mask: s for s in dst_layout.summands}
-        mat = IntMatrix.zeros(dst_group.n_gens, src_group.n_gens)
-        for summand in src_layout.summands:
-            for sign, target, chain in _moves(hd, summand, dst_index, sign_fault):
-                block = induced_map(hd.cohs[summand.mask], hd.cohs[target.mask], chain,
-                                    summand.degree)
-                for r in range(block.nrows):
-                    row = mat.rows[target.offset + r]
-                    brow = block.rows[r]
-                    for c in range(block.ncols):
-                        row[summand.offset + c] += sign * brow[c]
-        morphisms[b] = GroupMorphism(src_group, dst_group, mat)
+        dst_group = dst_layout.group if dst_layout else PresentedGroup.free(0)
+        morphisms[b] = GroupMorphism(hd.layouts[b].group, dst_group, mat)
     _verify_squares_to_zero(hd, morphisms)
     return morphisms
 
@@ -309,15 +340,6 @@ def ch_restriction_morphism(k, vertices):
     return hd_sub, hd_full, matrices
 
 
-def _basis_injection(basis_small, basis_big):
-    """Chains supported on a sub-list of faces include into the bigger list."""
-    index = {mask: i for i, mask in enumerate(basis_big)}
-    mat = IntMatrix.zeros(len(basis_big), len(basis_small))
-    for c, mask in enumerate(basis_small):
-        mat.rows[index[mask]][c] = 1
-    return mat
-
-
 def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
     """Bigraded morphism induced by a subcomplex L of K on the same
     vertex set: the chain pushforward CH_*(Z_L) -> CH_*(Z_K) on the
@@ -332,33 +354,28 @@ def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
     for face in l_complex.maximal_faces:
         if not k_complex.has_face(face):
             raise VerificationError("L is not a subcomplex of K")
+    # the faces of L_I are among those of K_I, as those of K_{I-i} are of K_I
     if side == "homology":
         hd_src = hochster_homology(l_complex)
         hd_dst = hochster_homology(k_complex)
-        small, big = hd_src, hd_dst
+        chain_matrix = inclusion_matrix
     else:
         hd_src = hochster_cohomology(k_complex)
         hd_dst = hochster_cohomology(l_complex)
-        small, big = hd_dst, hd_src
+        chain_matrix = restriction_matrix
     matrices = {}
     for b, src_layout in hd_src.layouts.items():
         dst_layout = hd_dst.layouts.get(b)
-        n_dst = dst_layout.group.n_gens if dst_layout else 0
-        mat = IntMatrix.zeros(n_dst, src_layout.group.n_gens)
-        if dst_layout is not None:
-            dst_index = {(s.mask, s.degree): s for s in dst_layout.summands}
-            for summand in src_layout.summands:
-                target = dst_index.get((summand.mask, summand.degree))
-                if target is None:
-                    continue
+        mat = IntMatrix.zeros(dst_layout.group.n_gens if dst_layout else 0,
+                              src_layout.group.n_gens)
+        dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
+        for summand in src_layout.summands:
+            target = dst_index.get(summand.mask)
+            if target is not None:
                 mask, p = summand.mask, summand.degree
-                injection = _basis_injection(small.cxs[mask].basis(p),
-                                             big.cxs[mask].basis(p))
-                chain = injection if side == "homology" else injection.transpose()
-                block = induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p)
-                for r in range(block.nrows):
-                    for c in range(block.ncols):
-                        mat.rows[target.offset + r][summand.offset + c] = block.rows[r][c]
+                chain = chain_matrix(hd_src.cxs[mask], hd_dst.cxs[mask], p)
+                _place(mat, induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p),
+                       target.offset, summand.offset)
         matrices[b] = mat
     _check_commutes(hd_src, hd_dst, matrices,
                     "subcomplex morphism does not commute with the connecting differential")
@@ -369,79 +386,32 @@ def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
 # field coefficients
 
 
-class FieldHochster:
-    """Field-coefficient decomposition: dimensions and class maps only."""
-
-    __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs",
-                 "dims", "layouts")
-
-    def __init__(self, complex_, support, side, field, ops, cxs, cohs, dims, layouts):
-        self.complex = complex_
-        self.support = support
-        self.side = side
-        self.field = field
-        self.ops = ops
-        self.cxs = cxs
-        self.cohs = cohs
-        self.dims = dims          # (k, l) -> dimension
-        self.layouts = layouts    # (k, l) -> list of Summand
-
-
 def hochster_field(k, field, side="cohomology", support=None):
-    """Bigraded (co)homology dimensions over Q or F_p, with class data."""
+    """Bigraded (co)homology over Q or F_p: a HochsterDecomposition whose
+    summands are FieldSubquotients and whose dims are the dimensions."""
     _check_side(side)
-    support = _support(k, support)
-    ops = FieldOps(field)
-    cxs, cohs = _sweep(k, support, lambda cx: FieldComplexCohomology(cx, ops, side=side))
-    layouts = _summands(cohs, lambda sq: sq.dim)
-    dims = {b: summands[-1].offset + summands[-1].group.dim
-            for b, summands in layouts.items()}
-    return FieldHochster(k, support, side, field, ops, cxs, cohs, dims, layouts)
+    return _decompose(k, _support(k, support), side, field)
 
 
-def d_prime_field(fh):
-    """Connecting differential matrices over the field, as lists of rows
-    keyed by source bidegree (None into a zero bidegree).  Blocks are built
-    as by induced_map over Z, summed, and reduced mod p once at the end."""
-    p = fh.ops.p
-    out = {}
-    for b, layout in fh.layouts.items():
-        target_b = _next_bidegree(b, fh.side)
-        dst_layout = fh.layouts.get(target_b)
-        if dst_layout is None:
-            out[b] = None
-            continue
-        dst_index = {s.mask: s for s in dst_layout}
-        mat = [[0] * fh.dims[b] for _ in range(fh.dims[target_b])]
-        for summand in layout:
-            for sign, target, chain in _moves(fh, summand, dst_index):
-                block = target.group.express_columns(chain @ summand.group.gens)
-                for r, brow in enumerate(block):
-                    row = mat[target.offset + r]
-                    for c, x in enumerate(brow):
-                        row[summand.offset + c] += sign * x
-        out[b] = [[x % p for x in row] for row in mat] if p else mat
-    return out
+def double_field(k_or_hd, field, side="cohomology"):
+    """Dimensions of double (co)homology over the field, per bidegree:
+    the ranks of the d' matrices of _connecting, each taken once.
 
-
-def double_field(k_or_fh, field, side="cohomology"):
-    """Dimensions of double (co)homology over the field, per bidegree.
-
-    k_or_fh is a complex, or the FieldHochster that hochster_field(k,
+    k_or_hd is a complex, or the decomposition that hochster_field(k,
     field, side) returned, whose sweep is then reused.
     """
-    if isinstance(k_or_fh, FieldHochster):
-        fh = k_or_fh
-        if (fh.field, fh.side) != (field, side):
-            raise ValueError(f"decomposition is over {fh.field} on the {fh.side} side, "
-                             f"not over {field} on the {side} side")
+    if isinstance(k_or_hd, HochsterDecomposition):
+        hd = k_or_hd
+        if (hd.field, hd.side) != (field, side):
+            raise ValueError(f"decomposition is over {hd.field or 'Z'} on the {hd.side} "
+                             f"side, not over {field} on the {side} side")
     else:
-        fh = hochster_field(k_or_fh, field, side=side)
-    ops = fh.ops
-    ranks = {b: ops.rank(mat) if mat else 0 for b, mat in d_prime_field(fh).items()}
-    dk, dl = _step(fh.side)
+        hd = hochster_field(k_or_hd, field, side=side)
+    ranks = {b: hd.ops.rank(mat.rows) if mat.nrows else 0
+             for b, mat in _connecting(hd).items()}
+    dk, dl = _step(hd.side)
     dims = {}
-    for b, dim in fh.dims.items():
+    for b, dim in hd.dims.items():
         hh = dim - ranks[b] - ranks.get((b[0] - dk, b[1] - dl), 0)
         if hh:
             dims[b] = hh

@@ -121,24 +121,25 @@ class ComplexCohomology:
         return g.invariants() if g is not None else (0, ())
 
 
-def _groups(cx, side):
+def _groups(cx, side, homology_at):
+    """Degree p -> the nontrivial homology_at(incoming, outgoing) at p."""
     groups = {}
     for q, basis in enumerate(cx.bases):
         if basis:
-            sq = free_homology(*cx.differentials(q - 1, side))
+            sq = homology_at(*cx.differentials(q - 1, side))
             if not sq.is_trivial():
                 groups[q - 1] = sq
-    return ComplexCohomology(groups)
+    return groups
 
 
 def cohomology(cx):
     """Reduced cohomology with representatives, per degree."""
-    return _groups(cx, "cohomology")
+    return ComplexCohomology(_groups(cx, "cohomology", free_homology))
 
 
 def homology(cx):
     """Reduced homology with representatives, per degree, on the same bases."""
-    return _groups(cx, "homology")
+    return ComplexCohomology(_groups(cx, "homology", free_homology))
 
 
 def restriction_matrix(cx_big, cx_small, p):
@@ -235,25 +236,11 @@ def uct_consistency(cx):
     return True
 
 
-class FieldComplexCohomology:
-    """(Co)homology of one reduced complex over a field, with representatives.
+class FieldComplexCohomology(ComplexCohomology):
+    """(Co)homology of one reduced complex over the field of ops, with
+    representatives: FieldSubquotients in place of Subquotients."""
 
-    groups maps each degree with a nonzero group to its FieldSubquotient.
-    """
-
-    __slots__ = ("groups",)
+    __slots__ = ()
 
     def __init__(self, cx, ops, side="cohomology"):
-        self.groups = {}
-        for q, basis in enumerate(cx.bases):
-            if basis:
-                d_in, d_out = cx.differentials(q - 1, side)
-                sq = ops.subquotient(len(basis), d_out.rows, d_in.transpose().rows)
-                if sq.dim:
-                    self.groups[q - 1] = sq
-
-    def degrees(self):
-        return sorted(self.groups)
-
-    def group(self, p):
-        return self.groups.get(p)
+        super().__init__(_groups(cx, side, ops.free_homology))

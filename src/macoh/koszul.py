@@ -181,31 +181,40 @@ class KoszulCohomology(BigradedGroups):
         self.rc = rc
 
 
-def cohomology_via_koszul(k_or_rc):
-    rc = k_or_rc if isinstance(k_or_rc, RComplex) else RComplex(k_or_rc)
-    groups = {}
+def _layers(rc, homology_at):
+    """Per bidegree, the nontrivial homology_at(incoming d, outgoing d)."""
+    layers = {}
     for b in rc.bidegrees:
         kk, l = b
-        sq = free_homology(rc.d_matrix((kk + 1, l)), rc.d_matrix(b))
+        sq = homology_at(rc.d_matrix((kk + 1, l)), rc.d_matrix(b))
         if not sq.is_trivial():
-            groups[b] = sq
-    return KoszulCohomology(rc, groups)
+            layers[b] = sq
+    return layers
+
+
+def _class_dprime(rc, layers):
+    """d' on class coordinates per source bidegree, as a matrix into the
+    layer at (k-1, l-1) (no rows when there is none there)."""
+    out = {}
+    for b, sq in layers.items():
+        tgt = layers.get((b[0] - 1, b[1] - 1))
+        out[b] = (IntMatrix.zeros(0, sq.n_gens) if tgt is None
+                  else tgt.express_columns(rc.dprime_matrix(b) @ sq.gens))
+    return out
+
+
+def cohomology_via_koszul(k_or_rc):
+    rc = k_or_rc if isinstance(k_or_rc, RComplex) else RComplex(k_or_rc)
+    return KoszulCohomology(rc, _layers(rc, free_homology))
 
 
 def _descend_dprime(kc):
     """Class-level d' matrices on Koszul cohomology, keyed by source bidegree."""
-    rc = kc.rc
     out = {}
-    for b, sq in kc.groups.items():
-        kk, l = b
-        target_b = (kk - 1, l - 1)
-        tgt = kc.groups.get(target_b)
-        dp = rc.dprime_matrix(b)
-        if tgt is None:
-            out[b] = GroupMorphism.zero(PresentedGroup(sq.orders), PresentedGroup.free(0))
-            continue
-        mat = tgt.express_columns(dp @ sq.gens)
-        out[b] = GroupMorphism(PresentedGroup(sq.orders), PresentedGroup(tgt.orders), mat)
+    for b, mat in _class_dprime(kc.rc, kc.groups).items():
+        tgt = kc.groups.get((b[0] - 1, b[1] - 1))
+        out[b] = GroupMorphism(PresentedGroup(kc.groups[b].orders),
+                               PresentedGroup(tgt.orders if tgt else ()), mat)
     for b, mor in out.items():
         kk, l = b
         nxt = out.get((kk - 1, l - 1))
@@ -341,42 +350,30 @@ def d_prime_acyclicity(k):
 
 class KoszulFieldAlgebra:
     """Cohomology and double cohomology of R(K) over a field, with the
-    multiplicative structure on classes."""
+    multiplicative structure on classes.
+
+    h_layers and class_dprime come from the same _layers and _class_dprime
+    as the integral pipeline, with FieldOps.free_homology in place of
+    free_homology; hh_layers is the homology of class_dprime.
+    """
 
     def __init__(self, k, field):
         self.rc = rc = RComplex(k)
         ops = FieldOps(field)
-        self.h_layers = {}
-        for b in rc.bidegrees:
-            kk, l = b
-            layer = ops.subquotient(rc.dim(b), rc.d_matrix(b).rows,
-                                    rc.d_matrix((kk + 1, l)).transpose().rows)
-            if layer.dim:
-                self.h_layers[b] = layer
-        # descended d' on class coordinates
-        self.class_dprime = {}
-        for b, layer in self.h_layers.items():
-            kk, l = b
-            tgt = self.h_layers.get((kk - 1, l - 1))
-            if tgt is None:
-                self.class_dprime[b] = None
-                continue
-            self.class_dprime[b] = tgt.express_columns(rc.dprime_matrix(b) @ layer.gens)
-        # double cohomology layers in class coordinates
+        self.h_layers = _layers(rc, ops.free_homology)
+        self.class_dprime = _class_dprime(rc, self.h_layers)
         self.hh_layers = {}
-        for b, layer in self.h_layers.items():
-            kk, l = b
-            incoming = self.class_dprime.get((kk + 1, l + 1))
-            in_cols = list(zip(*incoming)) if incoming else []
-            hh = ops.subquotient(layer.dim, self.class_dprime[b] or [], in_cols)
-            if hh.dim:
-                self.hh_layers[b] = hh
+        for (kk, l), out in self.class_dprime.items():
+            incoming = self.class_dprime.get((kk + 1, l + 1), IntMatrix.zeros(out.ncols, 0))
+            hh = ops.free_homology(incoming, out)
+            if not hh.is_trivial():
+                self.hh_layers[(kk, l)] = hh
 
     def h_dims(self):
-        return {b: layer.dim for b, layer in self.h_layers.items()}
+        return {b: layer.n_gens for b, layer in self.h_layers.items()}
 
     def hh_dims(self):
-        return {b: layer.dim for b, layer in self.hh_layers.items()}
+        return {b: layer.n_gens for b, layer in self.hh_layers.items()}
 
     def hh_cocycle(self, b, i):
         """An R-cocycle representing the i-th double cohomology class at b."""

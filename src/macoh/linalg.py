@@ -27,7 +27,9 @@ class LinalgError(ValueError):
 
 
 class IntMatrix:
-    """Dense integer matrix.  0 x n and n x 0 shapes are legal.
+    """Dense integer matrix (Fractions for the Q coordinates of FieldSubquotient).
+    0 x n and n x 0 shapes are legal.  The constructor copies its rows and
+    checks their widths; results built here on fresh rows skip both (_adopt).
 
     >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2) == IntMatrix([[1, 2], [3, 4]])
     True
@@ -51,12 +53,19 @@ class IntMatrix:
         self.ncols = ncols
 
     @classmethod
+    def _adopt(cls, rows, ncols):
+        """The matrix on rows that nothing else holds: no copy, no width check."""
+        mat = cls.__new__(cls)
+        mat.rows, mat.nrows, mat.ncols = rows, len(rows), ncols
+        return mat
+
+    @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._adopt([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns, nrows):
@@ -64,7 +73,7 @@ class IntMatrix:
         for c in columns:
             if len(c) != nrows:
                 raise LinalgError("column of wrong height")
-        return cls([[c[i] for c in columns] for i in range(nrows)], len(columns))
+        return cls._adopt([[c[i] for c in columns] for i in range(nrows)], len(columns))
 
     @property
     def shape(self):
@@ -72,8 +81,8 @@ class IntMatrix:
 
     def transpose(self):
         if not self.rows:
-            return IntMatrix([[] for _ in range(self.ncols)], 0)
-        return IntMatrix(zip(*self.rows), self.nrows)
+            return IntMatrix._adopt([[] for _ in range(self.ncols)], 0)
+        return IntMatrix._adopt(list(map(list, zip(*self.rows))), self.nrows)
 
     def column(self, j):
         return [row[j] for row in self.rows]
@@ -81,14 +90,14 @@ class IntMatrix:
     def hstack(self, other):
         if other.nrows != self.nrows:
             raise LinalgError("hstack height mismatch")
-        return IntMatrix([self.rows[i] + other.rows[i] for i in range(self.nrows)],
-                         self.ncols + other.ncols)
+        return IntMatrix._adopt([a + b for a, b in zip(self.rows, other.rows)],
+                                self.ncols + other.ncols)
 
     def vstack(self, other):
         if other.ncols != self.ncols:
             raise LinalgError("vstack width mismatch")
-        return IntMatrix([row[:] for row in self.rows] + [row[:] for row in other.rows],
-                         self.ncols)
+        return IntMatrix._adopt([row[:] for row in self.rows] + [row[:] for row in other.rows],
+                                self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -103,7 +112,7 @@ class IntMatrix:
                 if a:
                     acc = [x + a * y for x, y in zip(acc, brow)]
             out.append(acc)
-        return IntMatrix(out, n)
+        return IntMatrix._adopt(out, n)
 
     def mulvec(self, vec):
         vec = list(vec)
@@ -112,13 +121,13 @@ class IntMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
 
     def scaled(self, c):
-        return IntMatrix([[c * x for x in row] for row in self.rows], self.ncols)
+        return IntMatrix._adopt([[c * x for x in row] for row in self.rows], self.ncols)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinalgError("add shape mismatch")
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        return IntMatrix._adopt([[a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.rows, other.rows)], self.ncols)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -279,10 +288,10 @@ def smith_normal_form(a):
 
     divisors = tuple(s[i][i] for i in range(limit) if s[i][i])
     return SmithDecomposition(
-        U=IntMatrix(u, m),
-        S=IntMatrix(s, n),
-        V=IntMatrix(v, n),
-        U_inv=IntMatrix(ui, m),
+        U=IntMatrix._adopt(u, m),
+        S=IntMatrix._adopt(s, n),
+        V=IntMatrix._adopt(v, n),
+        U_inv=IntMatrix._adopt(ui, m),
         rank=len(divisors),
         divisors=divisors,
     )
@@ -499,7 +508,7 @@ def homology_of_pair(f, g):
     divisors = list(dec.divisors) + [0] * (k - dec.rank)
     kept = [i for i in range(k) if divisors[i] != 1]
     orders = tuple(divisors[i] for i in kept)
-    gens = ker @ IntMatrix([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
+    gens = ker @ IntMatrix._adopt([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
     ux = IntMatrix([dec.U.rows[i] for i in kept], k)  # U rows of the kept coordinates
     return Subquotient(orders, gens, kernel_coords, ux)
 
@@ -522,7 +531,7 @@ def _kernel_lattice(g):
         return IntMatrix.identity(n_b), lambda mat: mat  # the standard basis
     dec = smith_normal_form(g.matrix.hstack(g.target.relations).transpose())
     r = len(dec.divisors)
-    ker = IntMatrix([row[:n_b] for row in dec.U.rows[r:]], n_b).transpose()
+    ker = IntMatrix._adopt([row[:n_b] for row in dec.U.rows[r:]], n_b).transpose()
     u_inv = dec.U_inv
     torsion = [d for d in g.target.orders if d]
     g_torsion_t = IntMatrix([row for row, d in zip(g.matrix.rows, g.target.orders) if d],
@@ -537,10 +546,10 @@ def _kernel_lattice(g):
                 if any(y % d for y, d in zip(gx, torsion)):
                     return None
                 ws.append(x + [-y // d for y, d in zip(gx, torsion)])
-        cs = (IntMatrix(ws, u_inv.nrows) @ u_inv).rows
+        cs = (IntMatrix._adopt(ws, u_inv.nrows) @ u_inv).rows
         if any(any(c[:r]) for c in cs):
             return None
-        return IntMatrix([c[r:] for c in cs], u_inv.nrows - r).transpose()
+        return IntMatrix._adopt([c[r:] for c in cs], u_inv.nrows - r).transpose()
 
     return ker, coords
 
@@ -635,7 +644,8 @@ def is_prime(p):
 
 
 class FieldOps:
-    """Dense linear algebra over Q or F_p, for the field fast paths.
+    """Dense linear algebra over Q or F_p: the coefficient ring of the
+    field paths, which pass its free_homology where Z passes the module's.
 
     Vectors are lists of ints: entries in [0, p) over F_p, integer
     multiples of the vectors they stand for over Q, where an input row may
@@ -733,20 +743,24 @@ class FieldOps:
             return 0
         return len(self._echelon([self._integers(row)[0] for row in m], reduced=False))
 
-    def subquotient(self, n, out_rows, in_cols):
-        """ker(out)/im(in) on F^n, out given by its rows and in by its columns.
+    def free_homology(self, d_in, d_out):
+        """ker(d_out)/im(d_in) over the field, for matrices F^a --d_in-->
+        F^n --d_out--> F^b with integer (over Q, also Fraction) entries.
 
-        Two eliminations.  The reduced echelon form of out gives the cycle
-        checks, its nonzero rows, and one integer kernel vector per free
-        column (over F_p with free coordinate 1).  Then [in | kernel |
-        identity] is eliminated up to the identity block: the kernel
+        Two eliminations.  The reduced echelon form of d_out gives the
+        cycle checks, its nonzero rows, and one integer kernel vector per
+        free column (over F_p with free coordinate 1).  Then [d_in | kernel
+        | identity] is eliminated up to the identity block: the kernel
         columns among its pivots are the representatives, and the identity
         block of their rows is the express map.
         """
         p = self.p
-        ints = [self._integers(row)[0] for row in out_rows]
+        n = d_out.ncols
+        if d_in.nrows != n:
+            raise LinalgError("d_in and d_out disagree")
+        ints = [self._integers(row)[0] for row in d_out.rows]
         pivots = self._echelon(ints, reduced=True)
-        checks = IntMatrix(ints[:len(pivots)], n)
+        checks = IntMatrix._adopt(ints[:len(pivots)], n)
         cycles = []
         for f in sorted(set(range(n)).difference(pivots)):
             # the least s > 0 that makes every -row[f] * s / row[col] whole;
@@ -758,17 +772,17 @@ class FieldOps:
             for row, col in zip(ints, pivots):
                 vec[col] = -row[f] * s // row[col]
             cycles.append([x % p for x in vec] if p else vec)
-        first = len(in_cols)
+        first = d_in.ncols
         width = first + len(cycles)
         # the identity block goes through _integers too, so that it records
         # the scaling of each row over Q; with no cycles there is nothing to pick
-        m = [self._integers([col[i] for col in in_cols] + [c[i] for c in cycles]
+        m = [self._integers(d_in.rows[i] + [c[i] for c in cycles]
                             + [int(i == j) for j in range(n)])[0]
              for i in range(n if cycles else 0)]
         kept = [(row, col) for row, col in zip(m, self._echelon(m, reduced=True, stop=width))
                 if col >= first]
         gens = IntMatrix.from_columns([cycles[col - first] for _, col in kept], n)
-        t = IntMatrix([row[width:] for row, _ in kept], n)
+        t = IntMatrix._adopt([row[width:] for row, _ in kept], n)
         return FieldSubquotient(self, gens, checks, t, [row[col] for row, col in kept])
 
 
@@ -776,40 +790,50 @@ class FieldSubquotient:
     """ker(out)/im(in) over a field, in the shape of the integral Subquotient.
 
     gens holds the representatives as columns: integer cycles whose classes
-    form a basis.  A vector v is a cycle exactly when checks @ v vanishes
-    (mod p), checks being the echelon rows of out.  Every representative
-    is a pivot column of the reduced echelon form t @ [in | kernel], so the
-    coordinates of a cycle v are (t @ v) / pivots, row by row.
+    form a basis.  Every generator is free, so orders is all zeros and
+    invariants() is (dimension, ()).  A vector v is a cycle exactly when
+    checks @ v vanishes (mod p), checks being the echelon rows of out.
+    Every representative is a pivot column of the reduced echelon form
+    t @ [in | kernel], so the coordinates of a cycle v are (t @ v) /
+    pivots, row by row.
     """
 
-    __slots__ = ("ops", "gens", "_checks", "_t", "_pivots")
+    __slots__ = ("ops", "gens", "orders", "_checks", "_t", "_pivots")
 
     def __init__(self, ops, gens, checks, t, pivots):
         self.ops = ops
         self.gens = gens
+        self.orders = (0,) * gens.ncols
         self._checks = checks
         self._t = t
         self._pivots = pivots
 
     @property
-    def dim(self):
+    def n_gens(self):
         return self.gens.ncols
+
+    def invariants(self):
+        return (self.gens.ncols, ())
+
+    def is_trivial(self):
+        return self.gens.ncols == 0
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of the integer matrix
-        mat, as a list of rows with one column each: ints in [0, p) over
-        F_p, Fractions over Q.  Raises LinalgError on a column not a cycle."""
+        mat, one column each: ints in [0, p) over F_p, Fractions over Q.
+        Raises LinalgError on a column not a cycle."""
         p = self.ops.p
         if any(x % p if p else x for row in (self._checks @ mat).rows for x in row):
             raise LinalgError("vector is not a cycle")
         z = (self._t @ mat).rows
         if p:
-            return [[x % p for x in row] for row in z]
-        return [[Fraction(x, d) for x in row] for row, d in zip(z, self._pivots)]
+            return IntMatrix._adopt([[x % p for x in row] for row in z], mat.ncols)
+        return IntMatrix._adopt([[Fraction(x, d) for x in row]
+                                 for row, d in zip(z, self._pivots)], mat.ncols)
 
     def express(self, vec):
         """express_columns of the one-column matrix vec; over Q, vec may
         hold Fractions."""
         v, s = self.ops._integers(vec)
-        coords = [row[0] for row in self.express_columns(IntMatrix([[x] for x in v], 1))]
+        coords = self.express_columns(IntMatrix._adopt([[x] for x in v], 1)).column(0)
         return coords if s == 1 else [x / s for x in coords]

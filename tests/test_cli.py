@@ -119,6 +119,26 @@ def test_input_errors_exit_one(capsys):
     assert run(["compute", "--file", "/no/such/file"], capsys)[0] == 1
 
 
+def _input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert "cannot read" in _input_error(["compute", "--file", str(path)], capsys)
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    depth = 200_000
+    path.write_text('{"m": 3, "maximal_faces": ' + "[" * depth + "]" * depth + "}")
+    assert "nested too deeply" in _input_error(["compute", "--file", str(path)], capsys)
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-verb"])
@@ -252,6 +272,20 @@ def test_fuzz_catches_a_fault_that_both_pipelines_share(monkeypatch, capsys):
     code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
     assert code == 2
     assert "trial 1 (rp2): VIOLATION: cohomology over F_2 disagrees with the universal " \
+           "coefficient theorem at bidegree (0, 2)" in out
+
+
+def test_fuzz_catches_odd_torsion_that_both_pipelines_share(monkeypatch, capsys):
+    real = linalg.homology_of_pair
+
+    def tripled_boundaries(f, g):
+        # ker(g)/im(3f): odd torsion, which F_2 cannot see and Q ignores
+        return real(linalg.GroupMorphism(f.source, f.target, f.matrix.scaled(3)), g)
+
+    monkeypatch.setattr(linalg, "homology_of_pair", tripled_boundaries)
+    code, out, _ = run(["fuzz", "--seed", "3", "--m-max", "7", "--trials", "2"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: cohomology over F_3 disagrees with the universal " \
            "coefficient theorem at bidegree (0, 2)" in out
 
 

@@ -83,6 +83,31 @@ def test_matmul_and_stacking():
     assert (empty @ IntMatrix.identity(3)).shape == (0, 3)
 
 
+def test_results_on_fresh_rows_share_no_row_with_their_operands():
+    # these results adopt the rows they build without a copy, so writing
+    # into one must leave every operand as it was
+    a = IntMatrix([[1, 2], [3, 4]])
+    b = IntMatrix([[0, 1], [1, 0]])
+    cols = [[5, 6], [7, 8]]
+    cycles = IntMatrix([[1, 0], [0, 1]])
+    field_groups = [FieldOps(f).free_homology(IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 2))
+                    for f in ("Q", 3)]
+    results = [a @ b, a @ IntMatrix.identity(2), IntMatrix.identity(2) @ a, a.transpose(),
+               IntMatrix.from_columns(cols, 2), a.scaled(1), a + b, a - b, a.hstack(b),
+               a.vstack(b), smith_normal_form(a).S]
+    results += [sq.express_columns(cycles) for sq in field_groups]
+    for result in results:
+        for row in result.rows:
+            row[0] += 100
+    assert a.rows == [[1, 2], [3, 4]] and b.rows == [[0, 1], [1, 0]]
+    assert cols == [[5, 6], [7, 8]] and cycles.rows == [[1, 0], [0, 1]]
+    for sq in field_groups:
+        assert sq.express_columns(cycles).rows == [[1, 0], [0, 1]]
+    zeros = IntMatrix.zeros(2, 2)
+    zeros.rows[0][0] = 1
+    assert zeros.rows[1] == [0, 0]
+
+
 def test_smith_of_diag_2_3_is_diag_1_6():
     dec = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     assert dec.divisors == (1, 6)
@@ -306,18 +331,20 @@ def test_field_ops_kernel_and_solve():
             return x == 0 if field == "Q" else x % 5 == 0
 
         m = [[1, 2, 3], [2, 4, 6]]
-        ker = ops.subquotient(3, m, [])
-        assert ker.dim == 2
-        for j in range(ker.dim):
+        ker = ops.free_homology(IntMatrix.zeros(3, 0), IntMatrix(m))
+        assert ker.n_gens == 2 and ker.orders == (0, 0) and ker.invariants() == (2, ())
+        for j in range(ker.n_gens):
             vec = ker.gens.column(j)
             for row in m:
                 assert is_zero(sum(a * b for a, b in zip(row, vec)))
         # (3, 2) = 3 * (1, 0) + 2 * (0, 1): modulo the boundary (1, 0) it is 2
         # times the representative (0, 1), the cycle pivot of [(1, 0) | e_0, e_1]
-        h = ops.subquotient(2, [], [[1, 0]])
+        h = ops.free_homology(IntMatrix([[1], [0]]), IntMatrix.zeros(0, 2))
         assert h.gens.rows == [[0], [1]]
         (x,) = h.express([3, 2])
         assert is_zero(x - 2)
         assert is_zero(h.express([1, 1])[0] - 1)
         with pytest.raises(LinalgError):
-            ops.subquotient(2, [[1, 0]], []).express([1, 0])
+            ops.free_homology(IntMatrix.zeros(2, 0), IntMatrix([[1, 0]])).express([1, 0])
+        with pytest.raises(LinalgError):
+            ops.free_homology(IntMatrix.zeros(3, 0), IntMatrix([[1, 0]]))
