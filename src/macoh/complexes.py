@@ -45,11 +45,14 @@ def mask_of(vertices):
 
 
 def vertices_of(mask):
-    """Sorted tuple of 1-based labels of a bitmask.
+    """Sorted tuple of 1-based labels of a bitmask; a negative mask, which
+    has infinitely many bits set, is an input error.
 
     >>> vertices_of(5)
     (1, 3)
     """
+    if mask < 0:
+        raise ComplexError(f"vertex mask must be nonnegative, got {mask}")
     out = []
     v = 1
     while mask:
@@ -102,11 +105,10 @@ class SimplicialComplex:
         self._min_non_faces = None
 
     @classmethod
-    def from_maximal_faces(cls, m, faces, allow_ghosts=False):
-        """Build from 1-based label lists (or raw masks); faces may be redundant.
-
-        Every vertex of {1..m} must occur in some face unless allow_ghosts
-        is set; singletons are added as maximal faces for isolated vertices.
+    def from_maximal_faces(cls, m, faces):
+        """Build from 1-based label lists (or nonnegative raw masks); faces
+        may be redundant.  Singletons are added as maximal faces for the
+        vertices of {1..m} that no face covers.
         """
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ComplexError("vertex count must be a nonnegative integer")
@@ -118,6 +120,8 @@ class SimplicialComplex:
             if isinstance(face, bool):
                 raise ComplexError(f"face must be a list of labels or a mask, got {face!r}")
             mask = face if isinstance(face, int) else mask_of(face)
+            if mask < 0:
+                raise ComplexError(f"face mask must be nonnegative, got {mask}")
             if mask & ~full:
                 raise ComplexError(
                     f"face {vertices_of(mask)} exceeds the ground set of {m} vertices")
@@ -125,10 +129,8 @@ class SimplicialComplex:
         covered = 0
         for mask in masks:
             covered |= mask
-        if not allow_ghosts:
-            missing = full & ~covered
-            for v in vertices_of(missing):
-                masks.append(1 << (v - 1))
+        for v in vertices_of(full & ~covered):
+            masks.append(1 << (v - 1))
         pruned = _prune_to_maximal(masks)
         if m > 0 and not pruned:
             pruned = [1 << (v - 1) for v in range(1, m + 1)]

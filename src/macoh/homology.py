@@ -18,6 +18,7 @@ inclusion into a larger subset is the dual injection on chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .complexes import sign_eps
 from .linalg import (
@@ -203,13 +204,8 @@ def top_classes(k, coh=None):
             mat = induced_map(coh, sub_coh, restriction_matrix(cx, sub_cx, p), p)
             blocks.append(mat)
             orders.extend(tgt.orders)
-        if blocks:
-            stacked = blocks[0]
-            for b in blocks[1:]:
-                stacked = stacked.vstack(b)
-        else:
-            stacked = IntMatrix.zeros(0, src.n_gens)
-        g = GroupMorphism(PresentedGroup(src.orders), PresentedGroup(orders), stacked)
+        stacked = reduce(IntMatrix.vstack, blocks, IntMatrix.zeros(0, src.n_gens))
+        g = GroupMorphism(src, PresentedGroup(orders), stacked)
         vanish = kernel_subgroup(g)
         for j in range(vanish.n_gens):
             coords = vanish.gens.column(j)

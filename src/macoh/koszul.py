@@ -27,6 +27,7 @@ from .linalg import (
     GroupMorphism,
     IntMatrix,
     PresentedGroup,
+    first_nonzero_composite,
     free_homology,
     graded_homology,
 )
@@ -209,22 +210,15 @@ def cohomology_via_koszul(k_or_rc):
 
 
 def _descend_dprime(kc):
-    """Class-level d' matrices on Koszul cohomology, keyed by source bidegree."""
-    out = {}
-    for b, mat in _class_dprime(kc.rc, kc.groups).items():
-        tgt = kc.groups.get((b[0] - 1, b[1] - 1))
-        out[b] = GroupMorphism(PresentedGroup(kc.groups[b].orders),
-                               PresentedGroup(tgt.orders if tgt else ()), mat)
-    for b, mor in out.items():
-        kk, l = b
-        nxt = out.get((kk - 1, l - 1))
-        if nxt is None or mor.target.n_gens == 0 or nxt.target.n_gens == 0:
-            continue
-        comp = nxt.matrix @ mor.matrix
-        for j in range(comp.ncols):
-            if not nxt.target.element_is_zero(comp.column(j)):
-                raise VerificationError(
-                    f"descended d' does not square to zero at bidegree {b}")
+    """Class-level d' matrices on Koszul cohomology, keyed by source
+    bidegree, each a morphism between the cohomology groups themselves."""
+    empty = PresentedGroup.free(0)
+    out = {b: GroupMorphism(kc.groups[b], kc.groups.get((b[0] - 1, b[1] - 1), empty), mat)
+           for b, mat in _class_dprime(kc.rc, kc.groups).items()}
+    b = first_nonzero_composite(out, (-1, -1))
+    if b is not None:
+        raise VerificationError(
+            f"descended d' does not square to zero at bidegree (-{b[0]}, {2 * b[1]})")
     return out
 
 

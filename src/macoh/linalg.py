@@ -353,7 +353,8 @@ def merge_torsion(orders):
 
 class PresentedGroup:
     """Direct sum of cyclic groups, one generator per order: Z/d for
-    d > 0, Z for d = 0.
+    d > 0, Z for d = 0.  Everything here derives from orders, so a
+    Subquotient, which adds representatives, is one of these groups.
 
     >>> PresentedGroup((0, 4, 2)).invariants()
     (1, (2, 4))
@@ -376,6 +377,10 @@ class PresentedGroup:
         return len(self.orders)
 
     @property
+    def rank(self):
+        return self.orders.count(0)
+
+    @property
     def relations(self):
         """Relation matrix: one column d * e_k per generator k of order d > 0."""
         n = len(self.orders)
@@ -385,14 +390,22 @@ class PresentedGroup:
 
     def invariants(self):
         """(rank, invariant factors > 1, ascending divisibility)."""
-        return (self.orders.count(0), merge_torsion([d for d in self.orders if d > 1]))
+        return (self.rank, merge_torsion([d for d in self.orders if d > 1]))
+
+    def is_trivial(self):
+        return self.orders.count(1) == len(self.orders)
+
+    def is_zero(self, mat):
+        """Whether every column of mat, in generator coordinates, is zero in
+        the group: each row divisible by its generator's order."""
+        if mat.nrows != len(self.orders):
+            raise LinalgError("coordinate matrix has wrong height")
+        return not any(any(x % d for x in row) if d else any(row)
+                       for row, d in zip(mat.rows, self.orders))
 
     def element_is_zero(self, coords):
-        """Whether each coordinate is divisible by its generator's order."""
-        coords = list(coords)
-        if len(coords) != len(self.orders):
-            raise LinalgError("coordinate vector has wrong length")
-        return all(x % d == 0 if d else x == 0 for x, d in zip(coords, self.orders))
+        """is_zero of the one-column matrix coords."""
+        return self.is_zero(IntMatrix._adopt([[x] for x in coords], 1))
 
     def __repr__(self):
         rank, torsion = self.invariants()
@@ -400,7 +413,7 @@ class PresentedGroup:
         if rank:
             parts.append("Z" if rank == 1 else f"Z^{rank}")
         parts.extend(f"C{d}" for d in torsion)
-        return "PresentedGroup<%s>" % (" x ".join(parts) if parts else "0")
+        return "%s<%s>" % (type(self).__name__, " x ".join(parts) if parts else "0")
 
 
 @dataclass
@@ -420,8 +433,8 @@ class GroupMorphism:
         return cls(source, target, IntMatrix.zeros(target.n_gens, source.n_gens))
 
 
-class Subquotient:
-    """ker(g)/im(f) with normalized generators and express() maps.
+class Subquotient(PresentedGroup):
+    """ker(g)/im(f): a PresentedGroup with representatives and express() maps.
 
     Generators are coordinate vectors in the middle group's generator
     basis.  Units are dropped; torsion generators come first, each with
@@ -430,25 +443,13 @@ class Subquotient:
     relator U, so nothing else of the Smith forms is kept.
     """
 
-    __slots__ = ("rank", "torsion", "orders", "gens", "_kernel_coords", "_ux")
+    __slots__ = ("gens", "_kernel_coords", "_ux")
 
     def __init__(self, orders, gens, kernel_coords, ux):
-        self.rank = orders.count(0)
-        self.torsion = tuple(d for d in orders if d)
         self.orders = orders
         self.gens = gens
         self._kernel_coords = kernel_coords
         self._ux = ux
-
-    @property
-    def n_gens(self):
-        return len(self.orders)
-
-    def invariants(self):
-        return (self.rank, self.torsion)
-
-    def is_trivial(self):
-        return self.rank == 0 and not self.torsion
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of mat, one column each,
@@ -468,35 +469,26 @@ class Subquotient:
 
     def express(self, vec):
         """express_columns of the one-column matrix vec."""
-        vec = list(vec)
-        return self.express_columns(IntMatrix.from_columns([vec], len(vec))).column(0)
+        return self.express_columns(IntMatrix._adopt([[x] for x in vec], 1)).column(0)
 
     def class_is_zero(self, vec):
         return all(c == 0 for c in self.express(vec))
-
-    def __repr__(self):
-        parts = []
-        if self.rank:
-            parts.append("Z" if self.rank == 1 else f"Z^{self.rank}")
-        parts.extend(f"C{d}" for d in self.torsion)
-        return "Subquotient<%s>" % (" x ".join(parts) if parts else "0")
 
 
 def homology_of_pair(f, g):
     """ker(g)/im(f) for morphisms A --f--> B --g--> C with g∘f = 0.
 
-    Raises LinalgError if the composite is nonzero or if f does not land
-    in ker(g).  Generators are returned in the coordinates of B.  Two
-    Smith forms at most: _kernel_lattice's when C has generators, and one
-    of the kernel coordinates of im(f) and the relations of B.
+    A, B and C may be any PresentedGroup, a Subquotient too.  Raises
+    LinalgError if f.target and g.source have different orders, if the
+    composite is nonzero or if f does not land in ker(g).  Generators are
+    returned in the coordinates of B.  Two Smith forms at most:
+    _kernel_lattice's when C has generators, and one of the kernel
+    coordinates of im(f) and the relations of B.
     """
-    if f.target.n_gens != g.source.n_gens:
+    if f.target.orders != g.source.orders:
         raise LinalgError("f.target and g.source disagree")
-
-    composite = g.matrix @ f.matrix
-    for j in range(composite.ncols):
-        if not g.target.element_is_zero(composite.column(j)):
-            raise LinalgError("g∘f is not the zero morphism")
+    if not g.target.is_zero(g.matrix @ f.matrix):
+        raise LinalgError("g∘f is not the zero morphism")
 
     ker, kernel_coords = _kernel_lattice(g)
     x_mat = kernel_coords(f.matrix.hstack(g.source.relations))
@@ -566,6 +558,22 @@ def free_homology(d_in, d_out):
     f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
     g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
     return homology_of_pair(f, g)
+
+
+def first_nonzero_composite(morphisms, step):
+    """The first bidegree b, in the order of morphisms, where the morphism
+    out of b + step after the one out of b is not zero, or None.
+
+    morphisms maps each bidegree b to its outgoing morphism, into
+    b + step; pairs with no second morphism or an empty target are skipped.
+    """
+    for (kk, l), first in morphisms.items():
+        second = morphisms.get((kk + step[0], l + step[1]))
+        if second is None or first.target.n_gens == 0 or second.target.n_gens == 0:
+            continue
+        if not second.target.is_zero(second.matrix @ first.matrix):
+            return (kk, l)
+    return None
 
 
 def graded_homology(morphisms, step):

@@ -1,9 +1,13 @@
 """Simplicial complex construction, predicates, and IO."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import macoh
 from macoh.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -88,6 +92,24 @@ def test_ground_set_validation():
     empty = SimplicialComplex.from_maximal_faces(0, [])
     assert empty.faces == frozenset({0})
     assert empty.dim() == -1
+
+
+@pytest.mark.parametrize("call", [
+    "vertices_of(-1)",
+    "SimplicialComplex.from_maximal_faces(3, [-1])",
+    "attach_simplex(cycle(4), -1, 3)",
+])
+def test_negative_masks_are_refused_without_hanging(call):
+    # a fresh interpreter under a timeout, so that a hang fails here
+    # instead of stalling the suite
+    code = ("from macoh.complexes import ComplexError, SimplicialComplex, "
+            "attach_simplex, cycle, vertices_of\n"
+            f"try:\n    {call}\nexcept ComplexError:\n    pass\n"
+            "else:\n    raise SystemExit('no ComplexError')\n")
+    src = os.path.dirname(os.path.dirname(macoh.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_full_subcomplex_relabels_order_preserving():

@@ -108,6 +108,21 @@ def test_pentagon_connecting_matrix_in_the_standard_class_basis():
     assert smith_normal_form(stated).divisors == (1, 1, 1, 1)
 
 
+def test_descended_dprime_failure_names_the_displayed_bidegree(monkeypatch):
+    original = koszul._class_dprime
+
+    def faulty(rc, layers):
+        out = original(rc, layers)
+        for b in ((3, 4), (2, 3)):  # (3,4) -> (2,3) -> (1,2) is a chain on two_squares
+            out[b] = IntMatrix.zeros(out[b].nrows, out[b].ncols)
+            out[b].rows[0][0] = 1
+        return out
+
+    monkeypatch.setattr(koszul, "_class_dprime", faulty)
+    with pytest.raises(VerificationError, match=r"square to zero at bidegree \(-3, 8\)$"):
+        koszul.hh_via_koszul(complexes.two_squares())
+
+
 def test_pentagon_double_cohomology():
     kd = koszul.hh_via_koszul(complexes.cycle(5))
     assert kd.invariants() == {b: (1, ()) for b in PENTAGON_H}

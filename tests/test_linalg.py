@@ -239,6 +239,14 @@ def test_homology_of_pair_rejects_nonzero_composite():
         homology_of_pair(f, g)
 
 
+def test_homology_of_pair_rejects_middle_groups_of_different_orders():
+    # f lands in Z and g leaves C2: one generator each, but not one group
+    f = GroupMorphism(PresentedGroup.free(1), PresentedGroup.free(1), IntMatrix([[1]]))
+    g = GroupMorphism(PresentedGroup((2,)), PresentedGroup.free(0), IntMatrix.zeros(0, 1))
+    with pytest.raises(LinalgError, match="disagree"):
+        homology_of_pair(f, g)
+
+
 def test_kernel_subgroup():
     g = GroupMorphism(PresentedGroup.free(2), PresentedGroup.free(1),
                       IntMatrix([[1, 1]]))

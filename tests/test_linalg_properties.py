@@ -194,6 +194,11 @@ def _diagonal_pair(b_orders, c_orders, data):
 def test_homology_of_pair_on_diagonal_groups(b_orders, c_orders, data):
     h, g, f_cols = _diagonal_pair(b_orders, c_orders, data)
     b = g.source
+    # a subquotient is the group of its orders
+    group = PresentedGroup(h.orders)
+    assert (h.invariants(), h.is_trivial(), h.rank) == \
+        (group.invariants(), group.is_trivial(), group.rank)
+    assert repr(h).startswith("Subquotient<")
     for j in range(h.n_gens):
         d = h.orders[j]
         assert h.express(h.gens.column(j)) == [int(i == j) % d if d else int(i == j)
@@ -268,11 +273,18 @@ def test_kernel_subgroup_spans_the_lattice_of_the_smith_solver(b_orders, c_order
 def test_element_is_zero_agrees_with_the_smith_solver(group_orders, data):
     group = PresentedGroup(group_orders)
     solver = SmithSolver(group.relations)
+    vecs = []
     for _ in range(4):
         # a multiple of each order, sometimes off by one, so both answers occur
         vec = [d * data.draw(entries) + data.draw(st.sampled_from((0, 0, 0, 1, -1)))
                for d in group_orders]
         assert group.element_is_zero(vec) == (solver.solve(vec) is not None)
+        vecs.append(vec)
+    # the four vectors as the columns of one matrix: zero exactly when each is
+    mat = IntMatrix.from_columns(vecs, group.n_gens)
+    assert group.is_zero(mat) == all(solver.solve(v) is not None for v in vecs)
+    with pytest.raises(LinalgError, match="wrong height"):
+        group.is_zero(IntMatrix.zeros(group.n_gens + 1, 4))
 
 
 sparse_entries = st.sampled_from((0, 0, 0, 0, 0, 1, -1, 2, -3))
