@@ -240,12 +240,16 @@ def cmd_verify_paper(args):
     return 2 if failures else 0
 
 
-def _fuzz_one(k, inject_sign_fault):
+def _fuzz_one(k, inject_sign_fault, rng):
     """Both pipelines, the bicomplex identities, HH_* against HH^*, the
     field paths against the integral tables (HH over Q, and H over F_2 and
-    F_3 by universal coefficients), and field HH over F_3 against Koszul
-    field HH and field HH_*; raises on violation.  The pipelines share
-    homology_of_pair, so only the field paths catch its faults."""
+    F_3 by universal coefficients), field HH over F_3 against Koszul field
+    HH and field HH_*, and the integral and F_3 tables of a copy of k
+    relabelled by a permutation drawn from rng against those of k; raises
+    on violation.  The pipelines share homology_of_pair and its divisor
+    path, so a fault there is caught only by the field checks, the
+    relabelled copy, and the check of the orders when representatives
+    are built."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -266,6 +270,12 @@ def _fuzz_one(k, inject_sign_fault):
             dims[(kk, l)] += rank + divisible
             dims[(kk + 1, l)] += divisible
     hh3 = hochster.double_field(field_h[3], 3)
+    labels = list(k.vertices())
+    rng.shuffle(labels)
+    copy = k.relabeled(dict(zip(k.vertices(), labels)))
+    copy_dd = hochster.double_cohomology(copy)
+    copy_h3 = hochster.hochster_field(copy, 3)
+    relabelled = f"of the copy relabelled by {labels} disagrees with k"
     checks = (
         # HH_* and HH^* tensored with Q are dual vector spaces
         (hom, coh, "free ranks of double homology and double cohomology disagree"),
@@ -279,6 +289,12 @@ def _fuzz_one(k, inject_sign_fault):
         # HH_* and HH^* over a field are dual
         (hochster.double_field(k, 3, "homology"), hh3,
          "double homology and double cohomology over F_3 disagree"),
+        # bigraded tables do not depend on the vertex labels
+        (copy_dd.decomposition.invariants(), dd.decomposition.invariants(),
+         f"cohomology {relabelled}"),
+        (copy_dd.invariants(), dd.invariants(), f"double cohomology {relabelled}"),
+        (copy_h3.dims, field_h[3].dims, f"cohomology over F_3 {relabelled}"),
+        (hochster.double_field(copy_h3, 3), hh3, f"double cohomology over F_3 {relabelled}"),
     )
     for got, want, message in checks:
         for kk, l in sorted(set(got) | set(want)):
@@ -301,7 +317,7 @@ def cmd_fuzz(args):
         plan.append((f"random m={m}", complexes.random_complex(rng, m)))
     for index, (label, k) in enumerate(plan, 1):
         try:
-            _fuzz_one(k, args.inject_sign_fault)
+            _fuzz_one(k, args.inject_sign_fault, rng)
         except VerificationError as exc:
             print(f"trial {index} ({label}): VIOLATION: {exc}")
             print("offending complex:")

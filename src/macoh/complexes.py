@@ -44,6 +44,13 @@ def mask_of(vertices):
     return mask
 
 
+def _as_mask(face):
+    """A raw mask as it is, labels through mask_of; a bool is neither."""
+    if isinstance(face, bool):
+        raise ComplexError(f"face must be a list of labels or a mask, got {face!r}")
+    return face if isinstance(face, int) else mask_of(face)
+
+
 def vertices_of(mask):
     """Sorted tuple of 1-based labels of a bitmask; a negative mask, which
     has infinitely many bits set, is an input error.
@@ -117,9 +124,7 @@ class SimplicialComplex:
         full = (1 << m) - 1
         masks = []
         for face in faces:
-            if isinstance(face, bool):
-                raise ComplexError(f"face must be a list of labels or a mask, got {face!r}")
-            mask = face if isinstance(face, int) else mask_of(face)
+            mask = _as_mask(face)
             if mask < 0:
                 raise ComplexError(f"face mask must be nonnegative, got {mask}")
             if mask & ~full:
@@ -147,8 +152,7 @@ class SimplicialComplex:
         return self._faces
 
     def has_face(self, mask):
-        if not isinstance(mask, int):
-            mask = mask_of(mask)
+        mask = _as_mask(mask)
         return any(mask & top == mask for top in self.maximal_faces) or mask == 0
 
     def dim(self):
@@ -185,7 +189,7 @@ class SimplicialComplex:
     def vertex_mask(self, vertices):
         """Bitmask of a vertex subset given as a mask or as labels; a
         negative mask or a vertex beyond the ground set is an input error."""
-        imask = vertices if isinstance(vertices, int) else mask_of(vertices)
+        imask = _as_mask(vertices)
         if imask & ~self.full_mask():
             raise ComplexError("subcomplex vertices exceed the ground set")
         return imask
@@ -412,7 +416,7 @@ def attach_simplex(k, sigma, n):
     n+1-|sigma| fresh vertices are appended after K's ground set; with
     n = |sigma| - 1 nothing is added and K is returned unchanged.
     """
-    sigma_mask = sigma if isinstance(sigma, int) else mask_of(sigma)
+    sigma_mask = _as_mask(sigma)
     if not k.has_face(sigma_mask):
         raise ComplexError(f"sigma {vertices_of(sigma_mask)} is not a face")
     size = sigma_mask.bit_count()

@@ -189,15 +189,16 @@ def top_classes(k, coh=None):
     cx = reduced_complex(k, full)
     if coh is None:
         coh = cohomology(cx)
+    subs = []
+    for v in range(1, k.m + 1):
+        sub_cx = reduced_complex(k, full & ~(1 << (v - 1)))
+        subs.append((sub_cx, cohomology(sub_cx)))
     out = []
     for p in coh.degrees():
         src = coh.group(p)
         blocks = []
         orders = []
-        for v in range(1, k.m + 1):
-            sub_support = full & ~(1 << (v - 1))
-            sub_cx = reduced_complex(k, sub_support)
-            sub_coh = cohomology(sub_cx)
+        for sub_cx, sub_coh in subs:
             tgt = sub_coh.group(p)
             if tgt is None or tgt.n_gens == 0:
                 continue

@@ -1,12 +1,13 @@
 """Exact linear algebra over the integers and over fields.
 
 Everything in the bigraded pipelines reduces to a handful of integer
-lattice computations: Smith normal forms with tracked unimodular
-transforms, saturated kernel lattices, solving A x = b over Z, and
-presenting subquotients ker(g)/im(f) with enough bookkeeping to express
-an arbitrary element in the chosen generators.  The groups involved are
-direct sums of cyclic groups, each given by its generator orders (0 for
-Z, d for Z/d), so membership in their relations is a divisibility test.
+lattice computations: Smith divisors, Smith normal forms with tracked
+unimodular transforms, saturated kernel lattices, solving A x = b over
+Z, and presenting subquotients ker(g)/im(f) with enough bookkeeping to
+express an arbitrary element in the chosen generators.  The groups
+involved are direct sums of cyclic groups, each given by its generator
+orders (0 for Z, d for Z/d), so membership in their relations is a
+divisibility test.
 All entries are Python ints, so results are exact.
 
 Matrix convention: morphism matrices act on column vectors of generator
@@ -297,6 +298,50 @@ def smith_normal_form(a):
     )
 
 
+def smith_divisors(a):
+    """The divisors of smith_normal_form(a), without its transforms.
+
+    Each step takes the first entry of absolute value 1 in row-major
+    order as pivot and clears its column in the other rows.  Column
+    operations then clear the pivot row without touching the others, so
+    the pivot splits off a divisor 1 and its row and column are dropped.
+    Rows that become zero are dropped as they appear, zero columns at
+    the end, and smith_normal_form gives the divisors of what is left,
+    also when nothing is.
+
+    >>> smith_divisors(IntMatrix([[0, 2, 0], [1, 4, 0], [-1, 0, 6]]))
+    (1, 2, 6)
+    """
+    rows = [row[:] for row in a.rows if any(row)]
+    units = 0
+    while True:
+        for i, row in enumerate(rows):
+            if 1 in row or -1 in row:
+                break
+        else:
+            break
+        j = min(row.index(u) for u in (1, -1) if u in row)
+        pivot = rows.pop(i)
+        sign = pivot[j]
+        # rows are updated in place on the pivot's nonzeros only: the
+        # matrices here are mostly zeros
+        support = [(k, y) for k, y in enumerate(pivot) if y]
+        kept = []
+        for row in rows:
+            c = row[j] * sign
+            if c:
+                for k, y in support:
+                    row[k] -= c * y
+                if not any(row):
+                    continue
+            kept.append(row)
+        rows = kept
+        units += 1
+    cols = [col for col in zip(*rows) if any(col)]
+    rest = IntMatrix._adopt(list(map(list, zip(*cols))), len(cols))
+    return (1,) * units + smith_normal_form(rest).divisors
+
+
 class SmithSolver:
     """One Smith decomposition, many exact questions about A.
 
@@ -438,18 +483,43 @@ class Subquotient(PresentedGroup):
 
     Generators are coordinate vectors in the middle group's generator
     basis.  Units are dropped; torsion generators come first, each with
-    its order, then free generators with order 0.  express_columns needs
-    only the coordinate map of _kernel_lattice and the kept rows of the
-    relator U, so nothing else of the Smith forms is kept.
+    its order, then free generators with order 0.
+
+    orders is known from the start; the representatives (gens,
+    express_columns, express, class_is_zero) are built from f and g on
+    first use, by _representatives.  That build must find the same
+    orders, or it raises LinalgError; after it, f and g are released.
+    express_columns needs only the coordinate map of _kernel_lattice and
+    the kept rows of the relator U, so nothing else of the Smith forms is
+    kept.
     """
 
-    __slots__ = ("gens", "_kernel_coords", "_ux")
+    __slots__ = ("_pair", "_reps")
 
-    def __init__(self, orders, gens, kernel_coords, ux):
+    def __init__(self, f, g, orders=None):
+        """With orders None, the representatives are built now and give them."""
         self.orders = orders
-        self.gens = gens
-        self._kernel_coords = kernel_coords
-        self._ux = ux
+        self._pair = (f, g)
+        self._reps = None
+        if orders is None:
+            self._built()
+
+    def _built(self):
+        """(gens, kernel_coords, ux), built on the first call."""
+        if self._reps is None:
+            orders, *reps = _representatives(*self._pair)
+            if self.orders is None:
+                self.orders = orders
+            elif orders != self.orders:
+                raise LinalgError(f"the Smith forms of ker(g)/im(f) give the orders "
+                                  f"{orders}, the divisors {self.orders}")
+            self._reps = reps
+            self._pair = None
+        return self._reps
+
+    @property
+    def gens(self):
+        return self._built()[0]
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of mat, one column each,
@@ -458,10 +528,11 @@ class Subquotient(PresentedGroup):
         Every column must represent an element of ker(g); torsion
         coordinates are reduced into [0, order).
         """
-        a = self._kernel_coords(mat)
+        _, kernel_coords, ux = self._built()
+        a = kernel_coords(mat)
         if a is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
-        z = self._ux @ a
+        z = ux @ a
         for row, d in zip(z.rows, self.orders):
             if d:
                 row[:] = [x % d for x in row]
@@ -479,17 +550,33 @@ def homology_of_pair(f, g):
     """ker(g)/im(f) for morphisms A --f--> B --g--> C with g∘f = 0.
 
     A, B and C may be any PresentedGroup, a Subquotient too.  Raises
-    LinalgError if f.target and g.source have different orders, if the
-    composite is nonzero or if f does not land in ker(g).  Generators are
-    returned in the coordinates of B.  Two Smith forms at most:
-    _kernel_lattice's when C has generators, and one of the kernel
-    coordinates of im(f) and the relations of B.
+    LinalgError if f.target and g.source have different orders or if the
+    composite is nonzero.  Generators are given in the coordinates of B.
+
+    When B and C are free, g∘f = 0 puts im(f) in ker(g), a saturated
+    lattice of rank n_B - rank(g).  So f has the Smith divisors of its
+    coordinates in a basis of ker(g), and the group is Z^(n_B - rank(g)
+    - rank(f)) plus Z/d for each divisor d > 1 of f.  smith_divisors of
+    f and of g give these orders, and the representatives wait for
+    their first use.  Otherwise (a generator of B or C has a nonzero
+    order) they are built now, which also raises LinalgError if im(f)
+    or a relation of B escapes ker(g).
     """
     if f.target.orders != g.source.orders:
         raise LinalgError("f.target and g.source disagree")
     if not g.target.is_zero(g.matrix @ f.matrix):
         raise LinalgError("g∘f is not the zero morphism")
+    if any(g.source.orders) or any(g.target.orders):
+        return Subquotient(f, g)
+    f_divisors = smith_divisors(f.matrix)
+    n_free = g.source.n_gens - len(smith_divisors(g.matrix)) - len(f_divisors)
+    return Subquotient(f, g, tuple(d for d in f_divisors if d != 1) + (0,) * n_free)
 
+
+def _representatives(f, g):
+    """(orders, gens, kernel_coords, ux) of ker(g)/im(f), from two Smith
+    forms at most: _kernel_lattice's when C has generators, and one of the
+    kernel coordinates of im(f) and the relations of B."""
     ker, kernel_coords = _kernel_lattice(g)
     x_mat = kernel_coords(f.matrix.hstack(g.source.relations))
     if x_mat is None:
@@ -502,7 +589,7 @@ def homology_of_pair(f, g):
     orders = tuple(divisors[i] for i in kept)
     gens = ker @ IntMatrix._adopt([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
     ux = IntMatrix([dec.U.rows[i] for i in kept], k)  # U rows of the kept coordinates
-    return Subquotient(orders, gens, kernel_coords, ux)
+    return orders, gens, kernel_coords, ux
 
 
 def _kernel_lattice(g):

@@ -335,6 +335,15 @@ def test_fuzz_catches_double_homology_over_f3_that_disagrees(monkeypatch, capsys
            "disagree at bidegree (0, 0)" in out
 
 
+def test_fuzz_catches_tables_that_change_under_relabelling(monkeypatch, capsys):
+    # a relabelling that returns another complex: H and HH change
+    monkeypatch.setattr(SimplicialComplex, "relabeled", lambda k, perm: complexes.cycle(k.m))
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: cohomology of the copy relabelled by [" in out
+    assert "] disagrees with k at bidegree" in out
+
+
 def test_generate(tmp_path, capsys):
     code, out, _ = run(["generate", "cycle:4"], capsys)
     assert code == 0

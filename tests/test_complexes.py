@@ -112,6 +112,16 @@ def test_negative_masks_are_refused_without_hanging(call):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("call", [
+    lambda: attach_simplex(cycle(4), True, 2),
+    lambda: cycle(4).vertex_mask(True),
+    lambda: cycle(4).has_face(True),
+], ids=["attach_simplex", "vertex_mask", "has_face"])
+def test_a_bool_is_not_a_mask(call):
+    with pytest.raises(ComplexError, match="list of labels or a mask"):
+        call()
+
+
 def test_full_subcomplex_relabels_order_preserving():
     k = cycle(5)
     sub = k.full_subcomplex([2, 3, 5])

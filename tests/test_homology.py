@@ -3,6 +3,7 @@
 import random
 
 from macoh.complexes import (
+    SimplicialComplex,
     boundary_simplex,
     cycle,
     disjoint_points,
@@ -184,6 +185,30 @@ def test_top_classes_of_two_points():
 def test_cycle_top_class():
     found = top_classes(cycle(5))
     assert [(d, o) for d, o, _, _ in found] == [(1, 0)]
+
+
+def test_top_classes_computes_each_restriction_once(monkeypatch):
+    import macoh.homology as hm
+
+    # a circle disjoint from a 2-sphere: classes in degrees 0, 1 and 2,
+    # none killed by every restriction
+    k = SimplicialComplex.from_maximal_faces(
+        7, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [4, 5, 7], [4, 6, 7], [5, 6, 7]])
+    assert _coh(k).degrees() == [0, 1, 2]
+    calls = []
+    real = hm.cohomology
+
+    def counted(cx):
+        calls.append(cx.support)
+        return real(cx)
+
+    monkeypatch.setattr(hm, "cohomology", counted)
+    assert top_classes(k) == []
+    # K itself and each of its 7 full subcomplexes on 6 vertices, once
+    assert len(calls) == len(set(calls)) == 8
+    calls.clear()
+    assert [(d, o) for d, o, _, _ in top_classes(rp2_minimal())] == [(2, 2)]
+    assert len(calls) == 7
 
 
 def test_square_edge_has_no_top_classes():

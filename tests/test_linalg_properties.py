@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from macoh import linalg
+from macoh.complexes import cycle
+from macoh.hochster import hochster_cohomology, hochster_field
 from macoh.linalg import (
     FieldOps,
     GroupMorphism,
@@ -15,10 +18,12 @@ from macoh.linalg import (
     LinalgError,
     PresentedGroup,
     SmithSolver,
+    Subquotient,
     free_homology,
     homology_of_pair,
     kernel_subgroup,
     merge_torsion,
+    smith_divisors,
     smith_normal_form,
 )
 
@@ -161,6 +166,16 @@ def test_smith_early_stops_match_the_full_scan_on_sparse_unit_matrices():
         _assert_same_as_full_scan(IntMatrix(rows, 40))
 
 
+@PROPERTY
+@given(st.one_of(unit_rich_matrices(), matrices(max_rows=6, max_cols=6)))
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix.zeros(3, 0))
+@example(IntMatrix([[2, 4], [6, 8]]))
+@example(IntMatrix([[0, 0, 3], [0, 0, 0], [5, 0, 0]]))
+def test_smith_divisors_match_the_dense_smith_form(a):
+    assert smith_divisors(a) == smith_normal_form(a).divisors
+
+
 def _well_defined_step(d, e):
     """Smallest x > 0 with d * x in e * Z, or 0 when only x = 0 works."""
     if d == 0:
@@ -205,6 +220,51 @@ def test_homology_of_pair_on_diagonal_groups(b_orders, c_orders, data):
                                                for i in range(h.n_gens)]
     for col in f_cols + [b.relations.column(j) for j in range(b.relations.ncols)]:
         assert h.class_is_zero(col)
+
+
+free_orders = st.lists(st.just(0), max_size=4)
+
+
+@PROPERTY
+@given(free_orders, free_orders, st.data())
+def test_lazy_subquotient_equals_the_eager_build(b_orders, c_orders, data):
+    lazy, g, f_cols = _diagonal_pair(b_orders, c_orders, data)
+    n = g.source.n_gens
+    f = GroupMorphism(PresentedGroup.free(len(f_cols)), g.source,
+                      IntMatrix.from_columns(f_cols, n))
+    eager = Subquotient(f, g)
+    assert lazy._reps is None and eager._pair is None
+    assert lazy.orders == eager.orders
+    assert lazy.gens == eager.gens
+    assert lazy._pair is None  # the build released f and g
+    # cycles: combinations of the generators plus boundaries
+    cols = []
+    for _ in range(3):
+        coefs = data.draw(st.lists(entries, min_size=eager.n_gens, max_size=eager.n_gens))
+        bounds = data.draw(st.lists(entries, min_size=len(f_cols), max_size=len(f_cols)))
+        cols.append([x + y for x, y in zip(eager.gens.mulvec(coefs), f.matrix.mulvec(bounds))])
+    mat = IntMatrix.from_columns(cols, n)
+    assert lazy.express_columns(mat) == eager.express_columns(mat)
+
+
+def test_integral_h_of_a_cycle_reads_no_representatives(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a representative was built")
+
+    monkeypatch.setattr(linalg, "_kernel_lattice", refuse)
+    got = hochster_cohomology(cycle(8)).invariants()
+    assert got == {b: (dim, ()) for b, dim in hochster_field(cycle(8), "Q").dims.items()}
+
+
+def test_orders_that_the_build_contradicts_raise(monkeypatch):
+    real = linalg.smith_divisors
+    monkeypatch.setattr(linalg, "smith_divisors",
+                        lambda a: tuple(d for d in real(a) if d == 1))
+    h = free_homology(IntMatrix([[2], [0]]), IntMatrix.zeros(0, 2))
+    assert h.orders == (0, 0)  # Z/2 + Z, with the 2 dropped
+    for _ in range(2):  # and again: nothing of the failed build is kept
+        with pytest.raises(LinalgError, match="orders"):
+            h.gens
 
 
 @PROPERTY
