@@ -286,7 +286,11 @@ class SimplicialComplex:
         return None
 
     def relabeled(self, perm):
-        """Image under a permutation given as a dict label -> label."""
+        """Image under a permutation of 1..m given as a dict label -> label;
+        any other map raises ComplexError."""
+        labels = set(range(1, self.m + 1))
+        if set(perm) != labels or set(perm.values()) != labels:
+            raise ComplexError(f"relabelling is not a permutation of 1..{self.m}: {perm!r}")
         faces = []
         for top in self.maximal_faces:
             faces.append(mask_of(perm[v] for v in vertices_of(top)))

@@ -38,8 +38,8 @@ from .linalg import (
     FieldOps,
     GroupMorphism,
     IntMatrix,
+    NonzeroComposite,
     PresentedGroup,
-    first_nonzero_composite,
     graded_homology,
     homology_of_pair,  # noqa: F401 (perfbench tests read hochster.homology_of_pair)
 )
@@ -230,7 +230,7 @@ def _connecting(hd, sign_fault=False):
 
 
 def d_prime(hd, sign_fault=False):
-    """Connecting differentials per source bidegree over Z, verified d'^2 = 0.
+    """Connecting differentials per source bidegree over Z; _double tests d'^2 = 0.
 
     Returns a dict bidegree -> GroupMorphism into the adjacent bidegree
     ((k-1, l-1) on the cohomology side, (k+1, l+1) on the homology
@@ -241,16 +241,7 @@ def d_prime(hd, sign_fault=False):
         dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
         dst_group = dst_layout.group if dst_layout else PresentedGroup.free(0)
         morphisms[b] = GroupMorphism(hd.layouts[b].group, dst_group, mat)
-    _verify_squares_to_zero(hd, morphisms)
     return morphisms
-
-
-def _verify_squares_to_zero(hd, morphisms):
-    b = first_nonzero_composite(morphisms, _step(hd.side))
-    if b is not None:
-        raise VerificationError(
-            f"connecting differential does not square to zero at bidegree "
-            f"(-{b[0]}, {2 * b[1]})")
 
 
 class DoubleGroups(BigradedGroups):
@@ -265,7 +256,13 @@ class DoubleGroups(BigradedGroups):
 
 def _double(hd, sign_fault=False):
     morphisms = d_prime(hd, sign_fault=sign_fault)
-    return DoubleGroups(hd, graded_homology(morphisms, _step(hd.side)))
+    try:
+        groups = graded_homology(morphisms, _step(hd.side))
+    except NonzeroComposite as exc:
+        kk, l = exc.bidegree
+        raise VerificationError(f"connecting differential does not square to zero at "
+                                f"bidegree (-{kk}, {2 * l})") from exc
+    return DoubleGroups(hd, groups)
 
 
 def double_cohomology(k, sign_fault=False):

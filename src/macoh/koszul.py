@@ -26,8 +26,8 @@ from .linalg import (
     FieldOps,
     GroupMorphism,
     IntMatrix,
+    NonzeroComposite,
     PresentedGroup,
-    first_nonzero_composite,
     free_homology,
     graded_homology,
 )
@@ -182,14 +182,16 @@ class KoszulCohomology(BigradedGroups):
         self.rc = rc
 
 
-def _layers(rc, homology_at):
-    """Per bidegree, the nontrivial homology_at(incoming d, outgoing d)."""
+def _layers(outgoing, step, homology_at):
+    """Per bidegree b, the nontrivial homology_at(incoming, outgoing[b]):
+    outgoing maps b into b + step, and incoming is outgoing[b - step], or
+    a matrix with no columns when there is none."""
     layers = {}
-    for b in rc.bidegrees:
-        kk, l = b
-        sq = homology_at(rc.d_matrix((kk + 1, l)), rc.d_matrix(b))
+    for (kk, l), out in outgoing.items():
+        incoming = outgoing.get((kk - step[0], l - step[1]), IntMatrix.zeros(out.ncols, 0))
+        sq = homology_at(incoming, out)
         if not sq.is_trivial():
-            layers[b] = sq
+            layers[(kk, l)] = sq
     return layers
 
 
@@ -206,20 +208,17 @@ def _class_dprime(rc, layers):
 
 def cohomology_via_koszul(k_or_rc):
     rc = k_or_rc if isinstance(k_or_rc, RComplex) else RComplex(k_or_rc)
-    return KoszulCohomology(rc, _layers(rc, free_homology))
+    d = {b: rc.d_matrix(b) for b in rc.bidegrees}
+    return KoszulCohomology(rc, _layers(d, (-1, 0), free_homology))
 
 
 def _descend_dprime(kc):
     """Class-level d' matrices on Koszul cohomology, keyed by source
-    bidegree, each a morphism between the cohomology groups themselves."""
+    bidegree, each a morphism between the cohomology groups; hh_via_koszul
+    tests d'^2 = 0."""
     empty = PresentedGroup.free(0)
-    out = {b: GroupMorphism(kc.groups[b], kc.groups.get((b[0] - 1, b[1] - 1), empty), mat)
-           for b, mat in _class_dprime(kc.rc, kc.groups).items()}
-    b = first_nonzero_composite(out, (-1, -1))
-    if b is not None:
-        raise VerificationError(
-            f"descended d' does not square to zero at bidegree (-{b[0]}, {2 * b[1]})")
-    return out
+    return {b: GroupMorphism(kc.groups[b], kc.groups.get((b[0] - 1, b[1] - 1), empty), mat)
+            for b, mat in _class_dprime(kc.rc, kc.groups).items()}
 
 
 class KoszulDouble(BigradedGroups):
@@ -234,7 +233,13 @@ class KoszulDouble(BigradedGroups):
 
 def hh_via_koszul(k_or_rc):
     kc = cohomology_via_koszul(k_or_rc)
-    return KoszulDouble(kc, graded_homology(_descend_dprime(kc), (-1, -1)))
+    try:
+        groups = graded_homology(_descend_dprime(kc), (-1, -1))
+    except NonzeroComposite as exc:
+        kk, l = exc.bidegree
+        raise VerificationError(
+            f"descended d' does not square to zero at bidegree (-{kk}, {2 * l})") from exc
+    return KoszulDouble(kc, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +334,8 @@ def d_prime_acyclicity(k):
     """Homology of (R, d') per bidegree; nonzero only for a full simplex,
     where it is a single Z in bidegree (0, m) generated by v_1...v_m."""
     rc = RComplex(k)
-    groups = {}
-    for b in rc.bidegrees:
-        kk, l = b
-        sq = free_homology(rc.dprime_matrix((kk + 1, l + 1)), rc.dprime_matrix(b))
-        if not sq.is_trivial():
-            groups[b] = sq
-    return rc, groups
+    return rc, _layers({b: rc.dprime_matrix(b) for b in rc.bidegrees}, (-1, -1),
+                       free_homology)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +348,16 @@ class KoszulFieldAlgebra:
 
     h_layers and class_dprime come from the same _layers and _class_dprime
     as the integral pipeline, with FieldOps.free_homology in place of
-    free_homology; hh_layers is the homology of class_dprime.
+    free_homology; hh_layers is _layers of class_dprime.
     """
 
     def __init__(self, k, field):
         self.rc = rc = RComplex(k)
         ops = FieldOps(field)
-        self.h_layers = _layers(rc, ops.free_homology)
+        d = {b: rc.d_matrix(b) for b in rc.bidegrees}
+        self.h_layers = _layers(d, (-1, 0), ops.free_homology)
         self.class_dprime = _class_dprime(rc, self.h_layers)
-        self.hh_layers = {}
-        for (kk, l), out in self.class_dprime.items():
-            incoming = self.class_dprime.get((kk + 1, l + 1), IntMatrix.zeros(out.ncols, 0))
-            hh = ops.free_homology(incoming, out)
-            if not hh.is_trivial():
-                self.hh_layers[(kk, l)] = hh
+        self.hh_layers = _layers(self.class_dprime, (-1, -1), ops.free_homology)
 
     def h_dims(self):
         return {b: layer.n_gens for b, layer in self.h_layers.items()}

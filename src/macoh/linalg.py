@@ -27,6 +27,12 @@ class LinalgError(ValueError):
     """A contract of this module was violated (unsolvable system, bad shapes, ...)."""
 
 
+class NonzeroComposite(LinalgError):
+    """g∘f is not zero; graded_homology sets bidegree, the source of f."""
+
+    bidegree = None
+
+
 class IntMatrix:
     """Dense integer matrix (Fractions for the Q coordinates of FieldSubquotient).
     0 x n and n x 0 shapes are legal.  The constructor copies its rows and
@@ -550,8 +556,9 @@ def homology_of_pair(f, g):
     """ker(g)/im(f) for morphisms A --f--> B --g--> C with g∘f = 0.
 
     A, B and C may be any PresentedGroup, a Subquotient too.  Raises
-    LinalgError if f.target and g.source have different orders or if the
-    composite is nonzero.  Generators are given in the coordinates of B.
+    LinalgError if f.target and g.source have different orders, and its
+    subclass NonzeroComposite if g∘f is not zero in C: the one d^2 = 0
+    test of both pipelines.  Generators are given in the coordinates of B.
 
     When B and C are free, g∘f = 0 puts im(f) in ker(g), a saturated
     lattice of rank n_B - rank(g).  So f has the Smith divisors of its
@@ -565,7 +572,7 @@ def homology_of_pair(f, g):
     if f.target.orders != g.source.orders:
         raise LinalgError("f.target and g.source disagree")
     if not g.target.is_zero(g.matrix @ f.matrix):
-        raise LinalgError("g∘f is not the zero morphism")
+        raise NonzeroComposite("g∘f is not the zero morphism")
     if any(g.source.orders) or any(g.target.orders):
         return Subquotient(f, g)
     f_divisors = smith_divisors(f.matrix)
@@ -647,35 +654,25 @@ def free_homology(d_in, d_out):
     return homology_of_pair(f, g)
 
 
-def first_nonzero_composite(morphisms, step):
-    """The first bidegree b, in the order of morphisms, where the morphism
-    out of b + step after the one out of b is not zero, or None.
-
-    morphisms maps each bidegree b to its outgoing morphism, into
-    b + step; pairs with no second morphism or an empty target are skipped.
-    """
-    for (kk, l), first in morphisms.items():
-        second = morphisms.get((kk + step[0], l + step[1]))
-        if second is None or first.target.n_gens == 0 or second.target.n_gens == 0:
-            continue
-        if not second.target.is_zero(second.matrix @ first.matrix):
-            return (kk, l)
-    return None
-
-
 def graded_homology(morphisms, step):
     """Homology of a bigraded complex of groups at every bidegree.
 
     morphisms maps each bidegree b to its outgoing morphism, into
     b + step; a bidegree with no incoming morphism gets the zero map.
     Returns bidegree -> Subquotient for the nontrivial homology groups.
+    homology_of_pair tests each composite once; a nonzero one raises
+    NonzeroComposite with bidegree set to its source, b - step.
     """
     groups = {}
     for (kk, l), g in morphisms.items():
         f = morphisms.get((kk - step[0], l - step[1]))
         if f is None:
             f = GroupMorphism.zero(PresentedGroup.free(0), g.source)
-        sq = homology_of_pair(f, g)
+        try:
+            sq = homology_of_pair(f, g)
+        except NonzeroComposite as exc:
+            exc.bidegree = (kk - step[0], l - step[1])
+            raise
         if not sq.is_trivial():
             groups[(kk, l)] = sq
     return groups

@@ -145,6 +145,17 @@ def test_join_of_two_point_pairs_is_a_four_cycle():
     assert k.relabeled({1: 1, 2: 3, 3: 2, 4: 4}) == cycle(4)
 
 
+@pytest.mark.parametrize("perm", [
+    {1: 1, 2: 2, 3: 1, 4: 4},  # two labels onto one
+    {1: 2, 2: 1, 3: 3},  # label 4 missing
+    {1: 2, 2: 1, 3: 3, 4: 5},  # a value outside 1..4
+    {1: 2, 2: 1, 3: 3, 4: 4, 5: 5},  # a key outside 1..4
+])
+def test_relabeled_rejects_a_map_that_is_not_a_permutation(perm):
+    with pytest.raises(ComplexError, match="not a permutation of 1..4"):
+        cycle(4).relabeled(perm)
+
+
 def test_join_with_point_cones():
     cone = join(cycle(3), simplex(1))
     assert cone.is_simplex() is False

@@ -176,7 +176,20 @@ def test_cohomology_and_homology_decompositions_are_uct_consistent():
 
 def test_sign_fault_is_caught():
     with pytest.raises(VerificationError):
-        d_prime(hochster_cohomology(rp2_minimal()), sign_fault=True)
+        double_cohomology(rp2_minimal(), sign_fault=True)
+
+
+@pytest.mark.parametrize("complex_, side, displayed", [
+    (rp2_minimal, double_cohomology, "(-3, 10)"),
+    (rp2_minimal, double_homology, "(-1, 6)"),
+    (two_squares, double_cohomology, "(-3, 8)"),
+    (two_squares, double_homology, "(-1, 4)"),
+])
+def test_sign_fault_names_the_displayed_bidegree(complex_, side, displayed):
+    message = f"connecting differential does not square to zero at bidegree {displayed}"
+    with pytest.raises(VerificationError) as caught:
+        side(complex_(), sign_fault=True)
+    assert str(caught.value) == message
 
 
 def test_full_subcomplex_inclusion_morphism():

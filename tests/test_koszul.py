@@ -233,6 +233,27 @@ def test_pipelines_agree_on_random_complexes():
                 == hochster.double_cohomology(k).invariants())
 
 
+@pytest.mark.parametrize("run", [
+    lambda: hochster.double_cohomology(complexes.cycle(6)),
+    lambda: hochster.double_homology(complexes.rp2_minimal()),
+    lambda: koszul.hh_via_koszul(complexes.two_squares()),
+], ids=["HH cycle:6", "HH_* rp2", "Koszul HH two_squares"])
+def test_each_dprime_composite_is_multiplied_once(monkeypatch, run):
+    # d'^2 = 0 is tested only where homology_of_pair takes the homology,
+    # so no pair of operands is multiplied twice
+    real = IntMatrix.__matmul__
+    operands = []  # held, so that no id is reused
+
+    def recording(left, right):
+        operands.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", recording)
+    run()
+    pairs = [(id(left), id(right)) for left, right in operands]
+    assert len(set(pairs)) == len(pairs)
+
+
 def test_product_is_graded_commutative_and_d_is_a_derivation():
     rng = random.Random(5)
     for _ in range(8):
