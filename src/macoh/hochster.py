@@ -174,7 +174,7 @@ def _next_bidegree(b, side):
 
 
 def _moves(hd, summand, dst_index, sign_fault=False):
-    """The d' blocks out of one summand: (sign, target summand, chain
+    """The d' blocks out of one summand: (sign, target summand, class
     matrix) per vertex move whose subset has a summand in dst_index.
 
     Cohomology removes a vertex of the subset and restricts cochains;
@@ -196,37 +196,31 @@ def _moves(hd, summand, dst_index, sign_fault=False):
         else:
             sign = sign_eps(vertex, mask)
             sign = -sign if (p + 1) & 1 else sign
-        yield sign, target, chain_matrix(hd.cxs[mask], hd.cxs[other], p)
+        chain = chain_matrix(hd.cxs[mask], hd.cxs[other], p)
+        yield sign, target, induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
 
 
-def _place(mat, block, row, col, sign=1):
-    """Add sign * block into mat with its top left entry at (row, col)."""
-    for mrow, brow in zip(mat.rows[row:row + block.nrows], block.rows):
-        for c, x in enumerate(brow, col):
-            mrow[c] += sign * x
+def _assemble(src_layout, dst_layout, blocks):
+    """The matrix from src_layout into dst_layout (None: no rows) that adds
+    sign * block at (target, summand) for each (sign, target summand, block)
+    of blocks(summand, dst_index), where dst_index keys the targets by mask."""
+    dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
+    entries = []
+    for summand in src_layout.summands:
+        for sign, target, block in blocks(summand, dst_index):
+            entries.extend((target.offset + r, summand.offset + c, sign * v)
+                           for r, c, v in block.entries())
+    return IntMatrix.from_entries(dst_layout.group.n_gens if dst_layout else 0,
+                                  src_layout.group.n_gens, entries)
 
 
 def _connecting(hd, sign_fault=False):
-    """d' per source bidegree over the ring of hd, as a matrix into the
-    adjacent bidegree (no rows when that is zero).  Blocks are induced_map
-    of each vertex move, summed over Z or Q and reduced mod p once."""
-    p = hd.ops.p if hd.ops is not None else None
-    out = {}
-    for b in hd.bidegrees():
-        src_layout = hd.layouts[b]
-        dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
-        mat = IntMatrix.zeros(dst_layout.group.n_gens if dst_layout else 0,
-                              src_layout.group.n_gens)
-        dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
-        for summand in src_layout.summands:
-            for sign, target, chain in _moves(hd, summand, dst_index, sign_fault):
-                block = induced_map(hd.cohs[summand.mask], hd.cohs[target.mask], chain,
-                                    summand.degree)
-                _place(mat, block, target.offset, summand.offset, sign)
-        if p:
-            mat = IntMatrix._adopt([[x % p for x in row] for row in mat.rows], mat.ncols)
-        out[b] = mat
-    return out
+    """d' per source bidegree over the ring of hd, into the adjacent
+    bidegree (no rows when that is zero).  Over F_p the entries stay
+    unreduced: FieldOps.rank, their only reader there, reduces them."""
+    blocks = partial(_moves, hd, sign_fault=sign_fault)
+    return {b: _assemble(hd.layouts[b], hd.layouts.get(_next_bidegree(b, hd.side)), blocks)
+            for b in hd.bidegrees()}
 
 
 def d_prime(hd, sign_fault=False):
@@ -312,20 +306,19 @@ def ch_restriction_morphism(k, vertices):
     imask = k.vertex_mask(vertices)
     hd_full = hochster_cohomology(k)
     hd_sub = hochster_cohomology(k, support=imask)
+
+    def identity(summand, full_index):
+        target = full_index.get(summand.mask)
+        if target is None or target.group.n_gens != summand.group.n_gens:
+            raise VerificationError("subcomplex summand differs from ambient summand")
+        return [(1, target, IntMatrix.identity(summand.group.n_gens))]
+
     matrices = {}
     for b, sub_layout in hd_sub.layouts.items():
         full_layout = hd_full.layouts.get(b)
         if full_layout is None:
             raise VerificationError("subcomplex summand missing from the ambient complex")
-        full_index = {s.mask: s for s in full_layout.summands}
-        mat = IntMatrix.zeros(full_layout.group.n_gens, sub_layout.group.n_gens)
-        for summand in sub_layout.summands:
-            target = full_index.get(summand.mask)
-            if target is None or target.group.n_gens != summand.group.n_gens:
-                raise VerificationError("subcomplex summand differs from ambient summand")
-            for c in range(summand.group.n_gens):
-                mat.rows[target.offset + c][summand.offset + c] = 1
-        matrices[b] = mat
+        matrices[b] = _assemble(sub_layout, full_layout, identity)
     _check_commutes(hd_sub, hd_full, matrices,
                     "full-subcomplex inclusion does not commute with d'")
     return hd_sub, hd_full, matrices
@@ -354,20 +347,17 @@ def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
         hd_src = hochster_cohomology(k_complex)
         hd_dst = hochster_cohomology(l_complex)
         chain_matrix = restriction_matrix
-    matrices = {}
-    for b, src_layout in hd_src.layouts.items():
-        dst_layout = hd_dst.layouts.get(b)
-        mat = IntMatrix.zeros(dst_layout.group.n_gens if dst_layout else 0,
-                              src_layout.group.n_gens)
-        dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
-        for summand in src_layout.summands:
-            target = dst_index.get(summand.mask)
-            if target is not None:
-                mask, p = summand.mask, summand.degree
-                chain = chain_matrix(hd_src.cxs[mask], hd_dst.cxs[mask], p)
-                _place(mat, induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p),
-                       target.offset, summand.offset)
-        matrices[b] = mat
+
+    def pushed(summand, dst_index):
+        target = dst_index.get(summand.mask)
+        if target is None:
+            return []
+        mask, p = summand.mask, summand.degree
+        chain = chain_matrix(hd_src.cxs[mask], hd_dst.cxs[mask], p)
+        return [(1, target, induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p))]
+
+    matrices = {b: _assemble(src_layout, hd_dst.layouts.get(b), pushed)
+                for b, src_layout in hd_src.layouts.items()}
     _check_commutes(hd_src, hd_dst, matrices,
                     "subcomplex morphism does not commute with the connecting differential")
     return hd_src, hd_dst, matrices

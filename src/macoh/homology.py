@@ -82,24 +82,18 @@ def reduced_complex(k, support=None):
     groups = k.faces_within(support)
     index = [{mask: i for i, mask in enumerate(group)} for group in groups]
     coboundaries = []
-    for q in range(len(groups)):
-        cols = groups[q]
-        rows = groups[q + 1] if q + 1 < len(groups) else []
+    for q, cols in enumerate(groups):
         row_index = index[q + 1] if q + 1 < len(groups) else {}
-        mat = [[0] * len(cols) for _ in rows]
-        rest_support = support
+        entries = []
         for ci, face in enumerate(cols):
-            outside = rest_support & ~face
-            rest = outside
+            rest = support & ~face
             while rest:
                 low = rest & -rest
                 rest ^= low
-                bigger = face | low
-                ri = row_index.get(bigger)
+                ri = row_index.get(face | low)
                 if ri is not None:
-                    j = low.bit_length()
-                    mat[ri][ci] = sign_eps(j, face)
-        coboundaries.append(IntMatrix(mat, len(cols)))
+                    entries.append((ri, ci, sign_eps(low.bit_length(), face)))
+        coboundaries.append(IntMatrix.from_entries(len(row_index), len(cols), entries))
     return ReducedComplex(support=support, bases=groups, coboundaries=coboundaries)
 
 
@@ -146,16 +140,13 @@ def homology(cx):
 def restriction_matrix(cx_big, cx_small, p):
     """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I.
 
-    Faces of K_J are faces of K_I; the matrix keeps their coordinates
-    and drops the rest.
+    Faces of K_J are faces of K_I.  Row r holds one 1, in the column of the
+    r-th face of K_J among the faces of K_I; the other columns are zero.
     """
-    big = cx_big.basis(p)
     small = cx_small.basis(p)
-    index = {mask: i for i, mask in enumerate(big)}
-    mat = IntMatrix.zeros(len(small), len(big))
-    for r, mask in enumerate(small):
-        mat.rows[r][index[mask]] = 1
-    return mat
+    index = {mask: i for i, mask in enumerate(cx_big.basis(p))}
+    return IntMatrix.from_entries(len(small), len(index),
+                                  [(r, index[mask], 1) for r, mask in enumerate(small)])
 
 
 def inclusion_matrix(cx_small, cx_big, p):

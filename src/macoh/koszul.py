@@ -33,6 +33,39 @@ from .linalg import (
 )
 
 
+def _bits(mask):
+    """The one-bit masks of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _d_terms(mon):
+    jmask, imask = mon
+    return [(sign_eps(low.bit_length(), jmask), (jmask ^ low, imask | low))
+            for low in _bits(jmask)]
+
+
+def _dprime_terms(mon):
+    jmask, imask = mon
+    return [(sign_eps(low.bit_length(), jmask), (jmask ^ low, imask)) for low in _bits(jmask)]
+
+
+def _signed_matrix(basis, index, terms):
+    """The matrix from basis into index whose column c has sign in the row
+    of each (sign, monomial) of terms(basis[c]) that index holds."""
+    entries = []
+    for c, mon in enumerate(basis):
+        for sign, target in terms(mon):
+            r = index.get(target)
+            if r is not None:
+                entries.append((r, c, sign))
+    return IntMatrix.from_entries(len(index), len(basis), entries)
+
+
 class RComplex:
     """Bigraded basis and differentials of R(K)."""
 
@@ -60,55 +93,32 @@ class RComplex:
         return len(self.bidegrees.get(b, ()))
 
     def d_matrix(self, b):
-        """d: (k, l) -> (k-1, l)."""
+        """d: (k, l) -> (k-1, l).  The target index holds u_J v_I only for
+        faces I, so _signed_matrix drops the terms whose I+j is not a face."""
         if b not in self._d:
             kk, l = b
-            target = (kk - 1, l)
-            rows = self.index.get(target, {})
-            mat = IntMatrix.zeros(len(rows), self.dim(b))
-            for c, (jmask, imask) in enumerate(self.basis(b)):
-                rest = jmask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    bigger = imask | low
-                    if self.complex.has_face(bigger):
-                        r = rows.get((jmask ^ low, bigger))
-                        if r is not None:
-                            mat.rows[r][c] += sign_eps(low.bit_length(), jmask)
-            self._d[b] = mat
+            self._d[b] = _signed_matrix(self.basis(b), self.index.get((kk - 1, l), {}),
+                                        _d_terms)
         return self._d[b]
 
     def dprime_matrix(self, b):
         """d': (k, l) -> (k-1, l-1)."""
         if b not in self._dp:
             kk, l = b
-            target = (kk - 1, l - 1)
-            rows = self.index.get(target, {})
-            mat = IntMatrix.zeros(len(rows), self.dim(b))
-            for c, (jmask, imask) in enumerate(self.basis(b)):
-                rest = jmask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    r = rows.get((jmask ^ low, imask))
-                    if r is not None:
-                        mat.rows[r][c] += sign_eps(low.bit_length(), jmask)
-            self._dp[b] = mat
+            self._dp[b] = _signed_matrix(self.basis(b), self.index.get((kk - 1, l - 1), {}),
+                                         _dprime_terms)
         return self._dp[b]
 
     def iota_matrix(self, b, i):
         """The derivation stripping u_i: (k, l) -> (k-1, l-1)."""
         kk, l = b
-        rows = self.index.get((kk - 1, l - 1), {})
-        mat = IntMatrix.zeros(len(rows), self.dim(b))
         bit = 1 << (i - 1)
-        for c, (jmask, imask) in enumerate(self.basis(b)):
-            if jmask & bit:
-                r = rows.get((jmask ^ bit, imask))
-                if r is not None:
-                    mat.rows[r][c] = sign_eps(i, jmask)
-        return mat
+
+        def terms(mon):
+            jmask, imask = mon
+            return [(sign_eps(i, jmask), (jmask ^ bit, imask))] if jmask & bit else []
+
+        return _signed_matrix(self.basis(b), self.index.get((kk - 1, l - 1), {}), terms)
 
     def check_identities(self):
         """d^2 = 0, d'^2 = 0, d d' + d' d = 0, d' = sum of iotas.
@@ -274,45 +284,24 @@ def hochster_koszul_iso(k):
     bases = _hochster_cochain_bases(k)
     index = {b: {pair: i for i, pair in enumerate(pairs)} for b, pairs in bases.items()}
 
-    iso = {}
-    for b, pairs in bases.items():
-        mat = IntMatrix.zeros(rc.dim(b), len(pairs))
-        ridx = rc.index.get(b, {})
-        for c, (imask, lmask) in enumerate(pairs):
-            mat.rows[ridx[(imask & ~lmask, lmask)]][c] = sign_eps_set(lmask, imask)
-        iso[b] = mat
+    def iso_terms(pair):
+        imask, lmask = pair
+        return [(sign_eps_set(lmask, imask), (imask & ~lmask, lmask))]
 
-    def subset_d(b):
+    def subset_d_terms(pair):
         # coboundary inside each summand I: add a vertex of I to L
-        kk, l = b
-        target = index.get((kk - 1, l), {})
-        mat = IntMatrix.zeros(len(target), len(bases[b]))
-        for c, (imask, lmask) in enumerate(bases[b]):
-            rest = imask & ~lmask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                bigger = lmask | low
-                r = target.get((imask, bigger))
-                if r is not None:
-                    mat.rows[r][c] += sign_eps(low.bit_length(), lmask)
-        return mat
+        imask, lmask = pair
+        return [(sign_eps(low.bit_length(), lmask), (imask, lmask | low))
+                for low in _bits(imask & ~lmask)]
 
-    def subset_dprime(b):
+    def subset_dprime_terms(pair):
         # (-1)^{|L|} sum over i in I - L of sign_eps(i, I) (I - i, L)
-        kk, l = b
-        target = index.get((kk - 1, l - 1), {})
-        mat = IntMatrix.zeros(len(target), len(bases[b]))
-        for c, (imask, lmask) in enumerate(bases[b]):
-            sgn = -1 if lmask.bit_count() & 1 else 1
-            rest = imask & ~lmask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                r = target.get((imask ^ low, lmask))
-                if r is not None:
-                    mat.rows[r][c] += sgn * sign_eps(low.bit_length(), imask)
-        return mat
+        imask, lmask = pair
+        sgn = -1 if lmask.bit_count() & 1 else 1
+        return [(sgn * sign_eps(low.bit_length(), imask), (imask ^ low, lmask))
+                for low in _bits(imask & ~lmask)]
+
+    iso = {b: _signed_matrix(pairs, rc.index.get(b, {}), iso_terms) for b, pairs in bases.items()}
 
     for b, pairs in bases.items():
         kk, l = b
@@ -320,12 +309,15 @@ def hochster_koszul_iso(k):
             raise VerificationError(f"basis sizes differ at bidegree {b}")
         left_d = rc.d_matrix(b) @ iso[b]
         right_d = iso.get((kk - 1, l), IntMatrix.zeros(rc.dim((kk - 1, l)), 0))
-        if left_d != right_d @ subset_d(b):
+        subset_d = _signed_matrix(pairs, index.get((kk - 1, l), {}), subset_d_terms)
+        if left_d != right_d @ subset_d:
             raise VerificationError(f"the bijection does not intertwine d at {b}")
         left_dp = rc.dprime_matrix(b) @ iso[b]
         right_dp = iso.get((kk - 1, l - 1),
                            IntMatrix.zeros(rc.dim((kk - 1, l - 1)), 0))
-        if left_dp != right_dp @ subset_dprime(b):
+        subset_dprime = _signed_matrix(pairs, index.get((kk - 1, l - 1), {}),
+                                       subset_dprime_terms)
+        if left_dp != right_dp @ subset_dprime:
             raise VerificationError(f"the bijection does not intertwine d' at {b}")
     return iso
 

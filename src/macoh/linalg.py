@@ -82,6 +82,25 @@ class IntMatrix:
                 raise LinalgError("column of wrong height")
         return cls._adopt([[c[i] for c in columns] for i in range(nrows)], len(columns))
 
+    @classmethod
+    def from_entries(cls, nrows, ncols, entries):
+        """The matrix whose (r, c) entry is the sum of v over the triples
+        (r, c, v) of entries.  An index outside the shape, negative ones
+        included, is an error.  Modules above this one build matrices here."""
+        rows = [[0] * ncols for _ in range(nrows)]
+        for r, c, v in entries:
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise LinalgError(f"entry ({r}, {c}) outside a {nrows} x {ncols} matrix")
+            rows[r][c] += v
+        return cls._adopt(rows, ncols)
+
+    def entries(self):
+        """(r, c, v) for each nonzero entry v at (r, c), in row-major order."""
+        for r, row in enumerate(self.rows):
+            for c, v in enumerate(row):
+                if v:
+                    yield r, c, v
+
     @property
     def shape(self):
         return (self.nrows, self.ncols)

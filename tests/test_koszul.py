@@ -5,6 +5,7 @@ the differential formulas and cross-checked against the subset-complex
 pipeline, which is implemented independently.
 """
 
+import math
 import random
 
 import pytest
@@ -193,6 +194,80 @@ def test_iso_commutes_on_random_complexes():
     for _ in range(10):
         k = complexes.random_complex(rng, rng.randint(2, 6))
         koszul.hochster_koszul_iso(k)
+
+
+def _labels(mask):
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def _sign(j, mask):
+    """(-1)^#{i in mask : i < j}, counted label by label."""
+    return (-1) ** sum(1 for i in _labels(mask) if i < j)
+
+
+def _dense(src, dst, image):
+    """The dense rows of the map whose column c is the sum of sign * e_t over
+    the (sign, t) of image(src[c]); a t outside dst raises KeyError."""
+    where = {mon: r for r, mon in enumerate(dst)}
+    rows = [[0] * len(src) for _ in dst]
+    for c, mon in enumerate(src):
+        for sign, target in image(mon):
+            rows[where[target]][c] += sign
+    return IntMatrix(rows, len(src))
+
+
+def _reference_basis(k, b):
+    """u_J v_I with I a face and J a set of the other vertices, in bidegree
+    b = (|J|, |J| + |I|), in ascending (J, I) masks."""
+    kk, l = b
+    return sorted((jmask, imask) for imask in k.faces for jmask in range(k.full_mask() + 1)
+                  if not jmask & imask and jmask.bit_count() == kk
+                  and imask.bit_count() == l - kk)
+
+
+def _bit(v):
+    return 1 << (v - 1)
+
+
+def _check_against_the_definitions(k):
+    """d, d' and every iota_i of R(K), and the bijection to the Hochster
+    cochains, built from the formulas of the koszul module docstring."""
+    rc = koszul.RComplex(k)
+    faces = set(k.faces)
+    for b in rc.bidegrees:
+        kk, l = b
+        src = _reference_basis(k, b)
+        assert rc.basis(b) == src
+        d_dst = _reference_basis(k, (kk - 1, l))
+        dp_dst = _reference_basis(k, (kk - 1, l - 1))
+        assert rc.d_matrix(b) == _dense(src, d_dst, lambda mon: [
+            (_sign(j, mon[0]), (mon[0] ^ _bit(j), mon[1] | _bit(j)))
+            for j in _labels(mon[0]) if mon[1] | _bit(j) in faces]), b
+        assert rc.dprime_matrix(b) == _dense(src, dp_dst, lambda mon: [
+            (_sign(j, mon[0]), (mon[0] ^ _bit(j), mon[1])) for j in _labels(mon[0])]), b
+        for i in range(1, k.m + 1):
+            assert rc.iota_matrix(b, i) == _dense(src, dp_dst, lambda mon: [
+                (_sign(i, mon[0]), (mon[0] ^ _bit(i), mon[1]))] if mon[0] & _bit(i) else []), b
+    # (I, L) -> prod over l in L of sign_eps(l, I) u_{I-L} v_L
+    for b, mat in koszul.hochster_koszul_iso(k).items():
+        kk, l = b
+        pairs = sorted((imask, lmask) for imask in range(k.full_mask() + 1) for lmask in faces
+                       if not lmask & ~imask and imask.bit_count() == l
+                       and lmask.bit_count() == l - kk)
+        assert mat == _dense(pairs, _reference_basis(k, b), lambda pair: [
+            (math.prod(_sign(v, pair[0]) for v in _labels(pair[1])),
+             (pair[0] & ~pair[1], pair[1]))]), b
+
+
+@pytest.mark.parametrize("name", [name for name, _ in complexes.zoo()])
+def test_bicomplex_matrices_match_the_definitions_on_the_zoo(name):
+    _check_against_the_definitions(dict(complexes.zoo())[name])
+
+
+def test_bicomplex_matrices_match_the_definitions_on_random_complexes():
+    rng = random.Random(13)
+    for _ in range(4):
+        _check_against_the_definitions(complexes.random_complex(rng, rng.randint(2, 6)))
 
 
 def test_iso_detects_a_sign_error():

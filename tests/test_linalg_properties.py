@@ -367,6 +367,58 @@ def test_matmul_matches_the_triple_sum(n, k, m, data):
     assert a @ b == IntMatrix(naive, m)
 
 
+@st.composite
+def entry_lists(draw):
+    """(nrows, ncols, triples) with repeated positions and values that cancel."""
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 4))
+    if nrows == 0 or ncols == 0:
+        return nrows, ncols, []
+    position = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    triples = []
+    for r, c in draw(st.lists(position, max_size=12)):
+        v = draw(st.integers(-3, 3))
+        triples.append((r, c, v))
+        if draw(st.booleans()):
+            triples.append((r, c, -v))  # cancels to 0 with the triple before
+    return nrows, ncols, triples
+
+
+@PROPERTY
+@given(entry_lists())
+@example((0, 3, []))
+@example((3, 0, []))
+@example((2, 2, [(1, 0, 2), (1, 0, -2), (0, 1, 1), (0, 1, 1)]))
+def test_from_entries_matches_a_dense_accumulation(case):
+    nrows, ncols, triples = case
+    dense = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in triples:
+        dense[r][c] += v
+    mat = IntMatrix.from_entries(nrows, ncols, triples)
+    assert mat == IntMatrix(dense, ncols)
+    assert list(mat.entries()) == [(r, c, v) for r, row in enumerate(dense)
+                                   for c, v in enumerate(row) if v]
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_from_entries_rebuilds_a_matrix_from_its_entries(n, m, data):
+    a = data.draw(sparse_matrix(n, m))
+    assert IntMatrix.from_entries(*a.shape, a.entries()) == a
+
+
+@pytest.mark.parametrize("r, c", [(2, 0), (0, 3), (-1, 0), (0, -1), (5, 5)])
+def test_from_entries_refuses_an_index_outside_the_shape(r, c):
+    with pytest.raises(LinalgError):
+        IntMatrix.from_entries(2, 3, [(0, 0, 1), (r, c, 1)])
+
+
+def test_from_entries_refuses_any_entry_of_an_empty_shape():
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(LinalgError):
+            IntMatrix.from_entries(*shape, [(0, 0, 1)])
+
+
 @PROPERTY
 @given(st.lists(st.integers(min_value=2, max_value=72), max_size=5))
 def test_merge_torsion_matches_smith_of_the_diagonal(group_orders):
