@@ -25,6 +25,7 @@ from functools import partial
 from .complexes import sign_eps, vertices_of
 from .errors import VerificationError
 from .homology import (
+    FaceBases,
     FieldComplexCohomology,
     cohomology,
     homology,
@@ -64,7 +65,8 @@ class HochsterDecomposition:
 
     field is None over Z, else "Q" or a prime p, with ops its FieldOps;
     over a field every generator is free, so invariants() gives
-    (dimension, ()) per bidegree.
+    (dimension, ()) per bidegree.  cxs holds the FaceBases of every
+    subset, cohs its (co)homology.
     """
 
     __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "layouts")
@@ -97,24 +99,45 @@ def _support(k, support):
     return k.full_mask() if support is None else k.vertex_mask(support)
 
 
-def _sweep(k, support, compute):
-    """Reduced complex and compute(complex) for every subset of support.
+def _relabelled_faces(bases):
+    """(number of vertices, the faces with two or more vertices) of bases,
+    in basis order, each face relabelled onto the vertices of bases in
+    their order: the i-th smallest vertex becomes bit i."""
+    bit = {v: 1 << i for i, v in enumerate(bases[1])} if len(bases) > 1 else {}
+    out = []
+    for group in bases[2:]:
+        for face in group:
+            mask = 0
+            while face:
+                low = face & -face
+                face ^= low
+                mask |= bit[low]
+            out.append(mask)
+    return len(bit), tuple(out)
 
-    Subsets whose coboundary matrices are equal share one result object,
-    computed once.  An order-preserving relabelling of a full subcomplex
-    keeps its ascending-mask bases and every sign_eps, so repeats are
-    common, and equal matrices give an identical computation.
+
+def _sweep(k, support, compute):
+    """FaceBases and compute(reduced complex) for every subset of support.
+
+    Subsets whose full subcomplexes are equal after an order-preserving
+    relabelling of their vertices share one result object, computed once
+    on the first one's reduced complex.  Such a relabelling keeps the
+    ascending-mask bases and every sign_eps, so it keeps the coboundary
+    matrices, and equal matrices give an identical computation.  The
+    key is read off the faces, so a repeat builds no matrix, and only
+    the bases are kept.
     """
     cxs = {}
     cohs = {}
     computed = {}
     for mask in range(support + 1):
         if mask & ~support == 0:
-            cxs[mask] = cx = reduced_complex(k, mask)
-            key = tuple(cx.coboundaries)  # IntMatrix compares shape and entries
+            faces = k.faces_within(mask)
+            cxs[mask] = FaceBases(mask, faces)
+            key = _relabelled_faces(faces)
             coh = computed.get(key)
             if coh is None:
-                coh = computed[key] = compute(cx)
+                coh = computed[key] = compute(reduced_complex(k, mask, faces))
             cohs[mask] = coh
     return cxs, cohs
 
@@ -388,7 +411,7 @@ def double_field(k_or_hd, field, side="cohomology"):
                              f"side, not over {field} on the {side} side")
     else:
         hd = hochster_field(k_or_hd, field, side=side)
-    ranks = {b: hd.ops.rank(mat.rows) if mat.nrows else 0
+    ranks = {b: hd.ops.rank(mat) if mat.nrows else 0
              for b, mat in _connecting(hd).items()}
     dk, dl = _step(hd.side)
     dims = {}

@@ -32,17 +32,15 @@ from .linalg import (
 
 
 @dataclass
-class ReducedComplex:
-    """Cochain data of one full subcomplex K_I.
+class FaceBases:
+    """The cochain bases of one full subcomplex K_I, without its matrices.
 
     bases[q] lists the faces with q vertices (q = 0 holds the empty
-    face); coboundaries[q] maps q-cochains to (q+1)-cochains.  Degree p
-    cochains live on bases[p + 1].
+    face).  Degree p cochains live on bases[p + 1].
     """
 
     support: int
     bases: list
-    coboundaries: list
 
     @property
     def top_cardinality(self):
@@ -53,6 +51,14 @@ class ReducedComplex:
         if q < 0 or q >= len(self.bases):
             return []
         return self.bases[q]
+
+
+@dataclass
+class ReducedComplex(FaceBases):
+    """Cochain data of one full subcomplex K_I: its bases, and
+    coboundaries[q] mapping q-cochains to (q+1)-cochains."""
+
+    coboundaries: list
 
     def coboundary(self, p):
         """Matrix of d: C^p -> C^{p+1}."""
@@ -75,11 +81,12 @@ class ReducedComplex:
         return self.boundary(p + 1), self.boundary(p)
 
 
-def reduced_complex(k, support=None):
-    """Reduced cochain complex of the full subcomplex on the support mask."""
+def reduced_complex(k, support=None, faces=None):
+    """Reduced cochain complex of the full subcomplex on the support mask;
+    faces, when the caller has them, is k.faces_within(support)."""
     if support is None:
         support = k.full_mask()
-    groups = k.faces_within(support)
+    groups = k.faces_within(support) if faces is None else faces
     index = [{mask: i for i, mask in enumerate(group)} for group in groups]
     coboundaries = []
     for q, cols in enumerate(groups):
@@ -138,7 +145,8 @@ def homology(cx):
 
 
 def restriction_matrix(cx_big, cx_small, p):
-    """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I.
+    """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I; it
+    reads only the bases of the two FaceBases (or ReducedComplexes).
 
     Faces of K_J are faces of K_I.  Row r holds one 1, in the column of the
     r-th face of K_J among the faces of K_I; the other columns are zero.

@@ -8,7 +8,10 @@ express an arbitrary element in the chosen generators.  The groups
 involved are direct sums of cyclic groups, each given by its generator
 orders (0 for Z, d for Z/d), so membership in their relations is a
 divisibility test.
-All entries are Python ints, so results are exact.
+All entries are Python ints, so results are exact.  An IntMatrix keeps
+only its nonzero entries, a dict per row: the matrices of both pipelines
+are mostly zeros.  Smith normal form and field elimination work on
+their own copies of the rows; nothing here writes into an operand.
 
 Matrix convention: morphism matrices act on column vectors of generator
 coordinates; a group's relation matrix has one column d * e_k per
@@ -18,6 +21,7 @@ generator k of order d > 0.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,15 +38,20 @@ class NonzeroComposite(LinalgError):
 
 
 class IntMatrix:
-    """Dense integer matrix (Fractions for the Q coordinates of FieldSubquotient).
-    0 x n and n x 0 shapes are legal.  The constructor copies its rows and
-    checks their widths; results built here on fresh rows skip both (_adopt).
+    """Sparse integer matrix (Fractions for the Q coordinates of
+    FieldSubquotient): row i is a dict {column: entry} of its nonzero
+    entries only, so products, sums and zero tests skip the zeros that
+    make up most of every matrix of both pipelines.  0 x n and n x 0
+    shapes are legal.  The constructor takes dense rows, checks their
+    widths and keeps their nonzeros; results built here adopt the fresh
+    row dicts they build (_adopt).  No operation writes into the rows of
+    an operand.
 
     >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2) == IntMatrix([[1, 2], [3, 4]])
     True
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(list, rows))
@@ -55,124 +64,174 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        self.rows = rows
+        self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         self.nrows = len(rows)
         self.ncols = ncols
 
     @classmethod
     def _adopt(cls, rows, ncols):
-        """The matrix on rows that nothing else holds: no copy, no width check."""
+        """The matrix on row dicts that nothing else holds and that have no
+        zero entry: no copy, no check."""
         mat = cls.__new__(cls)
-        mat.rows, mat.nrows, mat.ncols = rows, len(rows), ncols
+        mat._rows, mat.nrows, mat.ncols = rows, len(rows), ncols
         return mat
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls._adopt([[0] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
-        return cls._adopt([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._adopt([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns, nrows):
         columns = [list(c) for c in columns]
-        for c in columns:
-            if len(c) != nrows:
-                raise LinalgError("column of wrong height")
-        return cls._adopt([[c[i] for c in columns] for i in range(nrows)], len(columns))
+        if any(len(c) != nrows for c in columns):
+            raise LinalgError("column of wrong height")
+        return cls.from_entries(nrows, len(columns), [(i, j, x) for j, c in enumerate(columns)
+                                                      for i, x in enumerate(c) if x])
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
         """The matrix whose (r, c) entry is the sum of v over the triples
         (r, c, v) of entries.  An index outside the shape, negative ones
-        included, is an error.  Modules above this one build matrices here."""
-        rows = [[0] * ncols for _ in range(nrows)]
+        included, is an error; one test of the sign of r | c covers both
+        lower bounds.  Modules above this one build matrices here."""
+        rows = [{} for _ in range(nrows)]
         for r, c, v in entries:
-            if not (0 <= r < nrows and 0 <= c < ncols):
+            if (r | c) < 0 or r >= nrows or c >= ncols:
                 raise LinalgError(f"entry ({r}, {c}) outside a {nrows} x {ncols} matrix")
-            rows[r][c] += v
+            row = rows[r]
+            if c in row:
+                v += row[c]
+                if not v:  # the sum cancels: no stored zero
+                    del row[c]
+                    continue
+            elif not v:
+                continue
+            row[c] = v
         return cls._adopt(rows, ncols)
 
     def entries(self):
         """(r, c, v) for each nonzero entry v at (r, c), in row-major order."""
-        for r, row in enumerate(self.rows):
-            for c, v in enumerate(row):
-                if v:
-                    yield r, c, v
+        for r, row in enumerate(self._rows):
+            for c, v in sorted(row.items()):
+                yield r, c, v
+
+    @property
+    def rows(self):
+        """The rows as dense lists, built on each read: a view for readers
+        outside the package.  Writing into it changes nothing."""
+        out = []
+        for row in self._rows:
+            dense = [0] * self.ncols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        if not self.rows:
-            return IntMatrix._adopt([[] for _ in range(self.ncols)], 0)
-        return IntMatrix._adopt(list(map(list, zip(*self.rows))), self.nrows)
+        out = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix._adopt(out, self.nrows)
 
     def column(self, j):
-        return [row[j] for row in self.rows]
+        if not 0 <= j < self.ncols:
+            raise LinalgError(f"column {j} outside a matrix of {self.ncols} columns")
+        return [row.get(j, 0) for row in self._rows]
 
     def hstack(self, other):
         if other.nrows != self.nrows:
             raise LinalgError("hstack height mismatch")
-        return IntMatrix._adopt([a + b for a, b in zip(self.rows, other.rows)],
-                                self.ncols + other.ncols)
+        shift = self.ncols
+        return IntMatrix._adopt([{**a, **{shift + j: x for j, x in b.items()}}
+                                 for a, b in zip(self._rows, other._rows)], shift + other.ncols)
 
     def vstack(self, other):
         if other.ncols != self.ncols:
             raise LinalgError("vstack width mismatch")
-        return IntMatrix._adopt([row[:] for row in self.rows] + [row[:] for row in other.rows],
-                                self.ncols)
+        return IntMatrix._adopt([dict(row) for row in self._rows]
+                                + [dict(row) for row in other._rows], self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
         # row i of the product is the sum of a * (row k of other) over the
-        # nonzero entries a = self[i][k]; zero entries cost nothing
-        n = other.ncols
+        # nonzero entries a = self[i][k]
+        brows = other._rows
         out = []
-        for row in self.rows:
-            acc = [0] * n
-            for a, brow in zip(row, other.rows):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, brow)]
+        for row in self._rows:
+            acc = {}
+            for k, a in row.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if 0 in acc.values():
+                acc = {j: x for j, x in acc.items() if x}
             out.append(acc)
-        return IntMatrix._adopt(out, n)
+        return IntMatrix._adopt(out, other.ncols)
 
     def mulvec(self, vec):
         vec = list(vec)
         if len(vec) != self.ncols:
             raise LinalgError("mulvec length mismatch")
-        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
+        return [sum(x * vec[j] for j, x in row.items()) for row in self._rows]
 
     def scaled(self, c):
-        return IntMatrix._adopt([[c * x for x in row] for row in self.rows], self.ncols)
+        if not c:
+            return IntMatrix.zeros(self.nrows, self.ncols)
+        return IntMatrix._adopt([{j: c * x for j, x in row.items()} for row in self._rows],
+                                self.ncols)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinalgError("add shape mismatch")
-        return IntMatrix._adopt([[a + b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        out = []
+        for a, b in zip(self._rows, other._rows):
+            row = dict(a)
+            _axpy(row, b, 1)
+            out.append(row)
+        return IntMatrix._adopt(out, self.ncols)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.shape == other.shape
-                and self.rows == other.rows)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.shape, tuple(tuple(r) for r in self.rows)))
+        return hash((self.shape, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"IntMatrix(shape={self.shape})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"IntMatrix([{body}])"
+
+
+def _one_column(vec):
+    """The one-column matrix of the vector vec."""
+    return IntMatrix._adopt([{0: x} if x else {} for x in vec], 1)
+
+
+def _axpy(row, other, c):
+    """row += c * other on sparse rows, in place; c is not 0."""
+    for k, y in other.items():
+        x = row.get(k, 0) + c * y
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 @dataclass
@@ -204,46 +263,45 @@ def smith_normal_form(a):
     (1, 6)
     """
     m, n = a.nrows, a.ncols
-    s = [row[:] for row in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if a.is_zero():  # no pivot: every transform is an identity
+        return SmithDecomposition(U=IntMatrix.identity(m), S=IntMatrix.zeros(m, n),
+                                  V=IntMatrix.identity(n), U_inv=IntMatrix.identity(m),
+                                  rank=0, divisors=())
+    s = a.rows  # dense working rows, a fresh copy
+    # the transforms are sparse rows: U, and the transposes of U_inv and V,
+    # so that the column operations on U_inv and V are row operations
+    u = [{i: 1} for i in range(m)]
+    ui_t = [{i: 1} for i in range(m)]
+    v_t = [{i: 1} for i in range(n)]
 
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for row in ui:  # inverse of a swap is the same swap, applied to columns
-            row[i], row[j] = row[j], row[i]
+        ui_t[i], ui_t[j] = ui_t[j], ui_t[i]  # the inverse of a swap swaps columns
 
     def row_neg(i):
         s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-        for row in ui:
-            row[i] = -row[i]
+        u[i] = {k: -x for k, x in u[i].items()}
+        ui_t[i] = {k: -x for k, x in ui_t[i].items()}
 
     def row_add(i, j, c):
         # row_i += c * row_j on S and U; U_inv gets col_j -= c * col_i
         si, sj = s[i], s[j]
         for k in range(n):
             si[k] += c * sj[k]
-        uirow, ujrow = u[i], u[j]
-        for k in range(m):
-            uirow[k] += c * ujrow[k]
-        for row in ui:
-            row[j] -= c * row[i]
+        _axpy(u[i], u[j], c)
+        _axpy(ui_t[j], ui_t[i], -c)
 
     def col_swap(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j on S and V
         for row in s:
             row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
+        _axpy(v_t[i], v_t[j], c)
 
     t = 0
     limit = min(m, n)
@@ -315,9 +373,9 @@ def smith_normal_form(a):
     divisors = tuple(s[i][i] for i in range(limit) if s[i][i])
     return SmithDecomposition(
         U=IntMatrix._adopt(u, m),
-        S=IntMatrix._adopt(s, n),
-        V=IntMatrix._adopt(v, n),
-        U_inv=IntMatrix._adopt(ui, m),
+        S=IntMatrix._adopt([{j: x for j, x in enumerate(row) if x} for row in s], n),
+        V=IntMatrix._adopt(v_t, n).transpose(),
+        U_inv=IntMatrix._adopt(ui_t, m).transpose(),
         rank=len(divisors),
         divisors=divisors,
     )
@@ -337,33 +395,30 @@ def smith_divisors(a):
     >>> smith_divisors(IntMatrix([[0, 2, 0], [1, 4, 0], [-1, 0, 6]]))
     (1, 2, 6)
     """
-    rows = [row[:] for row in a.rows if any(row)]
+    rows = [dict(row) for row in a._rows if row]
     units = 0
     while True:
         for i, row in enumerate(rows):
-            if 1 in row or -1 in row:
+            values = row.values()
+            if 1 in values or -1 in values:
                 break
         else:
             break
-        j = min(row.index(u) for u in (1, -1) if u in row)
+        j = min([c for c, x in row.items() if x == 1 or x == -1])
         pivot = rows.pop(i)
         sign = pivot[j]
-        # rows are updated in place on the pivot's nonzeros only: the
-        # matrices here are mostly zeros
-        support = [(k, y) for k, y in enumerate(pivot) if y]
         kept = []
         for row in rows:
-            c = row[j] * sign
+            c = row.get(j)
             if c:
-                for k, y in support:
-                    row[k] -= c * y
-                if not any(row):
+                _axpy(row, pivot, -c * sign)
+                if not row:
                     continue
             kept.append(row)
         rows = kept
         units += 1
-    cols = [col for col in zip(*rows) if any(col)]
-    rest = IntMatrix._adopt(list(map(list, zip(*cols))), len(cols))
+    cols = {c: t for t, c in enumerate(sorted(set().union(*rows)))} if rows else {}
+    rest = IntMatrix._adopt([{cols[c]: x for c, x in row.items()} for row in rows], len(cols))
     return (1,) * units + smith_normal_form(rest).divisors
 
 
@@ -453,10 +508,9 @@ class PresentedGroup:
     @property
     def relations(self):
         """Relation matrix: one column d * e_k per generator k of order d > 0."""
-        n = len(self.orders)
-        cols = [[d if i == k else 0 for i in range(n)]
-                for k, d in enumerate(self.orders) if d]
-        return IntMatrix.from_columns(cols, n)
+        cols = [(k, d) for k, d in enumerate(self.orders) if d]
+        return IntMatrix.from_entries(len(self.orders), len(cols),
+                                      [(k, j, d) for j, (k, d) in enumerate(cols)])
 
     def invariants(self):
         """(rank, invariant factors > 1, ascending divisibility)."""
@@ -470,12 +524,12 @@ class PresentedGroup:
         the group: each row divisible by its generator's order."""
         if mat.nrows != len(self.orders):
             raise LinalgError("coordinate matrix has wrong height")
-        return not any(any(x % d for x in row) if d else any(row)
-                       for row, d in zip(mat.rows, self.orders))
+        return not any(row and (not d or any(x % d for x in row.values()))
+                       for row, d in zip(mat._rows, self.orders))
 
     def element_is_zero(self, coords):
         """is_zero of the one-column matrix coords."""
-        return self.is_zero(IntMatrix._adopt([[x] for x in coords], 1))
+        return self.is_zero(_one_column(coords))
 
     def __repr__(self):
         rank, torsion = self.invariants()
@@ -558,14 +612,15 @@ class Subquotient(PresentedGroup):
         if a is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
         z = ux @ a
-        for row, d in zip(z.rows, self.orders):
-            if d:
-                row[:] = [x % d for x in row]
+        rows = z._rows
+        for i, d in enumerate(self.orders):
+            if d and rows[i]:
+                rows[i] = {j: y for j, x in rows[i].items() if (y := x % d)}
         return z
 
     def express(self, vec):
         """express_columns of the one-column matrix vec."""
-        return self.express_columns(IntMatrix._adopt([[x] for x in vec], 1)).column(0)
+        return self.express_columns(_one_column(vec)).column(0)
 
     def class_is_zero(self, vec):
         return all(c == 0 for c in self.express(vec))
@@ -613,8 +668,10 @@ def _representatives(f, g):
     divisors = list(dec.divisors) + [0] * (k - dec.rank)
     kept = [i for i in range(k) if divisors[i] != 1]
     orders = tuple(divisors[i] for i in kept)
-    gens = ker @ IntMatrix._adopt([[row[i] for i in kept] for row in dec.U_inv.rows], len(kept))
-    ux = IntMatrix([dec.U.rows[i] for i in kept], k)  # U rows of the kept coordinates
+    place = {i: t for t, i in enumerate(kept)}
+    picked = [{place[i]: x for i, x in row.items() if i in place} for row in dec.U_inv._rows]
+    gens = ker @ IntMatrix._adopt(picked, len(kept))  # the kept columns of U_inv
+    ux = IntMatrix._adopt([dec.U._rows[i] for i in kept], k)  # U rows of the kept coordinates
     return orders, gens, kernel_coords, ux
 
 
@@ -636,25 +693,29 @@ def _kernel_lattice(g):
         return IntMatrix.identity(n_b), lambda mat: mat  # the standard basis
     dec = smith_normal_form(g.matrix.hstack(g.target.relations).transpose())
     r = len(dec.divisors)
-    ker = IntMatrix._adopt([row[:n_b] for row in dec.U.rows[r:]], n_b).transpose()
+    ker = IntMatrix._adopt([{j: x for j, x in row.items() if j < n_b} for row in dec.U._rows[r:]],
+                           n_b).transpose()
     u_inv = dec.U_inv
     torsion = [d for d in g.target.orders if d]
-    g_torsion_t = IntMatrix([row for row, d in zip(g.matrix.rows, g.target.orders) if d],
-                            n_b).transpose()
+    # transpose copies the rows it reads, so g.matrix keeps its own
+    g_torsion_t = IntMatrix._adopt([row for row, d in zip(g.matrix._rows, g.target.orders) if d],
+                                   n_b).transpose()
 
     def coords(mat):
-        xs = mat.transpose()
-        ws = xs.rows
+        ws = mat.transpose()._rows  # the columns x of mat, extended below by z
         if torsion:
-            ws = []
-            for x, gx in zip(xs.rows, (xs @ g_torsion_t).rows):
-                if any(y % d for y, d in zip(gx, torsion)):
-                    return None
-                ws.append(x + [-y // d for y, d in zip(gx, torsion)])
-        cs = (IntMatrix._adopt(ws, u_inv.nrows) @ u_inv).rows
-        if any(any(c[:r]) for c in cs):
+            gxs = (IntMatrix._adopt(ws, n_b) @ g_torsion_t)._rows
+            for x, gx in zip(ws, gxs):
+                for t, y in gx.items():
+                    z, rem = divmod(-y, torsion[t])
+                    if rem:
+                        return None
+                    x[n_b + t] = z
+        cs = (IntMatrix._adopt(ws, u_inv.nrows) @ u_inv)._rows
+        if any(c and min(c) < r for c in cs):
             return None
-        return IntMatrix._adopt([c[r:] for c in cs], u_inv.nrows - r).transpose()
+        return IntMatrix._adopt([{j - r: x for j, x in c.items()} for c in cs],
+                                u_inv.nrows - r).transpose()
 
     return ker, coords
 
@@ -755,17 +816,18 @@ def is_prime(p):
 
 
 class FieldOps:
-    """Dense linear algebra over Q or F_p: the coefficient ring of the
-    field paths, which pass its free_homology where Z passes the module's.
+    """Linear algebra over Q or F_p: the coefficient ring of the field
+    paths, which pass its free_homology where Z passes the module's.
 
-    Vectors are lists of ints: entries in [0, p) over F_p, integer
-    multiples of the vectors they stand for over Q, where an input row may
-    also hold Fractions that _integers clears.  Elimination is
-    fraction-free (Bareiss): over Q rows are cross-multiplied and divided
-    by the gcd of their entries.  Fractions appear only in rref's rows and
-    in the coordinates that FieldSubquotient returns over Q.
+    Rows are dicts {column: nonzero int}, as in IntMatrix: entries in
+    [0, p) over F_p, integer multiples of the vectors they stand for over
+    Q, where an input row may also hold Fractions that _integers clears.
+    Elimination is fraction-free (Bareiss): over Q rows are
+    cross-multiplied and divided by the gcd of their entries.  Fractions
+    appear only in rref's rows and in the coordinates that
+    FieldSubquotient returns over Q.
 
-    >>> [FieldOps(f).rank([[2, 4], [1, 3]]) for f in ('Q', 2, 3)]
+    >>> [FieldOps(f).rank(IntMatrix([[2, 4], [1, 3]])) for f in ('Q', 2, 3)]
     [2, 1, 2]
     """
 
@@ -777,58 +839,64 @@ class FieldOps:
                 raise LinalgError(f"not a prime: {field!r}")
             self.p = field
 
-    def _integers(self, vec):
-        """(v, s) with vec = v / s and v a list of ints; s = 1 over F_p."""
-        if self.p is not None:
-            return [x % self.p for x in vec], 1
+    def _integers(self, row):
+        """(v, s) with row = v / s and v a new dict of nonzero ints; s = 1
+        over F_p."""
+        p = self.p
+        if p is not None:
+            return {j: y for j, x in row.items() if (y := x % p)}, 1
         # reduce, not lcm(*...) or gcd(*row): the argument tuples of starred
         # calls raised the tracemalloc peak of a field-ladder pass from 1.2
         # to 1.6 MiB
-        s = reduce(math.lcm, [x.denominator for x in vec], 1)
-        return [x.numerator * (s // x.denominator) for x in vec], s
+        s = reduce(math.lcm, [x.denominator for x in row.values()], 1)
+        return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
 
-    def _echelon(self, m, reduced, stop=None):
-        """Eliminate the rows of m in place, in the columns before stop (all
-        by default); returns the pivot columns.
+    def _echelon(self, m, stop, reduced):
+        """Eliminate the rows of m in place, in the columns before stop;
+        returns the pivot columns.
 
-        The pivot rows come first, in pivot order, and zero rows last.
-        With reduced, each pivot column is cleared above its pivot as well
-        as below.  Over F_p the pivot entries are scaled to 1; over Q the
-        rows are ints and each pivot entry is left as it is.
+        Each pivot is the first row, from the next pivot row on, with an
+        entry in the leftmost column that has one there.  The pivot rows
+        come first, in pivot order, and zero rows last.  With reduced,
+        each pivot column is cleared above its pivot as well as below.
+        Over F_p the pivot entries are scaled to 1; over Q the rows are
+        ints and each pivot entry is left as it is.
         """
         p = self.p
         nrows = len(m)
-        ncols = len(m[0]) if m else 0
         pivots = []
         r = 0
-        for col in range(ncols if stop is None else stop):
-            pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        for col in range(stop if nrows else 0):
+            pivot = next((i for i in range(r, nrows) if col in m[i]), None)
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
             prow = m[r]
             if p is not None and prow[col] != 1:
                 inv = pow(prow[col], -1, p)
-                prow = m[r] = [x * inv % p for x in prow]
+                prow = m[r] = {j: x * inv % p for j, x in prow.items()}
             a = prow[col]
-            support = [j for j in range(col, ncols) if prow[j]]
+            # every row from r on, prow too, is zero left of col
             for i in range(0 if reduced else r + 1, nrows):
-                c = m[i][col]
-                if not c or i == r:
-                    continue
                 row = m[i]
+                c = row.get(col)
+                if c is None or i == r:
+                    continue
                 if p is not None:
-                    for j in support:
-                        row[j] = (row[j] - c * prow[j]) % p
+                    for j, y in prow.items():
+                        x = (row.get(j, 0) - c * y) % p
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
                     continue
                 g = math.gcd(a, c)
                 a_g, c_g = a // g, c // g
                 if a_g != 1:
-                    row = [a_g * x for x in row]
-                for j in support:
-                    row[j] -= c_g * prow[j]
-                g = reduce(math.gcd, row, 0)
-                m[i] = [x // g for x in row] if g > 1 else row
+                    row = {j: a_g * x for j, x in row.items()}
+                _axpy(row, prow, -c_g)
+                g = reduce(math.gcd, row.values(), 0)
+                m[i] = {j: x // g for j, x in row.items()} if g > 1 else row
             pivots.append(col)
             r += 1
             if r == nrows:
@@ -836,23 +904,25 @@ class FieldOps:
         return pivots
 
     def rref(self, m):
-        """Reduced row echelon form, returns (rows, pivot column list)."""
-        ints = [self._integers(row)[0] for row in m]
-        pivots = self._echelon(ints, reduced=True)
+        """Reduced row echelon form of the dense rows m, returns (dense
+        rows, pivot column list)."""
+        ncols = len(m[0]) if m else 0
+        ints = [self._integers({j: x for j, x in enumerate(row) if x})[0] for row in m]
+        pivots = self._echelon(ints, ncols, reduced=True)
         if self.p is not None:
-            return ints, pivots
+            return [[row.get(j, 0) for j in range(ncols)] for row in ints], pivots
         zero = Fraction(0)
         out = []
         for row, col in zip(ints, pivots):
             d = row[col]
-            out.append([Fraction(x, d) if x else zero for x in row])
-        out.extend([zero] * len(row) for row in ints[len(pivots):])
+            out.append([Fraction(row[j], d) if j in row else zero for j in range(ncols)])
+        out.extend([zero] * ncols for _ in ints[len(pivots):])
         return out, pivots
 
-    def rank(self, m):
-        if not m or not m[0]:
-            return 0
-        return len(self._echelon([self._integers(row)[0] for row in m], reduced=False))
+    def rank(self, mat):
+        """Rank of the matrix mat over the field."""
+        m = [v for v in (self._integers(row)[0] for row in mat._rows) if v]
+        return len(self._echelon(m, mat.ncols, reduced=False))
 
     def free_homology(self, d_in, d_out):
         """ker(d_out)/im(d_in) over the field, for matrices F^a --d_in-->
@@ -869,32 +939,47 @@ class FieldOps:
         n = d_out.ncols
         if d_in.nrows != n:
             raise LinalgError("d_in and d_out disagree")
-        ints = [self._integers(row)[0] for row in d_out.rows]
-        pivots = self._echelon(ints, reduced=True)
+        ints = [self._integers(row)[0] for row in d_out._rows]
+        pivots = self._echelon(ints, n, reduced=True)
         checks = IntMatrix._adopt(ints[:len(pivots)], n)
+        # a reduced pivot row has no other pivot column, so its other
+        # entries sit in free columns: (entry, pivot entry, pivot column)
+        # per free column
+        terms = defaultdict(list)
+        for row, col in zip(ints, pivots):
+            a = row[col]
+            for f, x in row.items():
+                if f != col:
+                    terms[f].append((x, a, col))
         cycles = []
         for f in sorted(set(range(n)).difference(pivots)):
-            # the least s > 0 that makes every -row[f] * s / row[col] whole;
-            # 1 over F_p, where the pivot entries are 1
-            s = reduce(math.lcm, [row[col] // math.gcd(row[col], row[f])
-                                  for row, col in zip(ints, pivots)], 1)
-            vec = [0] * n
-            vec[f] = s
-            for row, col in zip(ints, pivots):
-                vec[col] = -row[f] * s // row[col]
-            cycles.append([x % p for x in vec] if p else vec)
+            # the least s > 0 that makes every -x * s / a whole; 1 over F_p,
+            # where the pivot entries are 1
+            s = reduce(math.lcm, [a // math.gcd(a, x) for x, a, _ in terms[f]], 1)
+            vec = {f: s}
+            for x, a, col in terms[f]:
+                vec[col] = -x * s // a
+            cycles.append({j: y % p for j, y in vec.items()} if p else vec)
         first = d_in.ncols
         width = first + len(cycles)
         # the identity block goes through _integers too, so that it records
         # the scaling of each row over Q; with no cycles there is nothing to pick
-        m = [self._integers(d_in.rows[i] + [c[i] for c in cycles]
-                            + [int(i == j) for j in range(n)])[0]
-             for i in range(n if cycles else 0)]
-        kept = [(row, col) for row, col in zip(m, self._echelon(m, reduced=True, stop=width))
+        m = []
+        if cycles:
+            rows = [dict(row) for row in d_in._rows]
+            for t, vec in enumerate(cycles):
+                for i, x in vec.items():
+                    rows[i][first + t] = x
+            for i, row in enumerate(rows):
+                row[width + i] = 1
+                m.append(self._integers(row)[0])
+        kept = [(row, col) for row, col in zip(m, self._echelon(m, width, reduced=True))
                 if col >= first]
-        gens = IntMatrix.from_columns([cycles[col - first] for _, col in kept], n)
-        t = IntMatrix._adopt([row[width:] for row, _ in kept], n)
-        return FieldSubquotient(self, gens, checks, t, [row[col] for row, col in kept])
+        gens = IntMatrix.from_entries(n, len(kept), [(i, t, x) for t, (_, col) in enumerate(kept)
+                                                     for i, x in cycles[col - first].items()])
+        t = [{j - width: x for j, x in row.items() if j >= width} for row, _ in kept]
+        return FieldSubquotient(self, gens, checks, IntMatrix._adopt(t, n),
+                                [row[col] for row, col in kept])
 
 
 class FieldSubquotient:
@@ -934,17 +1019,19 @@ class FieldSubquotient:
         mat, one column each: ints in [0, p) over F_p, Fractions over Q.
         Raises LinalgError on a column not a cycle."""
         p = self.ops.p
-        if any(x % p if p else x for row in (self._checks @ mat).rows for x in row):
+        checks = (self._checks @ mat)._rows
+        if any(any(x % p for x in row.values()) if p else row for row in checks):
             raise LinalgError("vector is not a cycle")
-        z = (self._t @ mat).rows
+        z = (self._t @ mat)._rows
         if p:
-            return IntMatrix._adopt([[x % p for x in row] for row in z], mat.ncols)
-        return IntMatrix._adopt([[Fraction(x, d) for x in row]
+            return IntMatrix._adopt([{j: y for j, x in row.items() if (y := x % p)}
+                                     for row in z], mat.ncols)
+        return IntMatrix._adopt([{j: Fraction(x, d) for j, x in row.items()}
                                  for row, d in zip(z, self._pivots)], mat.ncols)
 
     def express(self, vec):
         """express_columns of the one-column matrix vec; over Q, vec may
-        hold Fractions."""
-        v, s = self.ops._integers(vec)
-        coords = self.express_columns(IntMatrix._adopt([[x] for x in v], 1)).column(0)
-        return coords if s == 1 else [x / s for x in coords]
+        hold Fractions, and so does every coordinate returned."""
+        v, s = self.ops._integers({i: x for i, x in enumerate(vec) if x})
+        coords = self.express_columns(_one_column([v.get(i, 0) for i in range(len(vec))]))
+        return coords.column(0) if self.ops.p else [Fraction(x, s) for x in coords.column(0)]

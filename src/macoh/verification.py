@@ -227,7 +227,8 @@ def _square_edge():
     _expect(got, q.mulvec([1, 1, -1, 0, 0]), "d'[u1u2u3v5] of square_edge")
     # d': H^{-3,10} -> H^{-2,8} is an isomorphism of rank-one groups
     top = koszul._descend_dprime(kc)[(3, 5)].matrix
-    _expect([list(map(abs, row)) for row in top.rows], [[1]], "|d'| on H^{-3,10}")
+    _expect((top.shape, [abs(v) for _, _, v in top.entries()]), ((1, 1), [1]),
+            "|d'| on H^{-3,10}")
 
     _expect(hochster.double_cohomology(k).invariants(), DOUBLE_Z2, "HH of square_edge")
 

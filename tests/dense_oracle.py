@@ -1,0 +1,161 @@
+"""Dense integer matrix arithmetic on lists of rows, with a literal Smith
+normal form: the oracle that the sparse IntMatrix operations and the
+eliminations of macoh.linalg are checked against.
+
+A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
+shapes keep their shape.  Nothing here shares code with macoh.linalg.
+"""
+
+from macoh.linalg import IntMatrix
+
+
+class DenseMatrix:
+    def __init__(self, rows, ncols):
+        self.rows = [list(row) for row in rows]
+        self.nrows = len(self.rows)
+        self.ncols = ncols
+        assert all(len(row) == ncols for row in self.rows)
+
+    @classmethod
+    def of(cls, mat):
+        """The dense copy of an IntMatrix."""
+        return cls(mat.rows, mat.ncols)
+
+    @classmethod
+    def zeros(cls, nrows, ncols):
+        return cls([[0] * ncols for _ in range(nrows)], ncols)
+
+    @classmethod
+    def identity(cls, n):
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+    @classmethod
+    def from_columns(cls, columns, nrows):
+        return cls([[c[i] for c in columns] for i in range(nrows)], len(columns))
+
+    @classmethod
+    def from_entries(cls, nrows, ncols, entries):
+        out = cls.zeros(nrows, ncols)
+        for r, c, v in entries:
+            out.rows[r][c] += v
+        return out
+
+    def sparse(self):
+        return IntMatrix(self.rows, self.ncols)
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def entries(self):
+        return [(r, c, v) for r, row in enumerate(self.rows) for c, v in enumerate(row) if v]
+
+    def transpose(self):
+        return DenseMatrix([[row[j] for row in self.rows] for j in range(self.ncols)],
+                           self.nrows)
+
+    def column(self, j):
+        return [row[j] for row in self.rows]
+
+    def hstack(self, other):
+        return DenseMatrix([a + b for a, b in zip(self.rows, other.rows)],
+                           self.ncols + other.ncols)
+
+    def vstack(self, other):
+        return DenseMatrix(self.rows + other.rows, self.ncols)
+
+    def __matmul__(self, other):
+        return DenseMatrix([[sum(row[k] * other.rows[k][j] for k in range(self.ncols))
+                             for j in range(other.ncols)] for row in self.rows], other.ncols)
+
+    def mulvec(self, vec):
+        return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
+
+    def scaled(self, c):
+        return DenseMatrix([[c * x for x in row] for row in self.rows], self.ncols)
+
+    def __add__(self, other):
+        return DenseMatrix([[a + b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def is_zero(self):
+        return all(x == 0 for row in self.rows for x in row)
+
+
+def smith_by_full_scan(a):
+    """Smith normal form of the IntMatrix a with the pivot rule applied
+    literally, on dense rows: every step scans the whole working submatrix
+    for the smallest nonzero |x|, ties by (row, column), and checks the
+    divisibility of the rest whatever the pivot.  Returns (U, S, V, U_inv)
+    as IntMatrix."""
+    m, n = a.nrows, a.ncols
+    s = DenseMatrix.of(a).rows
+    u = DenseMatrix.identity(m).rows
+    ui = DenseMatrix.identity(m).rows
+    v = DenseMatrix.identity(n).rows
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+        for row in ui:
+            row[i], row[j] = row[j], row[i]
+
+    def row_add(i, j, c):
+        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in ui:
+            row[j] -= c * row[i]
+
+    def col_swap(i, j):
+        for row in s + v:
+            row[i], row[j] = row[j], row[i]
+
+    def col_add(i, j, c):
+        for row in s + v:
+            row[i] += c * row[j]
+
+    for t in range(min(m, n)):
+        nonzero = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
+        if not nonzero:
+            break
+        _, bi, bj = min(nonzero)
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        while True:
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+                u[t] = [-x for x in u[t]]
+                for row in ui:
+                    row[t] = -row[t]
+            p = s[t][t]
+            stolen = next((i for i in range(t + 1, m) if s[i][t] % p), None)
+            for i in range(t + 1, m if stolen is None else stolen + 1):
+                if s[i][t] // p:
+                    row_add(i, t, -(s[i][t] // p))
+            if stolen is not None:
+                row_swap(t, stolen)
+                continue
+            stolen = next((j for j in range(t + 1, n) if s[t][j] % p), None)
+            for j in range(t + 1, n if stolen is None else stolen + 1):
+                if s[t][j] // p:
+                    col_add(j, t, -(s[t][j] // p))
+            if stolen is not None:
+                col_swap(t, stolen)
+                continue
+            pull = next((i for i in range(t + 1, m)
+                         if any(s[i][j] % p for j in range(t + 1, n))), None)
+            if pull is None:
+                break
+            row_add(t, pull, 1)
+    return (IntMatrix(u, m), IntMatrix(s, n), IntMatrix(v, n), IntMatrix(ui, m))
+
+
+def smith_divisors_by_full_scan(a):
+    """The nonzero diagonal of smith_by_full_scan(a)."""
+    s = smith_by_full_scan(a)[1].rows
+    return tuple(s[i][i] for i in range(min(a.nrows, a.ncols)) if s[i][i])

@@ -32,7 +32,13 @@ from macoh.hochster import (
     hochster_field,
     hochster_homology,
 )
-from macoh.homology import FieldComplexCohomology, cohomology, homology, reduced_complex
+from macoh.homology import (
+    FaceBases,
+    FieldComplexCohomology,
+    cohomology,
+    homology,
+    reduced_complex,
+)
 from macoh.linalg import (
     FieldOps,
     GroupMorphism,
@@ -304,7 +310,7 @@ def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypa
 
 def test_sweep_results_equal_a_direct_computation_for_every_subset():
     # the sweep computes each distinct subcomplex once and hands the result
-    # to every subset with equal coboundary matrices
+    # to every subset whose full subcomplex relabels onto it
     relabelled = cycle(7).relabeled(dict(zip(range(1, 8), (4, 7, 1, 6, 2, 5, 3))))
     cases = [relabelled, rp2_minimal(), join(cycle(4), cycle(4)),
              random_complex(random.Random(17), 7)]
@@ -330,3 +336,13 @@ def test_sweep_results_equal_a_direct_computation_for_every_subset():
 def test_sweep_shares_results_between_repeated_subcomplexes():
     hd = hochster_cohomology(cycle(8))
     assert len({id(coh) for coh in hd.cohs.values()}) < len(hd.cohs)
+
+
+def test_the_sweep_keeps_bases_and_no_coboundary_matrix():
+    k = cycle(8)
+    for hd in (hochster_cohomology(k), hochster_homology(k), hochster_field(k, 2)):
+        assert len(hd.cxs) == 1 << k.m
+        for mask, cx in hd.cxs.items():
+            # a FaceBases has the fields support and bases only, and no coboundary
+            assert type(cx) is FaceBases and not hasattr(cx, "coboundary")
+            assert vars(cx) == {"support": mask, "bases": k.faces_within(mask)}

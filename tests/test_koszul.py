@@ -115,8 +115,7 @@ def test_descended_dprime_failure_names_the_displayed_bidegree(monkeypatch):
     def faulty(rc, layers):
         out = original(rc, layers)
         for b in ((3, 4), (2, 3)):  # (3,4) -> (2,3) -> (1,2) is a chain on two_squares
-            out[b] = IntMatrix.zeros(out[b].nrows, out[b].ncols)
-            out[b].rows[0][0] = 1
+            out[b] = IntMatrix.from_entries(out[b].nrows, out[b].ncols, [(0, 0, 1)])
         return out
 
     monkeypatch.setattr(koszul, "_class_dprime", faulty)

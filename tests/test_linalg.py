@@ -84,8 +84,8 @@ def test_matmul_and_stacking():
 
 
 def test_results_on_fresh_rows_share_no_row_with_their_operands():
-    # these results adopt the rows they build without a copy, so writing
-    # into one must leave every operand as it was
+    # these results adopt the row dicts they build without a copy, so
+    # writing into the stored rows of one must leave every operand as it was
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
     cols = [[5, 6], [7, 8]]
@@ -97,15 +97,19 @@ def test_results_on_fresh_rows_share_no_row_with_their_operands():
                a.vstack(b), smith_normal_form(a).S]
     results += [sq.express_columns(cycles) for sq in field_groups]
     for result in results:
-        for row in result.rows:
-            row[0] += 100
-    assert a.rows == [[1, 2], [3, 4]] and b.rows == [[0, 1], [1, 0]]
-    assert cols == [[5, 6], [7, 8]] and cycles.rows == [[1, 0], [0, 1]]
+        for row in result._rows:
+            row[0] = row.get(0, 0) + 100
+    assert a == IntMatrix([[1, 2], [3, 4]]) and b == IntMatrix([[0, 1], [1, 0]])
+    assert cols == [[5, 6], [7, 8]] and cycles == IntMatrix([[1, 0], [0, 1]])
     for sq in field_groups:
-        assert sq.express_columns(cycles).rows == [[1, 0], [0, 1]]
+        assert sq.express_columns(cycles) == IntMatrix([[1, 0], [0, 1]])
     zeros = IntMatrix.zeros(2, 2)
-    zeros.rows[0][0] = 1
-    assert zeros.rows[1] == [0, 0]
+    zeros._rows[0][0] = 1
+    assert zeros._rows[1] == {}
+    # the dense rows are a copy: writing into them changes nothing
+    view = a.rows
+    view[0][0] = 9
+    assert a.rows == [[1, 2], [3, 4]]
 
 
 def test_smith_of_diag_2_3_is_diag_1_6():
@@ -285,10 +289,10 @@ def test_generator_lifting_random_complexes():
 
 
 def test_field_rank_q_vs_fp():
-    a = [[2, 4], [1, 2]]
+    a = IntMatrix([[2, 4], [1, 2]])
     assert FieldOps("Q").rank(a) == 1
     assert FieldOps(2).rank(a) == 1
-    b = [[2]]
+    b = IntMatrix([[2]])
     assert FieldOps("Q").rank(b) == 1
     assert FieldOps(2).rank(b) == 0
     assert FieldOps(3).rank(b) == 1
@@ -323,12 +327,12 @@ def test_field_rank_matches_smith_rank_over_q():
             a = IntMatrix([[x * rng.choice((2, 3, 5)) for x in row] if rng.random() < 0.5
                            else row for row in a.rows], a.ncols)
         dec = smith_normal_form(a)
-        assert FieldOps("Q").rank(a.rows) == dec.rank
+        assert FieldOps("Q").rank(a) == dec.rank
         for p in (2, 3, 5):
-            assert FieldOps(p).rank(a.rows) == dec.rank - sum(1 for d in dec.divisors if d % p == 0)
+            assert FieldOps(p).rank(a) == dec.rank - sum(1 for d in dec.divisors if d % p == 0)
     # a torsion-only example where the ranks differ
     a = IntMatrix([[2, 0, 0], [0, 6, 0], [0, 0, 15]])
-    assert [FieldOps(f).rank(a.rows) for f in ("Q", 2, 3, 5)] == [3, 1, 1, 2]
+    assert [FieldOps(f).rank(a) for f in ("Q", 2, 3, 5)] == [3, 1, 1, 2]
 
 
 def test_field_ops_kernel_and_solve():

@@ -8,6 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import (
+    DenseMatrix,
+    smith_by_full_scan,
+    smith_divisors_by_full_scan,
+)
 from macoh import linalg
 from macoh.complexes import cycle
 from macoh.hochster import hochster_cohomology, hochster_field
@@ -58,76 +63,6 @@ def test_smith_transforms_and_divisor_chain(a):
     assert all(big % small == 0 for small, big in zip(dec.divisors, dec.divisors[1:]))
 
 
-def _smith_by_full_scan(a):
-    """Smith normal form with the pivot rule applied literally: every step
-    scans the whole working submatrix for the smallest nonzero |x|, ties
-    by (row, column), and checks the divisibility of the rest whatever the
-    pivot.  The oracle for the early stops of smith_normal_form.
-    Returns (U, S, V, U_inv)."""
-    m, n = a.nrows, a.ncols
-    s = [row[:] for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ui = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-        for row in ui:
-            row[i], row[j] = row[j], row[i]
-
-    def row_add(i, j, c):
-        s[i] = [x + c * y for x, y in zip(s[i], s[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for row in ui:
-            row[j] -= c * row[i]
-
-    def col_swap(i, j):
-        for row in s + v:
-            row[i], row[j] = row[j], row[i]
-
-    def col_add(i, j, c):
-        for row in s + v:
-            row[i] += c * row[j]
-
-    for t in range(min(m, n)):
-        nonzero = [(abs(s[i][j]), i, j) for i in range(t, m) for j in range(t, n) if s[i][j]]
-        if not nonzero:
-            break
-        _, bi, bj = min(nonzero)
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        while True:
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-                for row in ui:
-                    row[t] = -row[t]
-            p = s[t][t]
-            stolen = next((i for i in range(t + 1, m) if s[i][t] % p), None)
-            for i in range(t + 1, m if stolen is None else stolen + 1):
-                if s[i][t] // p:
-                    row_add(i, t, -(s[i][t] // p))
-            if stolen is not None:
-                row_swap(t, stolen)
-                continue
-            stolen = next((j for j in range(t + 1, n) if s[t][j] % p), None)
-            for j in range(t + 1, n if stolen is None else stolen + 1):
-                if s[t][j] // p:
-                    col_add(j, t, -(s[t][j] // p))
-            if stolen is not None:
-                col_swap(t, stolen)
-                continue
-            pull = next((i for i in range(t + 1, m)
-                         if any(s[i][j] % p for j in range(t + 1, n))), None)
-            if pull is None:
-                break
-            row_add(t, pull, 1)
-    return (IntMatrix(u, m), IntMatrix(s, n), IntMatrix(v, n), IntMatrix(ui, m))
-
-
 unit_rich = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -4, 6))
 
 
@@ -149,7 +84,7 @@ def unit_rich_matrices(draw):
 
 def _assert_same_as_full_scan(a):
     dec = smith_normal_form(a)
-    assert (dec.U, dec.S, dec.V, dec.U_inv) == _smith_by_full_scan(a)
+    assert (dec.U, dec.S, dec.V, dec.U_inv) == smith_by_full_scan(a)
 
 
 @PROPERTY
@@ -173,7 +108,7 @@ def test_smith_early_stops_match_the_full_scan_on_sparse_unit_matrices():
 @example(IntMatrix([[2, 4], [6, 8]]))
 @example(IntMatrix([[0, 0, 3], [0, 0, 0], [5, 0, 0]]))
 def test_smith_divisors_match_the_dense_smith_form(a):
-    assert smith_divisors(a) == smith_normal_form(a).divisors
+    assert smith_divisors(a) == smith_normal_form(a).divisors == smith_divisors_by_full_scan(a)
 
 
 def _well_defined_step(d, e):
@@ -367,6 +302,58 @@ def test_matmul_matches_the_triple_sum(n, k, m, data):
     assert a @ b == IntMatrix(naive, m)
 
 
+def _same(sparse, dense):
+    """sparse, an IntMatrix, holds the entries of the DenseMatrix dense."""
+    assert sparse.shape == dense.shape
+    assert sparse.rows == dense.rows
+    assert sparse == dense.sparse()
+    assert list(sparse.entries()) == dense.entries()
+    assert sparse.is_zero() == dense.is_zero()
+
+
+def _check_against_the_dense_oracle(a, b, c, vec):
+    """Every IntMatrix operation on a, b (n x k) and c (k x m) against the
+    dense oracle; vec has k entries."""
+    da, db, dc = (DenseMatrix.of(x) for x in (a, b, c))
+    _same(a, da)
+    _same(a @ c, da @ dc)
+    _same(a + b, da + db)
+    _same(a - b, da - db)
+    _same(a - a, da - da)  # every entry cancels
+    for s in (0, 1, -2):
+        _same(a.scaled(s), da.scaled(s))
+    _same(a.transpose(), da.transpose())
+    _same(a.hstack(b), da.hstack(db))
+    _same(a.vstack(b), da.vstack(db))
+    columns = [a.column(j) for j in range(a.ncols)]
+    assert columns == [da.column(j) for j in range(a.ncols)]
+    _same(IntMatrix.from_columns(columns, a.nrows), DenseMatrix.from_columns(columns, a.nrows))
+    _same(IntMatrix.from_entries(*a.shape, da.entries() + db.entries()), da + db)
+    assert a.mulvec(vec) == da.mulvec(vec)
+    assert (a == b) == (da.rows == db.rows)
+    _same(IntMatrix.zeros(*a.shape), DenseMatrix.zeros(*a.shape))
+    _same(IntMatrix.identity(a.nrows), DenseMatrix.identity(a.nrows))
+
+
+@PROPERTY
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_sparse_operations_match_the_dense_oracle(n, k, m, data):
+    a, b = data.draw(sparse_matrix(n, k)), data.draw(sparse_matrix(n, k))
+    c = data.draw(sparse_matrix(k, m))
+    vec = data.draw(st.lists(sparse_entries, min_size=k, max_size=k))
+    _check_against_the_dense_oracle(a, b, c, vec)
+
+
+def test_sparse_operations_match_the_dense_oracle_on_empty_shapes():
+    rng = random.Random(3)
+    for n, k, m in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 0, 0), (0, 2, 0)):
+        def draw(nrows, ncols):
+            return IntMatrix([[rng.choice((0, 1, -1, 2)) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+        a, b, c = draw(n, k), draw(n, k), draw(k, m)
+        _check_against_the_dense_oracle(a, b, c, [rng.randint(-2, 2) for _ in range(k)])
+
+
 @st.composite
 def entry_lists(draw):
     """(nrows, ncols, triples) with repeated positions and values that cancel."""
@@ -398,6 +385,21 @@ def test_from_entries_matches_a_dense_accumulation(case):
     assert mat == IntMatrix(dense, ncols)
     assert list(mat.entries()) == [(r, c, v) for r, row in enumerate(dense)
                                    for c, v in enumerate(row) if v]
+
+
+@PROPERTY
+@given(entry_lists(), st.randoms(use_true_random=False))
+def test_equal_matrices_built_in_different_entry_orders_compare_and_hash_equal(case, rnd):
+    nrows, ncols, triples = case
+    shuffled = triples[:]
+    rnd.shuffle(shuffled)
+    a = IntMatrix.from_entries(nrows, ncols, triples)
+    b = IntMatrix.from_entries(nrows, ncols, shuffled)
+    dense = DenseMatrix.from_entries(nrows, ncols, triples).sparse()
+    # the transpose of the transpose has its rows in column order
+    for other in (b, dense, a.transpose().transpose(), b + IntMatrix.zeros(nrows, ncols)):
+        assert a == other
+        assert hash(a) == hash(other)
 
 
 @PROPERTY
@@ -549,7 +551,7 @@ def test_field_rref_matches_naive_gauss_jordan(data):
         assert rows == expected_rows
         if field == "Q":
             assert all(type(x) is Fraction for row in rows for x in row)
-        assert ops.rank(m) == len(pivots)
+        assert ops.rank(IntMatrix(m)) == len(pivots)
 
 
 def test_field_rref_is_exact_on_dense_rows_with_large_entries():
