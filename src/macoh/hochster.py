@@ -66,12 +66,15 @@ class HochsterDecomposition:
     field is None over Z, else "Q" or a prime p, with ops its FieldOps;
     over a field every generator is free, so invariants() gives
     (dimension, ()) per bidegree.  cxs holds the FaceBases of every
-    subset, cohs its (co)homology.
+    subset, cohs its (co)homology, and classes its class: an int, the
+    same for two subsets exactly when _sweep gave them one (co)homology
+    object, which _moves reads to share d' blocks.
     """
 
-    __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "layouts")
+    __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "classes",
+                 "layouts")
 
-    def __init__(self, complex_, support, side, field, ops, cxs, cohs, layouts):
+    def __init__(self, complex_, support, side, field, ops, cxs, cohs, classes, layouts):
         self.complex = complex_
         self.support = support
         self.side = side  # "cohomology" or "homology"
@@ -79,6 +82,7 @@ class HochsterDecomposition:
         self.ops = ops
         self.cxs = cxs
         self.cohs = cohs
+        self.classes = classes
         self.layouts = layouts
 
     def bidegrees(self):
@@ -117,29 +121,35 @@ def _relabelled_faces(bases):
 
 
 def _sweep(k, support, compute):
-    """FaceBases and compute(reduced complex) for every subset of support.
+    """FaceBases, compute(reduced complex) and the class of every subset
+    of support.
 
     Subsets whose full subcomplexes are equal after an order-preserving
-    relabelling of their vertices share one result object, computed once
-    on the first one's reduced complex.  Such a relabelling keeps the
-    ascending-mask bases and every sign_eps, so it keeps the coboundary
-    matrices, and equal matrices give an identical computation.  The
-    key is read off the faces, so a repeat builds no matrix, and only
-    the bases are kept.
+    relabelling of their vertices form a class and share one result
+    object, computed once on the first one's reduced complex.  Such a
+    relabelling keeps the ascending-mask bases and every sign_eps, so it
+    keeps the coboundary matrices, and equal matrices give an identical
+    computation.  The key is read off the faces, so a repeat builds no
+    matrix, and only the bases are kept.  A class is recorded as its int
+    index in the table of computed results, not as its key.
     """
     cxs = {}
     cohs = {}
-    computed = {}
+    classes = {}
+    computed = {}  # key -> class index into results
+    results = []
     for mask in range(support + 1):
         if mask & ~support == 0:
             faces = k.faces_within(mask)
             cxs[mask] = FaceBases(mask, faces)
             key = _relabelled_faces(faces)
-            coh = computed.get(key)
-            if coh is None:
-                coh = computed[key] = compute(reduced_complex(k, mask, faces))
-            cohs[mask] = coh
-    return cxs, cohs
+            index = computed.get(key)
+            if index is None:
+                index = computed[key] = len(results)
+                results.append(compute(reduced_complex(k, mask, faces)))
+            classes[mask] = index
+            cohs[mask] = results[index]
+    return cxs, cohs, classes
 
 
 def _summands(cohs):
@@ -163,12 +173,12 @@ def _decompose(k, support, side, field=None):
         compute = cohomology if side == "cohomology" else homology
     else:
         compute = partial(FieldComplexCohomology, ops=ops, side=side)
-    cxs, cohs = _sweep(k, support, compute)
+    cxs, cohs, classes = _sweep(k, support, compute)
     layouts = {}
     for b, summands in _summands(cohs).items():
         group = PresentedGroup(d for s in summands for d in s.group.orders)
         layouts[b] = BidegreeLayout(summands=summands, group=group)
-    return HochsterDecomposition(k, support, side, field, ops, cxs, cohs, layouts)
+    return HochsterDecomposition(k, support, side, field, ops, cxs, cohs, classes, layouts)
 
 
 def hochster_cohomology(k, support=None):
@@ -196,15 +206,26 @@ def _next_bidegree(b, side):
     return (b[0] + dk, b[1] + dl)
 
 
-def _moves(hd, summand, dst_index, sign_fault=False):
+def _moves(hd, summand, dst_index, memo, sign_fault=False):
     """The d' blocks out of one summand: (sign, target summand, class
     matrix) per vertex move whose subset has a summand in dst_index.
 
     Cohomology removes a vertex of the subset and restricts cochains;
     homology adds a vertex of the support and includes chains.
+
+    The class matrix depends only on the class of the larger subset (the
+    subset itself on the cohomology side, the one with the vertex added
+    on the homology side), the position of the moved vertex among its
+    vertices (K has no ghost vertices, so those of K_I are I) and the
+    degree.  An order-preserving relabelling of the larger subset
+    carries the smaller one, both bases and the chain matrix along, and
+    both subsets keep their (co)homology objects.  So memo, one dict per
+    _connecting call, keeps each class matrix under that triple; the
+    sign stays outside it.
     """
     mask, p = summand.mask, summand.degree
-    if hd.side == "cohomology":
+    cohomology_side = hd.side == "cohomology"
+    if cohomology_side:
         moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
         chain_matrix = restriction_matrix
     else:
@@ -219,8 +240,13 @@ def _moves(hd, summand, dst_index, sign_fault=False):
         else:
             sign = sign_eps(vertex, mask)
             sign = -sign if (p + 1) & 1 else sign
-        chain = chain_matrix(hd.cxs[mask], hd.cxs[other], p)
-        yield sign, target, induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
+        larger = mask if cohomology_side else other
+        key = (hd.classes[larger], (larger & ((1 << (vertex - 1)) - 1)).bit_count(), p)
+        block = memo.get(key)
+        if block is None:
+            chain = chain_matrix(hd.cxs[mask], hd.cxs[other], p)
+            block = memo[key] = induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
+        yield sign, target, block
 
 
 def _assemble(src_layout, dst_layout, blocks):
@@ -241,7 +267,7 @@ def _connecting(hd, sign_fault=False):
     """d' per source bidegree over the ring of hd, into the adjacent
     bidegree (no rows when that is zero).  Over F_p the entries stay
     unreduced: FieldOps.rank, their only reader there, reduces them."""
-    blocks = partial(_moves, hd, sign_fault=sign_fault)
+    blocks = partial(_moves, hd, memo={}, sign_fault=sign_fault)
     return {b: _assemble(hd.layouts[b], hd.layouts.get(_next_bidegree(b, hd.side)), blocks)
             for b in hd.bidegrees()}
 

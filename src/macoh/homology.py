@@ -17,7 +17,7 @@ inclusion into a larger subset is the dual injection on chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .complexes import sign_eps
@@ -59,6 +59,7 @@ class ReducedComplex(FaceBases):
     coboundaries[q] mapping q-cochains to (q+1)-cochains."""
 
     coboundaries: list
+    _boundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def coboundary(self, p):
         """Matrix of d: C^p -> C^{p+1}."""
@@ -70,8 +71,14 @@ class ReducedComplex(FaceBases):
         return IntMatrix.zeros(rows, cols)
 
     def boundary(self, p):
-        """Matrix of the transpose operator C_p -> C_{p-1} on chains."""
-        return self.coboundary(p - 1).transpose()
+        """Matrix of the transpose operator C_p -> C_{p-1} on chains, built
+        on the first call for p and returned again after, so that the
+        homology side, like the cohomology side, hands homology_of_pair
+        one matrix object per differential."""
+        mat = self._boundaries.get(p)
+        if mat is None:
+            mat = self._boundaries[p] = self.coboundary(p - 1).transpose()
+        return mat
 
     def differentials(self, p, side):
         """(incoming, outgoing) matrices at degree p: coboundaries on the

@@ -47,11 +47,18 @@ class IntMatrix:
     row dicts they build (_adopt).  No operation writes into the rows of
     an operand.
 
+    A matrix is written only by the function that builds it, and never
+    after that function hands it out.  So what is read off a matrix holds
+    for its lifetime: smith_divisors keeps its result in the slot
+    _divisors (None until the first call), and a differential that is the
+    outgoing map at one spot and the incoming one at the next is
+    eliminated once.
+
     >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2) == IntMatrix([[1, 2], [3, 4]])
     True
     """
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols", "_divisors")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(list, rows))
@@ -67,13 +74,14 @@ class IntMatrix:
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         self.nrows = len(rows)
         self.ncols = ncols
+        self._divisors = None
 
     @classmethod
     def _adopt(cls, rows, ncols):
         """The matrix on row dicts that nothing else holds and that have no
         zero entry: no copy, no check."""
         mat = cls.__new__(cls)
-        mat._rows, mat.nrows, mat.ncols = rows, len(rows), ncols
+        mat._rows, mat.nrows, mat.ncols, mat._divisors = rows, len(rows), ncols, None
         return mat
 
     @classmethod
@@ -384,6 +392,22 @@ def smith_normal_form(a):
 def smith_divisors(a):
     """The divisors of smith_normal_form(a), without its transforms.
 
+    The first call eliminates a (_eliminate_units) and keeps the result
+    on a, in its _divisors slot; later calls return it.  No matrix is
+    written after it is handed out (see IntMatrix), so the kept result
+    stays that of a.
+
+    >>> smith_divisors(IntMatrix([[0, 2, 0], [1, 4, 0], [-1, 0, 6]]))
+    (1, 2, 6)
+    """
+    if a._divisors is None:
+        a._divisors = _eliminate_units(a)
+    return a._divisors
+
+
+def _eliminate_units(a):
+    """The divisors of smith_normal_form(a), by unit pivots first.
+
     Each step takes the first entry of absolute value 1 in row-major
     order as pivot and clears its column in the other rows.  Column
     operations then clear the pivot row without touching the others, so
@@ -391,9 +415,6 @@ def smith_divisors(a):
     Rows that become zero are dropped as they appear, zero columns at
     the end, and smith_normal_form gives the divisors of what is left,
     also when nothing is.
-
-    >>> smith_divisors(IntMatrix([[0, 2, 0], [1, 4, 0], [-1, 0, 6]]))
-    (1, 2, 6)
     """
     rows = [dict(row) for row in a._rows if row]
     units = 0

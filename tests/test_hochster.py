@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from macoh import hochster
 from macoh.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -14,10 +15,13 @@ from macoh.complexes import (
     mask_of,
     random_complex,
     rp2_minimal,
+    sign_eps,
     simplex,
     square_edge,
     two_squares,
     two_triangles,
+    vertices_of,
+    zoo,
 )
 from macoh.errors import VerificationError
 from macoh.hochster import (
@@ -37,11 +41,15 @@ from macoh.homology import (
     FieldComplexCohomology,
     cohomology,
     homology,
+    induced_map,
+    inclusion_matrix,
     reduced_complex,
+    restriction_matrix,
 )
 from macoh.linalg import (
     FieldOps,
     GroupMorphism,
+    IntMatrix,
     PresentedGroup,
     homology_of_pair,
     kernel_subgroup,
@@ -346,3 +354,59 @@ def test_the_sweep_keeps_bases_and_no_coboundary_matrix():
             # a FaceBases has the fields support and bases only, and no coboundary
             assert type(cx) is FaceBases and not hasattr(cx, "coboundary")
             assert vars(cx) == {"support": mask, "bases": k.faces_within(mask)}
+
+
+def _dprime_block_by_block(hd):
+    """(d' of hd per source bidegree, number of blocks), with one
+    induced_map call for every vertex move of every summand: the
+    assembly that _moves memoises."""
+    cohomology_side = hd.side == "cohomology"
+    step = -1 if cohomology_side else 1
+    out = {}
+    n_blocks = 0
+    for (kk, l), layout in hd.layouts.items():
+        dst = hd.layouts.get((kk + step, l + step))
+        dst_index = {s.mask: s for s in dst.summands} if dst else {}
+        entries = []
+        for s in layout.summands:
+            mask, p = s.mask, s.degree
+            if cohomology_side:
+                moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
+            else:
+                moves = [(v, mask | (1 << (v - 1))) for v in vertices_of(hd.support & ~mask)]
+            for v, other in moves:
+                target = dst_index.get(other)
+                if target is None:
+                    continue
+                sign = sign_eps(v, mask) * (-1) ** (p + 1)
+                chain = (restriction_matrix(hd.cxs[mask], hd.cxs[other], p) if cohomology_side
+                         else inclusion_matrix(hd.cxs[mask], hd.cxs[other], p))
+                block = induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
+                n_blocks += 1
+                entries.extend((target.offset + r, s.offset + c, sign * x)
+                               for r, c, x in block.entries())
+        out[(kk, l)] = IntMatrix.from_entries(dst.group.n_gens if dst else 0,
+                                              layout.group.n_gens, entries)
+    return out, n_blocks
+
+
+@pytest.mark.parametrize("field", [None, 2], ids=["Z", "F_2"])
+@pytest.mark.parametrize("side", ["cohomology", "homology"])
+def test_memoised_dprime_equals_the_block_by_block_assembly(monkeypatch, side, field):
+    calls = []
+    monkeypatch.setattr(hochster, "induced_map",
+                        lambda *args: calls.append(1) or induced_map(*args))
+    # a square, an edge and a point: subsets with classes in degrees 0 and 1
+    # both, whose blocks differ in shape
+    apart = SimplicialComplex.from_maximal_faces(7, [[1, 2], [2, 3], [3, 4], [1, 4], [5, 6]])
+    for name, k in zoo() + [("square|edge|point", apart), ("cycle:8", cycle(8))]:
+        hd = hochster._decompose(k, k.full_mask(), side, field)
+        # one class index per (co)homology object of the sweep
+        assert (len(set(hd.classes.values())) == len({id(c) for c in hd.cohs.values()})
+                == len({(hd.classes[mask], id(c)) for mask, c in hd.cohs.items()})), name
+        del calls[:]
+        memoised = _connecting(hd)
+        expected, n_blocks = _dprime_block_by_block(hd)
+        assert memoised == expected, name
+    # the 672 blocks of cycle:8 fall into 228 classes, on either side
+    assert (len(calls), n_blocks) == (228, 672)

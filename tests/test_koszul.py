@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from macoh import complexes, hochster, koszul
+from macoh import complexes, hochster, koszul, linalg
 from macoh.errors import VerificationError
 from macoh.linalg import IntMatrix, SmithSolver, smith_normal_form
 
@@ -326,6 +326,48 @@ def test_each_dprime_composite_is_multiplied_once(monkeypatch, run):
     run()
     pairs = [(id(left), id(right)) for left, right in operands]
     assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: hochster.hochster_cohomology(complexes.rp2_minimal()).invariants(),
+    lambda: hochster.hochster_homology(complexes.rp2_minimal()).invariants(),
+    lambda: hochster.double_cohomology(complexes.cycle(6)),
+    lambda: hochster.double_homology(complexes.two_squares()),
+    lambda: koszul.cohomology_via_koszul(complexes.two_squares()),
+], ids=["H cohomology rp2", "H homology rp2", "HH cycle:6", "HH_* two_squares",
+        "Koszul H two_squares"])
+def test_each_differential_is_eliminated_once(monkeypatch, run):
+    # a differential is the outgoing map at one spot and the incoming map
+    # at the next, and smith_divisors keeps its result on the matrix
+    operands = _eliminated(monkeypatch, run)
+    ids = [id(a) for a in operands]
+    assert operands and len(set(ids)) == len(ids)
+
+
+def _eliminated(monkeypatch, run):
+    """The matrices that reach the elimination of smith_divisors in run(),
+    held, so that no id is reused."""
+    real = linalg._eliminate_units
+    operands = []
+
+    def recording(a):
+        operands.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_eliminate_units", recording)
+    run()
+    monkeypatch.undo()
+    return operands
+
+
+@pytest.mark.parametrize("k", [complexes.rp2_minimal(), complexes.two_squares()],
+                         ids=["rp2", "two_squares"])
+def test_the_homology_side_eliminates_as_many_matrices_as_the_cohomology_side(monkeypatch, k):
+    # each boundary is built once, as each coboundary is, so the transposed
+    # differentials are not eliminated again under a new id
+    cohomology = _eliminated(monkeypatch, lambda: hochster.hochster_cohomology(k).invariants())
+    homology = _eliminated(monkeypatch, lambda: hochster.hochster_homology(k).invariants())
+    assert len(homology) == len(cohomology)
 
 
 def test_product_is_graded_commutative_and_d_is_a_derivation():

@@ -111,6 +111,18 @@ def test_smith_divisors_match_the_dense_smith_form(a):
     assert smith_divisors(a) == smith_normal_form(a).divisors == smith_divisors_by_full_scan(a)
 
 
+@PROPERTY
+@given(st.one_of(unit_rich_matrices(), matrices(max_rows=6, max_cols=6)))
+@example(IntMatrix.zeros(0, 3))
+@example(IntMatrix([[2, 4], [6, 8]]))
+def test_smith_divisors_read_twice_match_the_dense_oracle(a):
+    expected = smith_divisors_by_full_scan(a)
+    assert smith_divisors(a) == expected
+    assert smith_divisors(a) == expected
+    # a matrix built from a has a slot of its own
+    assert smith_divisors(a.scaled(2)) == tuple(2 * d for d in expected)
+
+
 def _well_defined_step(d, e):
     """Smallest x > 0 with d * x in e * Z, or 0 when only x = 0 works."""
     if d == 0:
