@@ -98,6 +98,16 @@ def sign_eps_set(lmask, imask):
     return sign
 
 
+def _object_once(pairs):
+    """The dict of one JSON object; a key given twice is an input error."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ComplexError(f"invalid JSON: key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
 class SimplicialComplex:
     """Simplicial complex given by maximal faces, closed downward implicitly."""
 
@@ -321,7 +331,7 @@ class SimplicialComplex:
     @classmethod
     def from_json(cls, text):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_object_once)
         except json.JSONDecodeError as exc:
             raise ComplexError(f"invalid JSON: {exc}")
         except RecursionError:

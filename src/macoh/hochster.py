@@ -66,9 +66,9 @@ class HochsterDecomposition:
     field is None over Z, else "Q" or a prime p, with ops its FieldOps;
     over a field every generator is free, so invariants() gives
     (dimension, ()) per bidegree.  cxs holds the FaceBases of every
-    subset, cohs its (co)homology, and classes its class: an int, the
-    same for two subsets exactly when _sweep gave them one (co)homology
-    object, which _moves reads to share d' blocks.
+    subset, cohs its (co)homology, and classes its class index from
+    _sweep, the same for two subsets exactly when they share one
+    (co)homology object, which _moves reads to share d' blocks.
     """
 
     __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "classes",
@@ -103,53 +103,53 @@ def _support(k, support):
     return k.full_mask() if support is None else k.vertex_mask(support)
 
 
-def _relabelled_faces(bases):
-    """(number of vertices, the faces with two or more vertices) of bases,
-    in basis order, each face relabelled onto the vertices of bases in
-    their order: the i-th smallest vertex becomes bit i."""
-    bit = {v: 1 << i for i, v in enumerate(bases[1])} if len(bases) > 1 else {}
-    out = []
-    for group in bases[2:]:
-        for face in group:
-            mask = 0
-            while face:
-                low = face & -face
-                face ^= low
-                mask |= bit[low]
-            out.append(mask)
-    return len(bit), tuple(out)
-
-
 def _sweep(k, support, compute):
     """FaceBases, compute(reduced complex) and the class of every subset
     of support.
 
-    Subsets whose full subcomplexes are equal after an order-preserving
-    relabelling of their vertices form a class and share one result
-    object, computed once on the first one's reduced complex.  Such a
-    relabelling keeps the ascending-mask bases and every sign_eps, so it
-    keeps the coboundary matrices, and equal matrices give an identical
-    computation.  The key is read off the faces, so a repeat builds no
-    matrix, and only the bases are kept.  A class is recorded as its int
-    index in the table of computed results, not as its key.
+    Subsets come in ascending mask order, each I after P = I - t, t its
+    highest vertex.  The faces of K_I with q + 1 vertices are those of P,
+    then f | t for the link faces f of P with q vertices (f | t in K),
+    already ascending as t exceeds every vertex of P.
+
+    Subsets whose full subcomplexes agree under an order-preserving
+    relabelling form a class and share one result object, computed on the
+    first one's reduced complex: the relabelling keeps the bases and every
+    sign_eps, so the coboundary matrices.  It sends t to t, P onto P and
+    each link face to the one at its position in P's bases, so the key
+    (class of P, those positions) names the class.  A repeat builds no
+    matrix, only the bases are kept, and a class is its index in results.
     """
-    cxs = {}
-    cohs = {}
-    classes = {}
-    computed = {}  # key -> class index into results
-    results = []
-    for mask in range(support + 1):
-        if mask & ~support == 0:
-            faces = k.faces_within(mask)
-            cxs[mask] = FaceBases(mask, faces)
-            key = _relabelled_faces(faces)
-            index = computed.get(key)
-            if index is None:
-                index = computed[key] = len(results)
-                results.append(compute(reduced_complex(k, mask, faces)))
-            classes[mask] = index
-            cohs[mask] = results[index]
-    return cxs, cohs, classes
+    faces = k.faces
+    cxs, cohs, classes = {}, {}, {}
+    computed, results = {}, []  # key -> class index into results
+    mask, bases, key = 0, [[0]], None  # the empty set, then each I from its P
+    while True:
+        cxs[mask] = FaceBases(mask, bases)
+        index = computed.get(key)
+        if index is None:
+            index = computed[key] = len(results)
+            results.append(compute(reduced_complex(k, mask, bases)))
+        classes[mask] = index
+        cohs[mask] = results[index]
+        if mask == support:
+            return cxs, cohs, classes
+        mask = (mask - support) & support  # the next submask of support
+        top = 1 << (mask.bit_length() - 1)
+        below = cxs[mask ^ top].bases
+        link, raised, position = [], [], 0
+        for group in below:
+            up = []
+            for f in group:
+                if f | top in faces:
+                    up.append(f | top)
+                    link.append(position)
+                position += 1
+            raised.append(up)
+        bases = [a + b for a, b in zip(below + [[]], [[]] + raised)]
+        if not bases[-1]:  # no link face of P's top cardinality
+            bases.pop()
+        key = (classes[mask ^ top], tuple(link))
 
 
 def _summands(cohs):

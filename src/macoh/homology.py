@@ -24,7 +24,6 @@ from .complexes import sign_eps
 from .linalg import (
     GroupMorphism,
     IntMatrix,
-    LinalgError,
     PresentedGroup,
     free_homology,
     kernel_subgroup,
@@ -219,24 +218,6 @@ def top_classes(k, coh=None):
             cocycle = src.gens.mulvec(coords)
             out.append((p, vanish.orders[j], coords, cocycle))
     return out
-
-
-def uct_consistency(cx):
-    """Universal coefficients sanity data: for each degree p, cohomology
-    rank equals homology rank and cohomology torsion equals homology
-    torsion one degree down. Returns True or raises LinalgError."""
-    co = cohomology(cx)
-    ho = homology(cx)
-    degrees = set(co.degrees()) | set(ho.degrees())
-    for p in degrees:
-        c_rank, c_tors = co.invariants(p)
-        h_rank, _ = ho.invariants(p)
-        _, h_tors_below = ho.invariants(p - 1)
-        if c_rank != h_rank or c_tors != h_tors_below:
-            raise LinalgError(
-                f"universal coefficients mismatch in degree {p}: "
-                f"H^ = {(c_rank, c_tors)}, H_ = {(h_rank, h_tors_below)}")
-    return True
 
 
 class FieldComplexCohomology(ComplexCohomology):

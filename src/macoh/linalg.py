@@ -258,6 +258,9 @@ class SmithDecomposition:
     divisors: tuple
 
 
+_EMPTY_SMITH = SmithDecomposition(*[IntMatrix.zeros(0, 0)] * 4, rank=0, divisors=())
+
+
 def smith_normal_form(a):
     """Smith normal form with transforms, deterministic pivoting.
 
@@ -267,10 +270,14 @@ def smith_normal_form(a):
     row-major order, which is that same pick; a unit pivot divides every
     entry, so the divisibility scan of the rest is skipped for it.
 
+    A 0 x 0 input gets the shared _EMPTY_SMITH at once (see IntMatrix).
+
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]])).divisors
     (1, 6)
     """
     m, n = a.nrows, a.ncols
+    if not (m or n):  # what _eliminate_units leaves when unit pivots clear all
+        return _EMPTY_SMITH
     if a.is_zero():  # no pivot: every transform is an identity
         return SmithDecomposition(U=IntMatrix.identity(m), S=IntMatrix.zeros(m, n),
                                   V=IntMatrix.identity(n), U_inv=IntMatrix.identity(m),
@@ -516,7 +523,9 @@ class PresentedGroup:
 
     @classmethod
     def free(cls, n):
-        return cls((0,) * n)
+        group = cls.__new__(cls)
+        group.orders = (0,) * n  # n zeros need no check
+        return group
 
     @property
     def n_gens(self):

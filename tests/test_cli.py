@@ -139,6 +139,12 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert "nested too deeply" in _input_error(["compute", "--file", str(path)], capsys)
 
 
+def test_json_file_with_a_repeated_key_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"m": 2, "maximal_faces": [[1, 2]], "m": 3}')
+    assert "'m' appears twice" in _input_error(["compute", "--file", str(path)], capsys)
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-verb"])

@@ -297,6 +297,18 @@ def test_json_roundtrip():
             SimplicialComplex.from_json(bad)
 
 
+def test_json_with_a_repeated_key_is_an_input_error():
+    # json.loads alone keeps the last value: this would be a complex on 3 vertices
+    for text in ('{"m": 2, "maximal_faces": [[1, 2]], "m": 3}',
+                 '{"m": 2, "maximal_faces": [[1]], "maximal_faces": [[1, 2]]}'):
+        with pytest.raises(ComplexError, match="appears twice"):
+            SimplicialComplex.from_json(text)
+    # a repeat inside a nested object is refused as well
+    with pytest.raises(ComplexError, match="'x' appears twice"):
+        SimplicialComplex.from_json('{"m": 1, "maximal_faces": [[1]], "n": {"x": 1, "x": 2}}')
+    assert SimplicialComplex.from_json('{"maximal_faces": [[1, 2]], "m": 2}').m == 2
+
+
 def test_text_roundtrip():
     text = """
     # a 4-cycle with a pendant edge

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macoh import hochster
 from macoh.complexes import (
@@ -354,6 +356,70 @@ def test_the_sweep_keeps_bases_and_no_coboundary_matrix():
             # a FaceBases has the fields support and bases only, and no coboundary
             assert type(cx) is FaceBases and not hasattr(cx, "coboundary")
             assert vars(cx) == {"support": mask, "bases": k.faces_within(mask)}
+
+
+def _relabelled_faces(bases):
+    """Oracle class key of one subset, read off all of its faces: (number
+    of vertices, the faces with two or more vertices in basis order, each
+    relabelled so that the i-th smallest vertex becomes bit i)."""
+    bit = {v: 1 << i for i, v in enumerate(bases[1])} if len(bases) > 1 else {}
+    out = []
+    for group in bases[2:]:
+        for face in group:
+            out.append(sum(bit[1 << (v - 1)] for v in vertices_of(face)))
+    return len(bit), tuple(out)
+
+
+def _check_sweep_against_the_oracle(hd):
+    """The incremental sweep of hd has the bases of faces_within and the
+    classes, with their indices, of a relabelled-faces key; and one
+    (co)homology object per class."""
+    k, support = hd.complex, hd.support
+    masks = [mask for mask in range(support + 1) if mask & ~support == 0]
+    assert sorted(hd.cxs) == masks == sorted(hd.classes)
+    oracle = {}  # relabelled faces -> class index, in order of first appearance
+    for mask in masks:
+        faces = k.faces_within(mask)
+        assert hd.cxs[mask].bases == faces, mask
+        assert hd.classes[mask] == oracle.setdefault(_relabelled_faces(faces), len(oracle)), mask
+    shared = {}
+    for mask in masks:
+        assert shared.setdefault(hd.classes[mask], hd.cohs[mask]) is hd.cohs[mask]
+    assert len({id(coh) for coh in shared.values()}) == len(oracle)
+
+
+@st.composite
+def complexes_and_supports(draw):
+    m = draw(st.sampled_from(range(8, 0, -1)))  # hypothesis favours the first: m = 8
+    faces = draw(st.lists(st.integers(1, (1 << m) - 1), max_size=2 * m))
+    k = SimplicialComplex.from_maximal_faces(m, faces)
+    dropped = draw(st.sets(st.integers(0, m - 1), max_size=2))  # all of K, or a proper subset
+    return k, k.full_mask() & ~sum(1 << i for i in dropped)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(complexes_and_supports(), st.sampled_from(["cohomology", "homology"]),
+       st.sampled_from([None, 2]))
+def test_the_incremental_sweep_equals_faces_within_and_relabelled_classes(case, side, field):
+    k, support = case
+    _check_sweep_against_the_oracle(hochster._decompose(k, support, side, field))
+
+
+@pytest.mark.parametrize("field", [None, 2], ids=["Z", "F_2"])
+@pytest.mark.parametrize("side", ["cohomology", "homology"])
+def test_the_sweep_of_the_zoo_reads_no_face_list_of_k(monkeypatch, side, field):
+    def refused(k, support_mask):
+        raise AssertionError("the sweep scanned the faces of K for one subset")
+
+    monkeypatch.setattr(SimplicialComplex, "faces_within", refused)
+    hds = []
+    for _, k in zoo() + [("cycle:8", cycle(8))]:
+        full = k.full_mask()
+        for support in (full, full & ~(1 << (k.m // 2))):  # all of K, and a proper subset
+            hds.append(hochster._decompose(k, support, side, field))
+    monkeypatch.undo()
+    for hd in hds:
+        _check_sweep_against_the_oracle(hd)
 
 
 def _dprime_block_by_block(hd):

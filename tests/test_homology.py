@@ -22,8 +22,18 @@ from macoh.homology import (
     reduced_complex,
     restriction_matrix,
     top_classes,
-    uct_consistency,
 )
+
+
+def uct_consistency(cx):
+    """Universal coefficients: in each degree p the cohomology rank equals
+    the homology rank, and the cohomology torsion equals the homology
+    torsion one degree down."""
+    co = cohomology(cx)
+    ho = homology(cx)
+    for p in set(co.degrees()) | set(ho.degrees()):
+        assert co.invariants(p) == (ho.invariants(p)[0], ho.invariants(p - 1)[1]), p
+    return True
 
 
 def _coh(k, support=None):

@@ -124,6 +124,39 @@ def test_smith_of_pentagon_connecting_matrix():
     assert dec.rank == 4
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_smith_of_a_matrix_without_rows_columns_or_nonzeros(m, n):
+    for a in (IntMatrix.zeros(m, n), IntMatrix([[0] * n for _ in range(m)], n)):
+        dec = smith_normal_form(a)
+        assert (dec.U.shape, dec.S.shape, dec.V.shape, dec.U_inv.shape) == \
+            ((m, m), (m, n), (n, n), (m, m))
+        assert dec.U @ a @ dec.V == dec.S == IntMatrix.zeros(m, n)
+        assert dec.U @ dec.U_inv == IntMatrix.identity(m)
+        assert (dec.rank, dec.divisors) == (0, ())
+        assert linalg.smith_divisors(a) == ()
+    if not (m or n):  # every 0 x 0 input gets the one shared decomposition
+        assert smith_normal_form(IntMatrix([])) is smith_normal_form(IntMatrix.zeros(0, 0))
+
+
+def test_representatives_of_a_zero_f_leave_the_shared_empty_smith_form_as_it_was():
+    empty = smith_normal_form(IntMatrix.zeros(0, 0))
+    fields = (empty.U, empty.S, empty.V, empty.U_inv)
+    z2 = PresentedGroup.free(2)
+    cases = [(PresentedGroup.free(0), GroupMorphism(z2, z2, IntMatrix.identity(2))),
+             (PresentedGroup.free(0), GroupMorphism.zero(PresentedGroup.free(0), z2))]
+    for zero_source, g in cases:
+        f = GroupMorphism.zero(zero_source, g.source)
+        orders, gens, kernel_coords, ux = linalg._representatives(f, g)
+        assert (orders, gens.shape, ux.shape) == ((), (g.source.n_gens, 0), (0, 0))
+        sq = linalg.Subquotient(f, g)
+        assert sq.express([0] * g.source.n_gens) == []
+    assert all(now is before for now, before in zip((empty.U, empty.S, empty.V, empty.U_inv),
+                                                    fields))
+    assert all(mat.shape == (0, 0) and mat.rows == [] for mat in fields)
+    assert (empty.rank, empty.divisors) == (0, ())
+    assert smith_normal_form(IntMatrix.zeros(0, 0)) is empty
+
+
 def test_smith_transform_identity_holds():
     rng = random.Random(20260814)
     for _ in range(60):
