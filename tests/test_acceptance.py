@@ -1,7 +1,12 @@
-"""Acceptance suite: one test per headline guarantee.
+"""Acceptance suite: one test per headline guarantee that is not a
+stored table.
 
 Each test exercises one of the computations or structural theorems the
-package is built around, end to end and in exact arithmetic.  Run
+package is built around, end to end and in exact arithmetic.  The worked
+examples (the pentagon, the projective plane, disjoint points, boundaries
+of simplices, the glued complexes, acyclicity of d') are the stored checks
+of macoh.verification, which tests/test_verification.py runs one by one;
+the gaps in the numbering below are those guarantees.  Run
 
     pytest -v tests/test_acceptance.py
 
@@ -9,7 +14,6 @@ to get one pass or fail line per guarantee.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -17,7 +21,6 @@ from macoh import complexes
 from macoh import hochster
 from macoh import homology
 from macoh import koszul
-from macoh.linalg import smith_normal_form
 
 Z = (1, ())
 RANK_TWO_DOUBLE = {(0, 0): Z, (1, 2): Z}
@@ -31,68 +34,13 @@ def _fuzz_corpus():
 CORPUS = _fuzz_corpus()
 
 
-def test_01_pentagon_tables_connecting_rank_and_double_cohomology():
-    k = complexes.cycle(5)
-    hd = hochster.hochster_cohomology(k)
-    assert hd.invariants() == {
-        (0, 0): Z, (1, 2): (5, ()), (2, 3): (5, ()), (3, 5): Z}
-    connecting = hochster.d_prime(hd)[(2, 3)].matrix
-    assert smith_normal_form(connecting).rank == 4
-    dd = hochster.double_cohomology(k)
-    assert dd.invariants() == {(0, 0): Z, (1, 2): Z, (2, 3): Z, (3, 5): Z}
-
-
 def test_02_cycle_double_cohomology_through_nine_vertices():
-    for m in range(4, 9):
+    # m = 4-7 are the stored check "cycles double cohomology"
+    for m in (8, 9):
+        started = time.monotonic()
         dd = hochster.double_cohomology(complexes.cycle(m))
-        if m == 4:
-            expected = {(0, 0): Z, (1, 2): (2, ()), (2, 4): Z}
-        else:
-            expected = {(0, 0): Z, (1, 2): Z, (m - 3, m - 2): Z, (m - 2, m): Z}
-        assert dd.invariants() == expected
-    started = time.monotonic()
-    dd = hochster.double_cohomology(complexes.cycle(9))
-    assert dd.invariants() == {(0, 0): Z, (1, 2): Z, (6, 7): Z, (7, 9): Z}
-    assert time.monotonic() - started < 60.0
-
-
-def test_03_projective_plane_integral_tables():
-    k = complexes.rp2_minimal()
-    hd = hochster.hochster_cohomology(k)
-    assert hd.invariants() == {
-        (0, 0): Z, (1, 3): (10, ()), (2, 4): (15, ()),
-        (3, 5): (6, ()), (3, 6): (0, (2,))}
-    inv = hochster.double_cohomology(k).invariants()
-    assert inv[(0, 0)] == Z
-    assert inv[(3, 6)] == (0, (2,))
-    hom = hochster.double_homology(k).invariants()
-    assert (3, 6) not in hom
-    assert (4, 6) not in hom
-
-
-def test_04_disjoint_points_tables_and_binomial_identity():
-    for m in range(3, 8):
-        k = complexes.disjoint_points(m)
-        hd = hochster.hochster_cohomology(k)
-        expected = {(0, 0): Z}
-        for q in range(2, m + 1):
-            expected[(q - 1, q)] = ((q - 1) * math.comb(m, q), ())
-        assert hd.invariants() == expected
-        dd = hochster.double_cohomology(k)
-        assert dd.invariants() == RANK_TWO_DOUBLE
-        # the Euler characteristic of H vanishes, which is exactly the
-        # binomial identity sum_q (-1)^q (q-1) C(m,q) = 1
-        table_euler = sum((-1) ** (kk & 1) * rank
-                          for (kk, l), (rank, _) in hd.invariants().items())
-        assert table_euler == dd.euler_characteristic() == 0
-        assert sum((-1) ** (q & 1) * (q - 1) * math.comb(m, q)
-                   for q in range(1, m + 1)) == 1
-
-
-def test_05_boundary_simplices_double_cohomology():
-    for m in range(2, 8):
-        dd = hochster.double_cohomology(complexes.boundary_simplex(m))
-        assert dd.invariants() == {(0, 0): Z, (1, m): Z}
+        assert dd.invariants() == {(0, 0): Z, (1, 2): Z, (m - 3, m - 2): Z, (m - 2, m): Z}
+        assert time.monotonic() - started < 60.0
 
 
 def test_06_surgery_yields_rank_two_double_cohomology():
@@ -158,12 +106,7 @@ def test_08_join_dimensions_convolve_over_q():
 
 
 def test_09_pipelines_agree_and_the_bijection_commutes():
-    for _, k in complexes.zoo():
-        rc = koszul.RComplex(k)
-        double_koszul = koszul.hh_via_koszul(rc)
-        dd = hochster.double_cohomology(k)
-        assert double_koszul.kc.invariants() == dd.decomposition.invariants()
-        assert double_koszul.invariants() == dd.invariants()
+    # the zoo is the stored check "pipeline agreement on the zoo"
     for k in CORPUS:
         rc = koszul.RComplex(k)
         double_koszul = koszul.hh_via_koszul(rc)
@@ -177,28 +120,9 @@ def test_09_pipelines_agree_and_the_bijection_commutes():
 
 
 def test_10_bicomplex_identities_hold_on_fuzzed_complexes():
-    for _, k in complexes.zoo():
-        koszul.RComplex(k).check_identities()
+    # the zoo is test_koszul.py::test_bicomplex_identities_on_zoo
     for k in CORPUS:
         koszul.RComplex(k).check_identities()
-
-
-def test_11_second_differential_acyclicity():
-    for _, k in complexes.zoo():
-        if k.is_simplex():
-            continue
-        _, groups = koszul.d_prime_acyclicity(k)
-        assert groups == {}
-    for m in range(2, 6):
-        rc, groups = koszul.d_prime_acyclicity(complexes.simplex(m))
-        assert list(groups) == [(0, m)]
-        sq = groups[(0, m)]
-        assert sq.invariants() == Z
-        full = complexes.mask_of(range(1, m + 1))
-        position = rc.basis((0, m)).index((0, full))
-        coords = sq.express([1 if i == position else 0
-                             for i in range(rc.dim((0, m)))])
-        assert coords in ([1], [-1])
 
 
 def test_12_euler_characteristic_and_even_rank():
@@ -217,23 +141,6 @@ def test_12_euler_characteristic_and_even_rank():
         else:
             assert dd.euler_characteristic() == 0
             assert dd.total_rank() % 2 == 0
-
-
-def test_13_pendant_square_glued_triangles_glued_squares_tables():
-    cases = [
-        (complexes.square_edge(),
-         {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 4): 1, (2, 4): 1, (3, 5): 1}),
-        (complexes.two_triangles(),
-         {(0, 0): 1, (1, 2): 4, (1, 3): 2, (2, 3): 4, (2, 4): 4,
-          (3, 4): 1, (3, 5): 2}),
-        (complexes.two_squares(),
-         {(0, 0): 1, (1, 2): 8, (2, 3): 12, (2, 4): 2, (3, 4): 5,
-          (3, 5): 4, (4, 6): 2}),
-    ]
-    for k, ranks in cases:
-        hd = hochster.hochster_cohomology(k)
-        assert hd.invariants() == {b: (r, ()) for b, r in ranks.items()}
-        assert hochster.double_cohomology(k).invariants() == RANK_TWO_DOUBLE
 
 
 def test_14_top_classes_survive_and_poincare_duality():
@@ -258,10 +165,3 @@ def test_14_top_classes_survive_and_poincare_duality():
         top_k = max(kk for kk, l in dims if l == k.m)
         assert all(dims.get((top_k - kk, k.m - l)) == d
                    for (kk, l), d in dims.items()), k
-
-    algebra = koszul.KoszulFieldAlgebra(complexes.cycle(5), "Q")
-    hh = algebra.hh_dims()
-    assert hh[(1, 2)] == hh[(2, 3)] == hh[(3, 5)] == 1
-    target, coords = algebra.hh_product((1, 2), 0, (2, 3), 0)
-    assert target == (3, 5)
-    assert any(coords)

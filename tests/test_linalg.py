@@ -18,19 +18,9 @@ from macoh.linalg import (
     merge_torsion,
     smith_normal_form,
 )
+from macoh.verification import PENTAGON_CONNECTING
 
 import pytest
-
-# Connecting map of the 5-cycle between its rank-5 cohomology layers,
-# in the reference generator order; its Smith form is diag(1,1,1,1,0),
-# so the map has rank 4 onto a direct summand.
-PENTAGON_CONNECTING_MATRIX = [
-    [0, 0, 1, -1, 0],
-    [0, 0, 0, 1, -1],
-    [-1, 0, 0, 0, 1],
-    [1, -1, 0, 0, 0],
-    [0, 1, -1, 0, 0],
-]
 
 
 def _det(mat):
@@ -119,7 +109,9 @@ def test_smith_of_diag_2_3_is_diag_1_6():
 
 
 def test_smith_of_pentagon_connecting_matrix():
-    dec = smith_normal_form(IntMatrix(PENTAGON_CONNECTING_MATRIX))
+    # the stored d' of the 5-cycle between its rank-5 cohomology layers has
+    # Smith form diag(1, 1, 1, 1, 0): rank 4 onto a direct summand
+    dec = smith_normal_form(PENTAGON_CONNECTING)
     assert dec.divisors == (1, 1, 1, 1)
     assert dec.rank == 4
 
