@@ -1,12 +1,9 @@
-"""Acceptance suite: one test per headline guarantee that is not a
-stored table.
+"""Acceptance suite: one test per headline guarantee.
 
 Each test exercises one of the computations or structural theorems the
-package is built around, end to end and in exact arithmetic.  The worked
-examples (the pentagon, the projective plane, disjoint points, boundaries
-of simplices, the glued complexes, acyclicity of d') are the stored checks
-of macoh.verification, which tests/test_verification.py runs one by one;
-the gaps in the numbering below are those guarantees.  Run
+package is built around, end to end and in exact arithmetic.  The tables
+of the worked examples are read from macoh.verification, the one store of
+them, whose checks tests/test_verification.py runs one by one.  Run
 
     pytest -v tests/test_acceptance.py
 
@@ -14,6 +11,7 @@ to get one pass or fail line per guarantee.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -21,6 +19,14 @@ from macoh import complexes
 from macoh import hochster
 from macoh import homology
 from macoh import koszul
+from macoh.linalg import smith_normal_form
+from macoh.verification import (
+    PENTAGON_H,
+    RP2_H,
+    SQUARE_EDGE_H,
+    TWO_SQUARES_H,
+    TWO_TRIANGLES_H,
+)
 
 Z = (1, ())
 RANK_TWO_DOUBLE = {(0, 0): Z, (1, 2): Z}
@@ -34,6 +40,16 @@ def _fuzz_corpus():
 CORPUS = _fuzz_corpus()
 
 
+def test_01_pentagon_tables_connecting_rank_and_double_cohomology():
+    k = complexes.cycle(5)
+    hd = hochster.hochster_cohomology(k)
+    assert hd.invariants() == PENTAGON_H
+    connecting = hochster.d_prime(hd)[(2, 3)].matrix
+    assert smith_normal_form(connecting).rank == 4
+    dd = hochster.double_cohomology(k)
+    assert dd.invariants() == {b: Z for b in PENTAGON_H}
+
+
 def test_02_cycle_double_cohomology_through_nine_vertices():
     # m = 4-7 are the stored check "cycles double cohomology"
     for m in (8, 9):
@@ -41,6 +57,42 @@ def test_02_cycle_double_cohomology_through_nine_vertices():
         dd = hochster.double_cohomology(complexes.cycle(m))
         assert dd.invariants() == {(0, 0): Z, (1, 2): Z, (m - 3, m - 2): Z, (m - 2, m): Z}
         assert time.monotonic() - started < 60.0
+
+
+def test_03_projective_plane_integral_tables():
+    k = complexes.rp2_minimal()
+    assert hochster.hochster_cohomology(k).invariants() == RP2_H
+    inv = hochster.double_cohomology(k).invariants()
+    assert inv[(0, 0)] == Z
+    assert inv[(3, 6)] == (0, (2,))
+    hom = hochster.double_homology(k).invariants()
+    assert (3, 6) not in hom
+    assert (4, 6) not in hom
+
+
+def test_04_disjoint_points_tables_and_binomial_identity():
+    for m in range(3, 8):
+        k = complexes.disjoint_points(m)
+        hd = hochster.hochster_cohomology(k)
+        expected = {(0, 0): Z}
+        for q in range(2, m + 1):
+            expected[(q - 1, q)] = ((q - 1) * math.comb(m, q), ())
+        assert hd.invariants() == expected
+        dd = hochster.double_cohomology(k)
+        assert dd.invariants() == RANK_TWO_DOUBLE
+        # the Euler characteristic of H vanishes, which is exactly the
+        # binomial identity sum_q (-1)^q (q-1) C(m,q) = 1
+        table_euler = sum((-1) ** (kk & 1) * rank
+                          for (kk, l), (rank, _) in hd.invariants().items())
+        assert table_euler == dd.euler_characteristic() == 0
+        assert sum((-1) ** (q & 1) * (q - 1) * math.comb(m, q)
+                   for q in range(1, m + 1)) == 1
+
+
+def test_05_boundary_simplices_double_cohomology():
+    for m in range(2, 8):
+        dd = hochster.double_cohomology(complexes.boundary_simplex(m))
+        assert dd.invariants() == {(0, 0): Z, (1, m): Z}
 
 
 def test_06_surgery_yields_rank_two_double_cohomology():
@@ -125,6 +177,24 @@ def test_10_bicomplex_identities_hold_on_fuzzed_complexes():
         koszul.RComplex(k).check_identities()
 
 
+def test_11_second_differential_acyclicity():
+    for _, k in complexes.zoo():
+        if k.is_simplex():
+            continue
+        _, groups = koszul.d_prime_acyclicity(k)
+        assert groups == {}
+    for m in range(2, 6):
+        rc, groups = koszul.d_prime_acyclicity(complexes.simplex(m))
+        assert list(groups) == [(0, m)]
+        sq = groups[(0, m)]
+        assert sq.invariants() == Z
+        full = complexes.mask_of(range(1, m + 1))
+        position = rc.basis((0, m)).index((0, full))
+        coords = sq.express([1 if i == position else 0
+                             for i in range(rc.dim((0, m)))])
+        assert coords in ([1], [-1])
+
+
 def test_12_euler_characteristic_and_even_rank():
     for _, k in complexes.zoo():
         dd = hochster.double_cohomology(k)
@@ -141,6 +211,15 @@ def test_12_euler_characteristic_and_even_rank():
         else:
             assert dd.euler_characteristic() == 0
             assert dd.total_rank() % 2 == 0
+
+
+def test_13_pendant_square_glued_triangles_glued_squares_tables():
+    cases = [(complexes.square_edge(), SQUARE_EDGE_H),
+             (complexes.two_triangles(), TWO_TRIANGLES_H),
+             (complexes.two_squares(), TWO_SQUARES_H)]
+    for k, table in cases:
+        assert hochster.hochster_cohomology(k).invariants() == table
+        assert hochster.double_cohomology(k).invariants() == RANK_TWO_DOUBLE
 
 
 def test_14_top_classes_survive_and_poincare_duality():

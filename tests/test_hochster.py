@@ -1,5 +1,6 @@
 """Bigraded cohomology via subsets, connecting differential, double groups."""
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from macoh import hochster
 from macoh.complexes import (
     ComplexError,
     SimplicialComplex,
+    boundary_simplex,
     cycle,
     disjoint_points,
     join,
@@ -29,6 +31,7 @@ from macoh.hochster import (
     ch_restriction_morphism,
     ch_subcomplex_morphisms,
     _connecting,
+    d_prime,
     double_cohomology,
     double_field,
     double_homology,
@@ -53,8 +56,84 @@ from macoh.linalg import (
     PresentedGroup,
     homology_of_pair,
     kernel_subgroup,
+    smith_normal_form,
 )
-from macoh.verification import PENTAGON_H
+from macoh.verification import (
+    DOUBLE_Z2,
+    PENTAGON_H,
+    RP2_H,
+    SQUARE_EDGE_H,
+    TWO_SQUARES_H,
+    TWO_TRIANGLES_H,
+)
+
+# bidegrees are keyed (k, l); the display bidegree is (-k, 2l).  The paper's
+# tables are stored once, in macoh.verification.
+
+
+def test_pentagon_bigraded_table():
+    hd = hochster_cohomology(cycle(5))
+    assert hd.invariants() == PENTAGON_H
+
+
+def test_pentagon_connecting_map_is_rank_four_onto_summand():
+    hd = hochster_cohomology(cycle(5))
+    mor = d_prime(hd)[(2, 3)]
+    assert mor.matrix.shape == (5, 5)
+    dec = smith_normal_form(mor.matrix)
+    assert dec.divisors == (1, 1, 1, 1)
+
+
+def test_pentagon_double_cohomology():
+    hh = double_cohomology(cycle(5))
+    assert hh.invariants() == {b: (1, ()) for b in PENTAGON_H}
+    assert hh.total_rank() == 4
+    assert hh.euler_characteristic() == 0
+
+
+def test_rp2_bigraded_table_and_double():
+    hd = hochster_cohomology(rp2_minimal())
+    assert {b: v for b, v in hd.invariants().items() if b in RP2_H} == RP2_H
+    hh = double_cohomology(rp2_minimal())
+    inv = hh.invariants()
+    assert inv[(0, 0)] == (1, ())
+    assert inv[(3, 6)] == (0, (2,))
+
+
+def test_rp2_homology_side_kills_the_torsion_line():
+    hh = double_homology(rp2_minimal())
+    inv = hh.invariants()
+    assert (3, 6) not in inv
+    assert (4, 6) not in inv
+    assert inv[(0, 0)] == (1, ())
+
+
+def test_named_complex_tables():
+    assert hochster_cohomology(square_edge()).invariants() == SQUARE_EDGE_H
+    assert hochster_cohomology(two_triangles()).invariants() == TWO_TRIANGLES_H
+    assert hochster_cohomology(two_squares()).invariants() == TWO_SQUARES_H
+
+
+def test_named_complexes_have_wedge_double_cohomology():
+    for k in (square_edge(), two_triangles(), two_squares()):
+        hh = double_cohomology(k)
+        assert hh.invariants() == DOUBLE_Z2
+
+
+def test_disjoint_points_tables():
+    for m in range(3, 6):
+        inv = hochster_cohomology(disjoint_points(m)).invariants()
+        for q in range(2, m + 1):
+            assert inv[(q - 1, q)] == ((q - 1) * math.comb(m, q), ())
+        hh = double_cohomology(disjoint_points(m))
+        assert hh.invariants() == DOUBLE_Z2
+
+
+def test_boundary_simplex_double():
+    for m in range(2, 6):
+        hh = double_cohomology(boundary_simplex(m))
+        assert hh.invariants() == {(0, 0): (1, ()), (1, m): (1, ())}
+        assert hh.euler_characteristic() == 0
 
 
 def test_simplex_double_is_a_single_z():
@@ -62,6 +141,17 @@ def test_simplex_double_is_a_single_z():
         hh = double_cohomology(simplex(m))
         assert hh.invariants() == {(0, 0): (1, ())}
         assert hh.euler_characteristic() == 1
+
+
+def test_cycle_double_tables():
+    for m in range(4, 7):
+        hh = double_cohomology(cycle(m))
+        inv = hh.invariants()
+        expected = {(0, 0): 1, (1, 2): 1, (m - 3, m - 2): 1, (m - 2, m): 1}
+        if m == 4:
+            expected = {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+        assert {b: r for b, (r, t) in inv.items()} == expected
+        assert all(t == () for _, t in inv.values())
 
 
 def test_cohomology_and_homology_decompositions_are_uct_consistent():

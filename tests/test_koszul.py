@@ -2,7 +2,8 @@
 
 The cochain-level values in this file were derived by hand from the
 differential formulas.  The paper's tables and stated d' matrices live in
-macoh.verification, whose checks compare both pipelines against them.
+macoh.verification, whose checks compare both pipelines against them;
+the tests below that need them import them from there.
 """
 
 import math
@@ -13,7 +14,13 @@ import pytest
 from macoh import complexes, hochster, koszul, linalg
 from macoh.complexes import mask_of
 from macoh.errors import VerificationError
-from macoh.linalg import IntMatrix, SmithSolver
+from macoh.linalg import IntMatrix, SmithSolver, smith_normal_form
+from macoh.verification import (
+    PENTAGON_COL_BASIS,
+    PENTAGON_CONNECTING,
+    PENTAGON_H,
+    PENTAGON_ROW_BASIS,
+)
 
 
 def unit(n, i):
@@ -45,6 +52,11 @@ def test_bicomplex_identities_on_random_complexes():
         assert koszul.RComplex(k).check_identities()
 
 
+def test_pentagon_cohomology_table():
+    kc = koszul.cohomology_via_koszul(complexes.cycle(5))
+    assert kc.invariants() == PENTAGON_H
+
+
 def test_pentagon_cochain_level_connecting_values():
     rc = koszul.RComplex(complexes.cycle(5))
     b = (2, 3)
@@ -53,6 +65,24 @@ def test_pentagon_cochain_level_connecting_values():
     target = rc.basis((1, 2))
     hits = {target[i]: c for i, c in enumerate(image) if c}
     assert hits == {(mask_of([5]), mask_of([2])): 1, (mask_of([4]), mask_of([2])): -1}
+
+
+def test_pentagon_connecting_matrix_in_the_standard_class_basis():
+    """The stored cocycle bases of the two middle bidegrees turn the
+    descended map into the stored matrix, Smith form diag(1, 1, 1, 1, 0)."""
+    kc = koszul.cohomology_via_koszul(complexes.cycle(5))
+    rc = kc.rc
+
+    def classes(b, basis):
+        return IntMatrix.from_columns(
+            [kc.groups[b].express([s * v for v in unit(rc.dim(b),
+                                                       rc.index[b][(mask_of(j), mask_of(i))])])
+             for s, j, i in basis], 5)
+
+    p, q = classes((1, 2), PENTAGON_ROW_BASIS), classes((2, 3), PENTAGON_COL_BASIS)
+    descended = koszul._descend_dprime(kc)[(2, 3)].matrix
+    assert descended @ q == p @ PENTAGON_CONNECTING
+    assert smith_normal_form(PENTAGON_CONNECTING).divisors == (1, 1, 1, 1)
 
 
 def test_descended_dprime_failure_names_the_displayed_bidegree(monkeypatch):
@@ -67,6 +97,59 @@ def test_descended_dprime_failure_names_the_displayed_bidegree(monkeypatch):
     monkeypatch.setattr(koszul, "_class_dprime", faulty)
     with pytest.raises(VerificationError, match=r"square to zero at bidegree \(-3, 8\)$"):
         koszul.hh_via_koszul(complexes.two_squares())
+
+
+def test_pentagon_double_cohomology():
+    kd = koszul.hh_via_koszul(complexes.cycle(5))
+    assert kd.invariants() == {b: (1, ()) for b in PENTAGON_H}
+    assert kd.total_rank() == 4
+    assert kd.euler_characteristic() == 0
+
+
+def test_projective_plane_agreement_with_subset_pipeline():
+    k = complexes.rp2_minimal()
+    kc = koszul.cohomology_via_koszul(k)
+    assert kc.invariants() == hochster.hochster_cohomology(k).invariants()
+    assert kc.invariants()[(3, 6)] == (0, (2,))
+    kd = koszul.hh_via_koszul(k)
+    assert kd.invariants() == hochster.double_cohomology(k).invariants()
+    assert kd.invariants()[(3, 6)] == (0, (2,))
+
+
+def test_boundary_simplex_generator():
+    """For the boundary of a simplex the nonzero group away from (0, 0)
+    sits in bidegree (1, m) and u_1 v_2 ... v_m generates it."""
+    for m in (3, 4, 5):
+        k = complexes.boundary_simplex(m)
+        kc = koszul.cohomology_via_koszul(k)
+        assert set(kc.invariants()) == {(0, 0), (1, m)}
+        assert kc.invariants()[(1, m)] == (1, ())
+        rc = kc.rc
+        full = k.full_mask()
+        mon = (1, full & ~1)
+        coords = kc.groups[(1, m)].express(
+            unit(rc.dim((1, m)), rc.index[(1, m)][mon]))
+        assert coords in ([1], [-1])
+
+
+def test_dprime_acyclic_away_from_the_full_simplex():
+    for name, k in complexes.zoo():
+        if k.is_simplex():
+            continue
+        _, groups = koszul.d_prime_acyclicity(k)
+        assert groups == {}, name
+
+
+def test_dprime_homology_of_a_simplex():
+    for m in range(2, 6):
+        k = complexes.simplex(m)
+        rc, groups = koszul.d_prime_acyclicity(k)
+        assert list(groups) == [(0, m)]
+        sq = groups[(0, m)]
+        assert sq.invariants() == (1, ())
+        mon = (0, k.full_mask())
+        coords = sq.express(unit(rc.dim((0, m)), rc.index[(0, m)][mon]))
+        assert coords in ([1], [-1])
 
 
 def test_iso_is_a_signed_permutation_and_commutes():
@@ -178,6 +261,16 @@ def test_iso_detects_a_sign_error():
             koszul.hochster_koszul_iso(k)
     finally:
         koszul.sign_eps_set = original
+
+
+def test_pipelines_agree_on_the_zoo():
+    for name, k in complexes.zoo():
+        kc = koszul.cohomology_via_koszul(k)
+        hc = hochster.hochster_cohomology(k)
+        assert kc.invariants() == hc.invariants(), name
+        kd = koszul.hh_via_koszul(k)
+        hd = hochster.double_cohomology(k)
+        assert kd.invariants() == hd.invariants(), name
 
 
 def test_pipelines_agree_on_random_complexes():
