@@ -429,6 +429,12 @@ def double_field(k_or_hd, field, side="cohomology"):
 
     k_or_hd is a complex, or the decomposition that hochster_field(k,
     field, side) returned, whose sweep is then reused.
+
+    Ranks alone do not test d'^2 = 0, but they catch a failure that would
+    make a dimension negative: rank(d' into b) + rank(d' out of b) >
+    dim(b) puts an image outside a kernel.  For the first such b in
+    sorted order this raises the VerificationError of _double, naming
+    b - step, the source of the nonzero d'^2.
     """
     if isinstance(k_or_hd, HochsterDecomposition):
         hd = k_or_hd
@@ -440,9 +446,11 @@ def double_field(k_or_hd, field, side="cohomology"):
     ranks = {b: hd.ops.rank(mat) if mat.nrows else 0
              for b, mat in _connecting(hd).items()}
     dk, dl = _step(hd.side)
-    dims = {}
-    for b, dim in hd.dims.items():
-        hh = dim - ranks[b] - ranks.get((b[0] - dk, b[1] - dl), 0)
-        if hh:
-            dims[b] = hh
-    return dims
+    dims = {b: dim - ranks[b] - ranks.get((b[0] - dk, b[1] - dl), 0)
+            for b, dim in hd.dims.items()}
+    negative = [b for b, hh in dims.items() if hh < 0]
+    if negative:
+        kk, l = min(negative)
+        raise VerificationError(f"connecting differential does not square to zero at "
+                                f"bidegree (-{kk - dk}, {2 * (l - dl)})")
+    return {b: hh for b, hh in dims.items() if hh}

@@ -35,15 +35,12 @@ class FaceBases:
     """The cochain bases of one full subcomplex K_I, without its matrices.
 
     bases[q] lists the faces with q vertices (q = 0 holds the empty
-    face).  Degree p cochains live on bases[p + 1].
+    face), so the largest face has len(bases) - 1 vertices.  Degree p
+    cochains live on bases[p + 1].
     """
 
     support: int
     bases: list
-
-    @property
-    def top_cardinality(self):
-        return len(self.bases) - 1
 
     def basis(self, p):
         q = p + 1

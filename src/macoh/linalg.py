@@ -244,21 +244,22 @@ def _axpy(row, other, c):
 
 @dataclass
 class SmithDecomposition:
-    """S = U @ A @ V with U, V unimodular and S diagonal, d1 | d2 | ... | dr > 0.
+    """U @ A @ V is diagonal, with U, V unimodular and the nonzero diagonal
+    entries divisors, d1 | d2 | ... | dr > 0, in its first r places.  So
+    the rank of A is len(divisors), and the columns r... of V are a basis
+    of the kernel lattice of A.
 
     U_inv is the inverse of U, tracked during reduction: w^T U_inv holds
     the coordinates of w in the basis formed by the rows of U.
     """
 
     U: IntMatrix
-    S: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    rank: int
     divisors: tuple
 
 
-_EMPTY_SMITH = SmithDecomposition(*[IntMatrix.zeros(0, 0)] * 4, rank=0, divisors=())
+_EMPTY_SMITH = SmithDecomposition(*[IntMatrix.zeros(0, 0)] * 3, divisors=())
 
 
 def smith_normal_form(a):
@@ -279,9 +280,8 @@ def smith_normal_form(a):
     if not (m or n):  # what _eliminate_units leaves when unit pivots clear all
         return _EMPTY_SMITH
     if a.is_zero():  # no pivot: every transform is an identity
-        return SmithDecomposition(U=IntMatrix.identity(m), S=IntMatrix.zeros(m, n),
-                                  V=IntMatrix.identity(n), U_inv=IntMatrix.identity(m),
-                                  rank=0, divisors=())
+        return SmithDecomposition(U=IntMatrix.identity(m), V=IntMatrix.identity(n),
+                                  U_inv=IntMatrix.identity(m), divisors=())
     s = a.rows  # dense working rows, a fresh copy
     # the transforms are sparse rows: U, and the transposes of U_inv and V,
     # so that the column operations on U_inv and V are row operations
@@ -385,14 +385,11 @@ def smith_normal_form(a):
             row_add(t, pull, 1)
         t += 1
 
-    divisors = tuple(s[i][i] for i in range(limit) if s[i][i])
     return SmithDecomposition(
         U=IntMatrix._adopt(u, m),
-        S=IntMatrix._adopt([{j: x for j, x in enumerate(row) if x} for row in s], n),
         V=IntMatrix._adopt(v_t, n).transpose(),
         U_inv=IntMatrix._adopt(ui_t, m).transpose(),
-        rank=len(divisors),
-        divisors=divisors,
+        divisors=tuple(s[i][i] for i in range(limit) if s[i][i]),
     )
 
 
@@ -451,11 +448,9 @@ def _eliminate_units(a):
 
 
 class SmithSolver:
-    """One Smith decomposition, many exact questions about A.
-
-    solve(b) finds x with A x = b over Z (or None), and kernel_basis()
-    gives a basis of the saturated kernel lattice.  The pipelines do not
-    use it, so tests use it as an oracle independent of homology_of_pair.
+    """One Smith decomposition, many exact questions about A: solve(b)
+    finds x with A x = b over Z, or None.  The pipelines do not use it,
+    so tests use it as an oracle independent of homology_of_pair.
     """
 
     def __init__(self, a):
@@ -473,13 +468,9 @@ class SmithSolver:
             if y[i] % d:
                 return None
             xhat[i] = y[i] // d
-        if any(y[i] for i in range(self.dec.rank, len(y))):
+        if any(y[i] for i in range(len(self.dec.divisors), len(y))):
             return None
         return self.dec.V.mulvec(xhat)
-
-    def kernel_basis(self):
-        cols = [self.dec.V.column(j) for j in range(self.dec.rank, self.a.ncols)]
-        return IntMatrix.from_columns(cols, self.a.ncols)
 
 
 def merge_torsion(orders):
@@ -556,10 +547,6 @@ class PresentedGroup:
             raise LinalgError("coordinate matrix has wrong height")
         return not any(row and (not d or any(x % d for x in row.values()))
                        for row, d in zip(mat._rows, self.orders))
-
-    def element_is_zero(self, coords):
-        """is_zero of the one-column matrix coords."""
-        return self.is_zero(_one_column(coords))
 
     def __repr__(self):
         rank, torsion = self.invariants()
@@ -695,7 +682,7 @@ def _representatives(f, g):
     k = ker.ncols
     dec = smith_normal_form(x_mat)
 
-    divisors = list(dec.divisors) + [0] * (k - dec.rank)
+    divisors = list(dec.divisors) + [0] * (k - len(dec.divisors))
     kept = [i for i in range(k) if divisors[i] != 1]
     orders = tuple(divisors[i] for i in kept)
     place = {i: t for t, i in enumerate(kept)}

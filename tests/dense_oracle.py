@@ -3,10 +3,12 @@ normal form: the oracle that the sparse IntMatrix operations and the
 eliminations of macoh.linalg are checked against.
 
 A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
-shapes keep their shape.  Nothing here shares code with macoh.linalg.
+shapes keep their shape.  Nothing here shares code with macoh.linalg,
+except the helpers at the end, which read what tests ask of the Smith
+decomposition and of a PresentedGroup.
 """
 
-from macoh.linalg import IntMatrix
+from macoh.linalg import IntMatrix, smith_normal_form
 
 
 class DenseMatrix:
@@ -159,3 +161,23 @@ def smith_divisors_by_full_scan(a):
     """The nonzero diagonal of smith_by_full_scan(a)."""
     s = smith_by_full_scan(a)[1].rows
     return tuple(s[i][i] for i in range(min(a.nrows, a.ncols)) if s[i][i])
+
+
+def smith_diagonal(a, divisors):
+    """The matrix of the shape of a with divisors on its diagonal, from
+    (0, 0) on: U @ a @ V for the Smith decomposition of a."""
+    return IntMatrix.from_entries(a.nrows, a.ncols, [(i, i, d) for i, d in enumerate(divisors)])
+
+
+def kernel_basis(a):
+    """A basis of the saturated kernel lattice of the IntMatrix a: the
+    columns of V past the divisors of smith_normal_form(a)."""
+    dec = smith_normal_form(a)
+    return IntMatrix.from_columns([dec.V.column(j) for j in range(len(dec.divisors), a.ncols)],
+                                  a.ncols)
+
+
+def element_is_zero(group, coords):
+    """Whether the element with generator coordinates coords is zero in the
+    PresentedGroup group: is_zero of the one-column matrix coords."""
+    return group.is_zero(IntMatrix.from_columns([coords], len(coords)))

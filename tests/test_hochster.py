@@ -1,5 +1,6 @@
 """Bigraded cohomology via subsets, connecting differential, double groups."""
 
+import functools
 import math
 import random
 
@@ -60,6 +61,7 @@ from macoh.linalg import (
 )
 from macoh.verification import (
     DOUBLE_Z2,
+    FOUR_CYCLE_HH,
     PENTAGON_H,
     RP2_H,
     SQUARE_EDGE_H,
@@ -149,7 +151,7 @@ def test_cycle_double_tables():
         inv = hh.invariants()
         expected = {(0, 0): 1, (1, 2): 1, (m - 3, m - 2): 1, (m - 2, m): 1}
         if m == 4:
-            expected = {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+            expected = {b: r for b, (r, _) in FOUR_CYCLE_HH.items()}
         assert {b: r for b, (r, t) in inv.items()} == expected
         assert all(t == () for _, t in inv.values())
 
@@ -185,6 +187,24 @@ def test_sign_fault_names_the_displayed_bidegree(complex_, side, displayed):
     message = f"connecting differential does not square to zero at bidegree {displayed}"
     with pytest.raises(VerificationError) as caught:
         side(complex_(), sign_fault=True)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("field", ["Q", 3])
+@pytest.mark.parametrize("complex_, side, displayed", [
+    (rp2_minimal, "cohomology", "(-3, 10)"),
+    (rp2_minimal, "homology", "(-1, 6)"),
+    (two_squares, "cohomology", "(-3, 8)"),
+    (two_squares, "homology", "(-1, 4)"),
+])
+def test_sign_fault_over_a_field_names_the_integral_bidegree(monkeypatch, complex_, side,
+                                                             displayed, field):
+    # the displayed bidegrees are those of the integral path above
+    monkeypatch.setattr(hochster, "_connecting",
+                        functools.partial(hochster._connecting, sign_fault=True))
+    message = f"connecting differential does not square to zero at bidegree {displayed}"
+    with pytest.raises(VerificationError) as caught:
+        double_field(complex_(), field, side)
     assert str(caught.value) == message
 
 

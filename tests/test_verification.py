@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import macoh
-from macoh import verification
+from macoh import complexes, koszul, verification
 from macoh.errors import VerificationError
 from macoh.linalg import IntMatrix
 from macoh.verification import CHECKS
@@ -18,6 +18,15 @@ from macoh.verification import CHECKS
 @pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
 def test_paper_check(check):
     check()
+
+
+def test_the_bijection_check_covers_rp2(monkeypatch):
+    # the zoo check compares the two pipelines on rp2, whose H and HH have
+    # torsion; this check must carry its bijection
+    seen = []
+    monkeypatch.setattr(koszul, "hochster_koszul_iso", seen.append)
+    dict(CHECKS)["bijection between the pipelines"]()
+    assert complexes.rp2_minimal() in seen
 
 
 def test_a_corrupted_table_fails_under_python_O():
@@ -45,6 +54,7 @@ CHANGED_ENTRIES = [
      "H of two_triangles"),
     ("TWO_SQUARES_H", (4, 6), (1, ()), "two squares glued along an edge", "H of two_squares"),
     ("DOUBLE_Z2", (1, 2), (2, ()), "two squares glued along an edge", "HH of two_squares"),
+    ("FOUR_CYCLE_HH", (1, 2), (3, ()), "four-cycle product", "HH of cycle(4) over Q"),
     ("PENTAGON_CONNECTING", (0, 2), -2, "pentagon connecting matrix",
      "d' of cycle(5) in the stated bases"),
     ("SQUARE_EDGE_CONNECTING", (0, 3), 2, "square with pendant edge",
