@@ -74,9 +74,9 @@ class HochsterDecomposition:
     __slots__ = ("complex", "support", "side", "field", "ops", "cxs", "cohs", "classes",
                  "layouts")
 
-    def __init__(self, complex_, support, side, field, ops, cxs, cohs, classes, layouts):
+    def __init__(self, complex_, side, field, ops, cxs, cohs, classes, layouts):
         self.complex = complex_
-        self.support = support
+        self.support = complex_.full_mask()  # every vertex: the largest subset swept
         self.side = side  # "cohomology" or "homology"
         self.field = field
         self.ops = ops
@@ -98,14 +98,9 @@ class HochsterDecomposition:
         return {b: layout.group.n_gens for b, layout in self.layouts.items()}
 
 
-def _support(k, support):
-    """The swept vertex mask: all of K by default, else a checked subset."""
-    return k.full_mask() if support is None else k.vertex_mask(support)
-
-
-def _sweep(k, support, compute):
-    """FaceBases, compute(reduced complex) and the class of every subset
-    of support.
+def _sweep(k, compute):
+    """FaceBases, compute(reduced complex) and the class of every vertex
+    subset of K.
 
     Subsets come in ascending mask order, each I after P = I - t, t its
     highest vertex.  The faces of K_I with q + 1 vertices are those of P,
@@ -123,8 +118,24 @@ def _sweep(k, support, compute):
     faces = k.faces
     cxs, cohs, classes = {}, {}, {}
     computed, results = {}, []  # key -> class index into results
-    mask, bases, key = 0, [[0]], None  # the empty set, then each I from its P
-    while True:
+    bases, key = [[0]], None  # the empty set; each later I is built from its P
+    for mask in range(1 << k.m):
+        if mask:
+            top = 1 << (mask.bit_length() - 1)
+            below = cxs[mask ^ top].bases
+            link, raised, position = [], [], 0
+            for group in below:
+                up = []
+                for f in group:
+                    if f | top in faces:
+                        up.append(f | top)
+                        link.append(position)
+                    position += 1
+                raised.append(up)
+            bases = [a + b for a, b in zip(below + [[]], [[]] + raised)]
+            if not bases[-1]:  # no link face of P's top cardinality
+                bases.pop()
+            key = (classes[mask ^ top], tuple(link))
         cxs[mask] = FaceBases(mask, bases)
         index = computed.get(key)
         if index is None:
@@ -132,24 +143,7 @@ def _sweep(k, support, compute):
             results.append(compute(reduced_complex(k, mask, bases)))
         classes[mask] = index
         cohs[mask] = results[index]
-        if mask == support:
-            return cxs, cohs, classes
-        mask = (mask - support) & support  # the next submask of support
-        top = 1 << (mask.bit_length() - 1)
-        below = cxs[mask ^ top].bases
-        link, raised, position = [], [], 0
-        for group in below:
-            up = []
-            for f in group:
-                if f | top in faces:
-                    up.append(f | top)
-                    link.append(position)
-                position += 1
-            raised.append(up)
-        bases = [a + b for a, b in zip(below + [[]], [[]] + raised)]
-        if not bases[-1]:  # no link face of P's top cardinality
-            bases.pop()
-        key = (classes[mask ^ top], tuple(link))
+    return cxs, cohs, classes
 
 
 def _summands(cohs):
@@ -167,28 +161,28 @@ def _summands(cohs):
     return layouts
 
 
-def _decompose(k, support, side, field=None):
+def _decompose(k, side, field=None):
     ops = None if field is None else FieldOps(field)
     if ops is None:
         compute = cohomology if side == "cohomology" else homology
     else:
         compute = partial(FieldComplexCohomology, ops=ops, side=side)
-    cxs, cohs, classes = _sweep(k, support, compute)
+    cxs, cohs, classes = _sweep(k, compute)
     layouts = {}
     for b, summands in _summands(cohs).items():
         group = PresentedGroup(d for s in summands for d in s.group.orders)
         layouts[b] = BidegreeLayout(summands=summands, group=group)
-    return HochsterDecomposition(k, support, side, field, ops, cxs, cohs, classes, layouts)
+    return HochsterDecomposition(k, side, field, ops, cxs, cohs, classes, layouts)
 
 
-def hochster_cohomology(k, support=None):
+def hochster_cohomology(k):
     """Bigraded cohomology of Z_K as subset-graded direct sums."""
-    return _decompose(k, _support(k, support), "cohomology")
+    return _decompose(k, "cohomology")
 
 
-def hochster_homology(k, support=None):
+def hochster_homology(k):
     """Bigraded homology of Z_K as subset-graded direct sums."""
-    return _decompose(k, _support(k, support), "homology")
+    return _decompose(k, "homology")
 
 
 def _check_side(side):
@@ -211,7 +205,7 @@ def _moves(hd, summand, dst_index, memo, sign_fault=False):
     matrix) per vertex move whose subset has a summand in dst_index.
 
     Cohomology removes a vertex of the subset and restricts cochains;
-    homology adds a vertex of the support and includes chains.
+    homology adds a vertex outside it and includes chains.
 
     The class matrix depends only on the class of the larger subset (the
     subset itself on the cohomology side, the one with the vertex added
@@ -319,108 +313,14 @@ def double_homology(k, sign_fault=False):
 
 
 # ---------------------------------------------------------------------------
-# morphisms of decompositions
-
-
-def _check_commutes(hd_src, hd_dst, matrices, message):
-    d_src = d_prime(hd_src)
-    d_dst = d_prime(hd_dst)
-    side = hd_src.side
-    for b in hd_src.bidegrees():
-        nxt = _next_bidegree(b, side)
-        dst_next = hd_dst.layouts.get(nxt)
-        if dst_next is None:
-            continue
-        n_rows = dst_next.group.n_gens
-        n_cols = hd_src.layouts[b].group.n_gens
-        left = IntMatrix.zeros(n_rows, n_cols)
-        if nxt in hd_src.layouts and nxt in matrices:
-            left = matrices[nxt] @ d_src[b].matrix
-        right = IntMatrix.zeros(n_rows, n_cols)
-        if b in matrices and b in d_dst and hd_dst.layouts.get(b) is not None:
-            right = d_dst[b].matrix @ matrices[b]
-        if not dst_next.group.is_zero(left - right):
-            raise VerificationError(message)
-
-
-def ch_restriction_morphism(k, vertices):
-    """Inclusion CH*(Z_{K_I}) -> CH*(Z_K) for a vertex subset I.
-
-    The decomposition over subsets of I is a sub-collection of summands
-    of the decomposition of K (identical generators, original labels),
-    so the morphism is an offset-placed identity on every bidegree.
-    Returns (hd_sub, hd_full, matrices keyed by sub bidegree) after
-    checking commutation with d'.
-    """
-    imask = k.vertex_mask(vertices)
-    hd_full = hochster_cohomology(k)
-    hd_sub = hochster_cohomology(k, support=imask)
-
-    def identity(summand, full_index):
-        target = full_index.get(summand.mask)
-        if target is None or target.group.n_gens != summand.group.n_gens:
-            raise VerificationError("subcomplex summand differs from ambient summand")
-        return [(1, target, IntMatrix.identity(summand.group.n_gens))]
-
-    matrices = {}
-    for b, sub_layout in hd_sub.layouts.items():
-        full_layout = hd_full.layouts.get(b)
-        if full_layout is None:
-            raise VerificationError("subcomplex summand missing from the ambient complex")
-        matrices[b] = _assemble(sub_layout, full_layout, identity)
-    _check_commutes(hd_sub, hd_full, matrices,
-                    "full-subcomplex inclusion does not commute with d'")
-    return hd_sub, hd_full, matrices
-
-
-def ch_subcomplex_morphisms(l_complex, k_complex, side="homology"):
-    """Bigraded morphism induced by a subcomplex L of K on the same
-    vertex set: the chain pushforward CH_*(Z_L) -> CH_*(Z_K) on the
-    homology side, the cochain restriction CH*(Z_K) -> CH*(Z_L) on the
-    cohomology side.  Returns (hd_src, hd_dst, matrices keyed by source
-    bidegree) after checking commutation with the connecting
-    differential.
-    """
-    _check_side(side)
-    if l_complex.m != k_complex.m:
-        raise VerificationError("subcomplex morphism needs a common vertex set")
-    for face in l_complex.maximal_faces:
-        if not k_complex.has_face(face):
-            raise VerificationError("L is not a subcomplex of K")
-    # the faces of L_I are among those of K_I, as those of K_{I-i} are of K_I
-    if side == "homology":
-        hd_src = hochster_homology(l_complex)
-        hd_dst = hochster_homology(k_complex)
-        chain_matrix = inclusion_matrix
-    else:
-        hd_src = hochster_cohomology(k_complex)
-        hd_dst = hochster_cohomology(l_complex)
-        chain_matrix = restriction_matrix
-
-    def pushed(summand, dst_index):
-        target = dst_index.get(summand.mask)
-        if target is None:
-            return []
-        mask, p = summand.mask, summand.degree
-        chain = chain_matrix(hd_src.cxs[mask], hd_dst.cxs[mask], p)
-        return [(1, target, induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p))]
-
-    matrices = {b: _assemble(src_layout, hd_dst.layouts.get(b), pushed)
-                for b, src_layout in hd_src.layouts.items()}
-    _check_commutes(hd_src, hd_dst, matrices,
-                    "subcomplex morphism does not commute with the connecting differential")
-    return hd_src, hd_dst, matrices
-
-
-# ---------------------------------------------------------------------------
 # field coefficients
 
 
-def hochster_field(k, field, side="cohomology", support=None):
+def hochster_field(k, field, side="cohomology"):
     """Bigraded (co)homology over Q or F_p: a HochsterDecomposition whose
     summands are FieldSubquotients and whose dims are the dimensions."""
     _check_side(side)
-    return _decompose(k, _support(k, support), side, field)
+    return _decompose(k, side, field)
 
 
 def double_field(k_or_hd, field, side="cohomology"):

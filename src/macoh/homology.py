@@ -18,16 +18,9 @@ inclusion into a larger subset is the dual injection on chains.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .complexes import sign_eps
-from .linalg import (
-    GroupMorphism,
-    IntMatrix,
-    PresentedGroup,
-    free_homology,
-    kernel_subgroup,
-)
+from .linalg import IntMatrix, free_homology
 
 
 @dataclass
@@ -179,42 +172,6 @@ def induced_map(src_coh, dst_coh, chain_matrix, p):
     if n_src == 0 or n_dst == 0:
         return IntMatrix.zeros(n_dst, n_src)
     return dst.express_columns(chain_matrix @ src.gens)
-
-
-def top_classes(k, coh=None):
-    """Classes of H~*(K) killed by restriction to every (m-1)-vertex
-    full subcomplex.  Returns a list of (degree, order, coords, cocycle)
-    with coords in the generators of H~*(K) and the cocycle an explicit
-    representative.
-    """
-    full = k.full_mask()
-    cx = reduced_complex(k, full)
-    if coh is None:
-        coh = cohomology(cx)
-    subs = []
-    for v in range(1, k.m + 1):
-        sub_cx = reduced_complex(k, full & ~(1 << (v - 1)))
-        subs.append((sub_cx, cohomology(sub_cx)))
-    out = []
-    for p in coh.degrees():
-        src = coh.group(p)
-        blocks = []
-        orders = []
-        for sub_cx, sub_coh in subs:
-            tgt = sub_coh.group(p)
-            if tgt is None or tgt.n_gens == 0:
-                continue
-            mat = induced_map(coh, sub_coh, restriction_matrix(cx, sub_cx, p), p)
-            blocks.append(mat)
-            orders.extend(tgt.orders)
-        stacked = reduce(IntMatrix.vstack, blocks, IntMatrix.zeros(0, src.n_gens))
-        g = GroupMorphism(src, PresentedGroup(orders), stacked)
-        vanish = kernel_subgroup(g)
-        for j in range(vanish.n_gens):
-            coords = vanish.gens.column(j)
-            cocycle = src.gens.mulvec(coords)
-            out.append((p, vanish.orders[j], coords, cocycle))
-    return out
 
 
 class FieldComplexCohomology(ComplexCohomology):

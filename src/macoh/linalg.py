@@ -162,12 +162,6 @@ class IntMatrix:
         return IntMatrix._adopt([{**a, **{shift + j: x for j, x in b.items()}}
                                  for a, b in zip(self._rows, other._rows)], shift + other.ncols)
 
-    def vstack(self, other):
-        if other.ncols != self.ncols:
-            raise LinalgError("vstack width mismatch")
-        return IntMatrix._adopt([dict(row) for row in self._rows]
-                                + [dict(row) for row in other._rows], self.ncols)
-
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise LinalgError("matmul shape mismatch")
@@ -735,12 +729,6 @@ def _kernel_lattice(g):
                                 u_inv.nrows - r).transpose()
 
     return ker, coords
-
-
-def kernel_subgroup(g):
-    """ker(g) as a subquotient of g.source (f = 0)."""
-    zero = GroupMorphism.zero(PresentedGroup.free(0), g.source)
-    return homology_of_pair(zero, g)
 
 
 def free_homology(d_in, d_out):

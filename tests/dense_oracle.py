@@ -5,10 +5,16 @@ eliminations of macoh.linalg are checked against.
 A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
 shapes keep their shape.  Nothing here shares code with macoh.linalg,
 except the helpers at the end, which read what tests ask of the Smith
-decomposition and of a PresentedGroup.
+decomposition, of homology_of_pair and of a PresentedGroup.
 """
 
-from macoh.linalg import IntMatrix, smith_normal_form
+from macoh.linalg import (
+    GroupMorphism,
+    IntMatrix,
+    PresentedGroup,
+    homology_of_pair,
+    smith_normal_form,
+)
 
 
 class DenseMatrix:
@@ -62,9 +68,6 @@ class DenseMatrix:
     def hstack(self, other):
         return DenseMatrix([a + b for a, b in zip(self.rows, other.rows)],
                            self.ncols + other.ncols)
-
-    def vstack(self, other):
-        return DenseMatrix(self.rows + other.rows, self.ncols)
 
     def __matmul__(self, other):
         return DenseMatrix([[sum(row[k] * other.rows[k][j] for k in range(self.ncols))
@@ -175,6 +178,11 @@ def kernel_basis(a):
     dec = smith_normal_form(a)
     return IntMatrix.from_columns([dec.V.column(j) for j in range(len(dec.divisors), a.ncols)],
                                   a.ncols)
+
+
+def kernel_subgroup(g):
+    """ker(g) as a subquotient of g.source: homology_of_pair with f = 0."""
+    return homology_of_pair(GroupMorphism.zero(PresentedGroup.free(0), g.source), g)
 
 
 def element_is_zero(group, coords):

@@ -17,7 +17,6 @@ import time
 
 from macoh import complexes
 from macoh import hochster
-from macoh import homology
 from macoh import koszul
 from macoh.linalg import smith_normal_form
 from macoh.verification import (
@@ -224,19 +223,20 @@ def test_13_pendant_square_glued_triangles_glued_squares_tables():
 
 
 def test_14_top_classes_survive_and_poincare_duality():
-    survivors = [complexes.boundary_simplex(m) for m in range(2, 7)]
-    survivors.append(complexes.rp2_minimal())
-    for k in survivors:
-        tops = homology.top_classes(k)
-        assert tops
-        degree, order, coords, _ = max(tops)
-        b = (k.m - degree - 1, k.m)
+    # a top class of H~^p(K) restricts to zero on every K - v; the top
+    # classes are HH at (m - p - 1, m), where nothing maps in and d' stacks
+    # those restrictions.  (degree, invariants) of each survivor:
+    survivors = [(complexes.boundary_simplex(m), m - 2, (1, ())) for m in range(2, 7)]
+    survivors.append((complexes.rp2_minimal(), 2, (0, (2,))))
+    for k, degree, invariants in survivors:
         dd = hochster.double_cohomology(k)
+        tops = {b: inv for b, inv in dd.invariants().items() if b[1] == k.m}
+        b = (k.m - degree - 1, k.m)
+        assert tops == {b: invariants}
+        # each generator is a nonzero class of H~^p(K), the one summand at b
         group = dd.group(b)
-        assert group is not None
-        assert not group.class_is_zero(coords)
-        if order:
-            assert order in group.invariants()[1]
+        assert not dd.decomposition.layouts[b].group.is_zero(group.gens)
+        assert not any(group.class_is_zero(group.gens.column(j)) for j in range(group.n_gens))
 
     duals = [complexes.boundary_simplex(m) for m in range(2, 7)]
     duals.extend(complexes.cycle(m) for m in range(4, 8))

@@ -2,6 +2,7 @@
 
 import random
 
+from dense_oracle import kernel_subgroup
 from macoh.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -12,8 +13,11 @@ from macoh.complexes import (
     random_complex,
     rp2_minimal,
     simplex,
+    square_edge,
     two_squares,
+    zoo,
 )
+from macoh.hochster import double_cohomology
 from macoh.homology import (
     cohomology,
     homology,
@@ -21,8 +25,8 @@ from macoh.homology import (
     inclusion_matrix,
     reduced_complex,
     restriction_matrix,
-    top_classes,
 )
+from macoh.linalg import GroupMorphism, IntMatrix, PresentedGroup
 
 
 def uct_consistency(cx):
@@ -168,9 +172,27 @@ def test_universal_coefficients_on_random_complexes():
         assert uct_consistency(reduced_complex(k))
 
 
+def _top_classes(k):
+    """(degree, order, coords, cocycle) per generator of HH at l = m, by
+    ascending degree; coords are in the generators of H~^degree(K), the one
+    summand at l = m, and cocycle represents the class.  These are the top
+    classes, those of H~*(K) that restrict to zero on every K - v: nothing
+    maps into l = m, and d' out of it stacks those restrictions."""
+    hh = double_cohomology(k)
+    out = []
+    for kk, l in hh.bidegrees():
+        if l == k.m:
+            group = hh.group((kk, l))
+            (summand,) = hh.decomposition.layouts[(kk, l)].summands
+            for j, order in enumerate(group.orders):
+                coords = group.gens.column(j)
+                out.append((k.m - kk - 1, order, coords, summand.group.gens.mulvec(coords)))
+    return sorted(out, key=lambda top: top[0])
+
+
 def test_top_classes_of_spheres():
     for m in range(2, 6):
-        found = top_classes(boundary_simplex(m))
+        found = _top_classes(boundary_simplex(m))
         assert len(found) == 1
         degree, order, coords, cocycle = found[0]
         assert degree == m - 2
@@ -180,50 +202,52 @@ def test_top_classes_of_spheres():
 
 
 def test_top_classes_of_rp2():
-    found = top_classes(rp2_minimal())
-    assert len(found) == 1
-    degree, order, _, _ = found[0]
-    assert degree == 2
-    assert order == 2
+    found = _top_classes(rp2_minimal())
+    assert [(d, o) for d, o, _, _ in found] == [(2, 2)]
 
 
 def test_top_classes_of_two_points():
-    found = top_classes(disjoint_points(2))
+    found = _top_classes(disjoint_points(2))
     assert [(d, o) for d, o, _, _ in found] == [(0, 0)]
 
 
 def test_cycle_top_class():
-    found = top_classes(cycle(5))
+    found = _top_classes(cycle(5))
     assert [(d, o) for d, o, _, _ in found] == [(1, 0)]
 
 
-def test_top_classes_computes_each_restriction_once(monkeypatch):
-    import macoh.homology as hm
-
+def test_square_edge_has_no_top_classes():
+    # its circle class survives restriction away from the pendant vertex
+    assert _top_classes(square_edge()) == []
     # a circle disjoint from a 2-sphere: classes in degrees 0, 1 and 2,
     # none killed by every restriction
     k = SimplicialComplex.from_maximal_faces(
         7, [[1, 2], [2, 3], [1, 3], [4, 5, 6], [4, 5, 7], [4, 6, 7], [5, 6, 7]])
     assert _coh(k).degrees() == [0, 1, 2]
-    calls = []
-    real = hm.cohomology
-
-    def counted(cx):
-        calls.append(cx.support)
-        return real(cx)
-
-    monkeypatch.setattr(hm, "cohomology", counted)
-    assert top_classes(k) == []
-    # K itself and each of its 7 full subcomplexes on 6 vertices, once
-    assert len(calls) == len(set(calls)) == 8
-    calls.clear()
-    assert [(d, o) for d, o, _, _ in top_classes(rp2_minimal())] == [(2, 2)]
-    assert len(calls) == 7
+    assert _top_classes(k) == []
 
 
-def test_square_edge_has_no_top_classes():
-    # its circle class survives restriction away from the pendant vertex
-    from macoh.complexes import square_edge
-
-    found = top_classes(square_edge())
-    assert found == []
+def test_top_classes_are_the_kernel_of_the_restrictions_to_each_k_minus_v():
+    rng = random.Random(21)
+    cases = [k for _, k in zoo()] + [random_complex(rng, rng.randint(2, 7)) for _ in range(30)]
+    for k in cases:
+        full = k.full_mask()
+        cx = reduced_complex(k, full)
+        coh = cohomology(cx)
+        subs = [reduced_complex(k, full & ~(1 << v)) for v in range(k.m)]
+        sub_cohs = [cohomology(sub) for sub in subs]
+        kernels = {}
+        for p in coh.degrees():
+            # H~^p(K) -> the direct sum of H~^p(K - v), one block of rows per v
+            orders, entries = [], []
+            for sub, sub_coh in zip(subs, sub_cohs):
+                block = induced_map(coh, sub_coh, restriction_matrix(cx, sub, p), p)
+                entries += [(len(orders) + r, c, x) for r, c, x in block.entries()]
+                orders += sub_coh.group(p).orders if sub_coh.group(p) else []
+            src = coh.group(p)
+            stacked = IntMatrix.from_entries(len(orders), src.n_gens, entries)
+            ker = kernel_subgroup(GroupMorphism(src, PresentedGroup(orders), stacked))
+            if not ker.is_trivial():
+                kernels[k.m - p - 1] = ker.invariants()
+        hh = double_cohomology(k).invariants()
+        assert {kk: inv for (kk, l), inv in hh.items() if l == k.m} == kernels, k

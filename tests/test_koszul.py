@@ -54,11 +54,6 @@ def test_bicomplex_identities_on_random_complexes():
         assert koszul.RComplex(k).check_identities()
 
 
-def test_pentagon_cohomology_table():
-    kc = koszul.cohomology_via_koszul(complexes.cycle(5))
-    assert kc.invariants() == PENTAGON_H
-
-
 def test_pentagon_cochain_level_connecting_values():
     rc = koszul.RComplex(complexes.cycle(5))
     b = (2, 3)
