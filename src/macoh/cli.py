@@ -102,10 +102,7 @@ def _rows(table):
     rows = []
     for kk, l in sorted(table, key=lambda b: (b[1], b[0])):
         value = table[(kk, l)]
-        if isinstance(value, tuple):
-            rank, torsion = value
-        else:
-            rank, torsion = value, ()
+        rank, torsion = value if isinstance(value, tuple) else (value, ())
         if rank == 0 and not torsion:
             continue
         rows.append({"k": -kk, "l": 2 * l, "rank": rank, "torsion": list(torsion)})
@@ -240,16 +237,27 @@ def cmd_verify_paper(args):
     return 2 if failures else 0
 
 
+def _check_strand_euler(h, hh, ring):
+    """d' keeps the strand p = l - k - 1 and moves l by one, so on each
+    strand H and HH have the same alternating sum of the ranks over l."""
+    sums = Counter()
+    for sign, table in ((1, h), (-1, hh)):
+        for r in _rows(table):  # displayed bidegrees (-k, 2l)
+            sums[r["k"] + r["l"] // 2 - 1] += sign * (-1) ** (r["l"] // 2) * r["rank"]
+    if any(sums.values()):
+        raise VerificationError(f"H and HH over {ring} have different Euler characteristics "
+                                f"on the strand p = {min(p for p, s in sums.items() if s)}")
+
+
 def _fuzz_one(k, inject_sign_fault, rng):
     """Both pipelines, the bicomplex identities, HH_* against HH^*, the
     field paths against the integral tables (HH over Q, and H over F_2 and
     F_3 by universal coefficients), field HH over F_3 against Koszul field
-    HH and field HH_*, and the integral and F_3 tables of a copy of k
-    relabelled by a permutation drawn from rng against those of k; raises
-    on violation.  The pipelines share homology_of_pair and its divisor
-    path, so a fault there is caught only by the field checks, the
-    relabelled copy, and the check of the orders when representatives
-    are built."""
+    HH and field HH_*, the integral and F_3 tables of a copy of k
+    relabelled by a permutation drawn from rng against those of k, and H
+    against HH per strand over Z and F_3; raises on violation.  The shared
+    homology_of_pair and its divisor path are checked only by the field
+    checks, the relabelled copy, and the orders of built representatives."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -258,6 +266,7 @@ def _fuzz_one(k, inject_sign_fault, rng):
         raise VerificationError("cohomology tables disagree between pipelines")
     if hhk.invariants() != dd.invariants():
         raise VerificationError("double cohomology tables disagree between pipelines")
+    _check_strand_euler(dd.decomposition.invariants(), dd.invariants(), "Z")
     coh = {b: rank for b, (rank, _) in dd.invariants().items()}
     hom = {b: rank for b, (rank, _) in hochster.double_homology(k).invariants().items()}
     # universal coefficients: H^n(F_p) = H^n (x) F_p + Tor(H^{n+1}, F_p), and
@@ -300,6 +309,7 @@ def _fuzz_one(k, inject_sign_fault, rng):
         for kk, l in sorted(set(got) | set(want)):
             if got.get((kk, l), 0) != want.get((kk, l), 0):
                 raise VerificationError(f"{message} at bidegree ({-kk}, {2 * l})")
+    _check_strand_euler(field_h[3].dims, hh3, "F_3")
 
 
 def cmd_fuzz(args):

@@ -318,7 +318,8 @@ def double_homology(k, sign_fault=False):
 
 def hochster_field(k, field, side="cohomology"):
     """Bigraded (co)homology over Q or F_p: a HochsterDecomposition whose
-    summands are FieldSubquotients and whose dims are the dimensions."""
+    dims are the dimensions and whose summands are FieldSubquotients, each
+    with its dimension first and representatives only when d' reads them."""
     _check_side(side)
     return _decompose(k, side, field)
 

@@ -340,7 +340,8 @@ class KoszulFieldAlgebra:
 
     h_layers and class_dprime come from the same _layers and _class_dprime
     as the integral pipeline, with FieldOps.free_homology in place of
-    free_homology; hh_layers is _layers of class_dprime.
+    free_homology; hh_layers is _layers of class_dprime.  As over Z, a
+    layer gives its dimension first and representatives on first read.
     """
 
     def __init__(self, k, field):

@@ -50,15 +50,15 @@ class IntMatrix:
     A matrix is written only by the function that builds it, and never
     after that function hands it out.  So what is read off a matrix holds
     for its lifetime: smith_divisors keeps its result in the slot
-    _divisors (None until the first call), and a differential that is the
-    outgoing map at one spot and the incoming one at the next is
-    eliminated once.
+    _divisors, FieldOps.rank its own in _ranks, keyed by p (None over Q),
+    and a differential that is the outgoing map at one spot and the
+    incoming one at the next is eliminated once per ring.
 
     >>> IntMatrix([[1, 2], [3, 4]]) @ IntMatrix.identity(2) == IntMatrix([[1, 2], [3, 4]])
     True
     """
 
-    __slots__ = ("_rows", "nrows", "ncols", "_divisors")
+    __slots__ = ("_rows", "nrows", "ncols", "_divisors", "_ranks")
 
     def __init__(self, rows, ncols=None):
         rows = list(map(list, rows))
@@ -74,14 +74,15 @@ class IntMatrix:
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
         self.nrows = len(rows)
         self.ncols = ncols
-        self._divisors = None
+        self._divisors = self._ranks = None
 
     @classmethod
     def _adopt(cls, rows, ncols):
         """The matrix on row dicts that nothing else holds and that have no
         zero entry: no copy, no check."""
         mat = cls.__new__(cls)
-        mat._rows, mat.nrows, mat.ncols, mat._divisors = rows, len(rows), ncols, None
+        mat._rows, mat.nrows, mat.ncols = rows, len(rows), ncols
+        mat._divisors = mat._ranks = None
         return mat
 
     @classmethod
@@ -185,12 +186,6 @@ class IntMatrix:
             raise LinalgError("mulvec length mismatch")
         return [sum(x * vec[j] for j, x in row.items()) for row in self._rows]
 
-    def scaled(self, c):
-        if not c:
-            return IntMatrix.zeros(self.nrows, self.ncols)
-        return IntMatrix._adopt([{j: c * x for j, x in row.items()} for row in self._rows],
-                                self.ncols)
-
     def __add__(self, other):
         if self.shape != other.shape:
             raise LinalgError("add shape mismatch")
@@ -200,9 +195,6 @@ class IntMatrix:
             _axpy(row, b, 1)
             out.append(row)
         return IntMatrix._adopt(out, self.ncols)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
 
     def is_zero(self):
         return not any(self._rows)
@@ -577,8 +569,8 @@ class Subquotient(PresentedGroup):
 
     orders is known from the start; the representatives (gens,
     express_columns, express, class_is_zero) are built from f and g on
-    first use, by _representatives.  That build must find the same
-    orders, or it raises LinalgError; after it, f and g are released.
+    first use, by _represent.  That build must find the same orders, or
+    it raises LinalgError; after it, f and g are released.
     express_columns needs only the coordinate map of _kernel_lattice and
     the kept rows of the relator U, so nothing else of the Smith forms is
     kept.
@@ -594,15 +586,18 @@ class Subquotient(PresentedGroup):
         if orders is None:
             self._built()
 
+    def _represent(self, f, g):
+        return _representatives(f, g)
+
     def _built(self):
-        """(gens, kernel_coords, ux), built on the first call."""
+        """The representatives from _represent, built on the first call."""
         if self._reps is None:
-            orders, *reps = _representatives(*self._pair)
+            orders, *reps = self._represent(*self._pair)
             if self.orders is None:
                 self.orders = orders
             elif orders != self.orders:
-                raise LinalgError(f"the Smith forms of ker(g)/im(f) give the orders "
-                                  f"{orders}, the divisors {self.orders}")
+                raise LinalgError(f"the representatives of ker(g)/im(f) give the orders "
+                                  f"{orders}, the ranks and divisors {self.orders}")
             self._reps = reps
             self._pair = None
         return self._reps
@@ -822,8 +817,8 @@ def is_prime(p):
 
 class FieldOps:
     """Linear algebra over Q or F_p: the coefficient ring of the field
-    paths, which pass its free_homology where Z passes the module's.
-
+    paths, which pass its free_homology where Z passes the module's: like
+    homology_of_pair, dimension first, representatives on first read.
     Rows are dicts {column: nonzero int}, as in IntMatrix: entries in
     [0, p) over F_p, integer multiples of the vectors they stand for over
     Q, where an input row may also hold Fractions that _integers clears.
@@ -925,27 +920,50 @@ class FieldOps:
         return out, pivots
 
     def rank(self, mat):
-        """Rank of the matrix mat over the field."""
+        """Rank of mat over the field, eliminated once per field (see IntMatrix)."""
+        ranks = mat._ranks = mat._ranks or {}
+        if self.p not in ranks:
+            ranks[self.p] = self._rank(mat)
+        return ranks[self.p]
+
+    def _rank(self, mat):
         m = [v for v in (self._integers(row)[0] for row in mat._rows) if v]
         return len(self._echelon(m, mat.ncols, reduced=False))
 
     def free_homology(self, d_in, d_out):
-        """ker(d_out)/im(d_in) over the field, for matrices F^a --d_in-->
-        F^n --d_out--> F^b with integer (over Q, also Fraction) entries.
-
-        Two eliminations.  The reduced echelon form of d_out gives the
-        cycle checks, its nonzero rows, and one integer kernel vector per
-        free column (over F_p with free coordinate 1).  Then [d_in | kernel
-        | identity] is eliminated up to the identity block: the kernel
-        columns among its pivots are the representatives, and the identity
-        block of their rows is the express map.
-        """
-        p = self.p
+        """ker(d_out)/im(d_in) for F^a --d_in--> F^n --d_out--> F^b, integer
+        (over Q, also Fraction) entries: dimension n - rank(d_out) - rank(d_in)
+        first, and LinalgError if that is negative, as then d_out @ d_in != 0."""
         n = d_out.ncols
         if d_in.nrows != n:
             raise LinalgError("d_in and d_out disagree")
-        ints = [self._integers(row)[0] for row in d_out._rows]
-        pivots = self._echelon(ints, n, reduced=True)
+        dim = n - self.rank(d_out) - self.rank(d_in)
+        if dim < 0:
+            raise LinalgError("d_out @ d_in is not zero")
+        return FieldSubquotient(self, d_in, d_out, dim)
+
+
+class FieldSubquotient(Subquotient):
+    """ker(out)/im(in) over the field of ops, all orders 0: the dimension
+    comes from ranks, the rest from two eliminations in _represent, on
+    first read.  The reduced echelon form of out gives the cycle checks,
+    its nonzero rows, and an integer kernel vector per free column (over
+    F_p with free coordinate 1).  [in | kernel | identity] is then
+    eliminated up to the identity block: its kernel pivot columns are
+    gens, integer cycles whose classes form a basis, and the identity
+    block t of their rows maps a cycle v to its coordinates (t @ v) / pivots.
+    """
+
+    __slots__ = ("ops",)
+
+    def __init__(self, ops, d_in, d_out, dim):
+        self.ops = ops
+        super().__init__(d_in, d_out, (0,) * dim)
+
+    def _represent(self, d_in, d_out):
+        ops, n, p = self.ops, d_out.ncols, self.ops.p
+        ints = [ops._integers(row)[0] for row in d_out._rows]
+        pivots = ops._echelon(ints, n, reduced=True)
         checks = IntMatrix._adopt(ints[:len(pivots)], n)
         # a reduced pivot row has no other pivot column, so its other
         # entries sit in free columns: (entry, pivot entry, pivot column)
@@ -977,62 +995,30 @@ class FieldOps:
                     rows[i][first + t] = x
             for i, row in enumerate(rows):
                 row[width + i] = 1
-                m.append(self._integers(row)[0])
-        kept = [(row, col) for row, col in zip(m, self._echelon(m, width, reduced=True))
+                m.append(ops._integers(row)[0])
+        kept = [(row, col) for row, col in zip(m, ops._echelon(m, width, reduced=True))
                 if col >= first]
         gens = IntMatrix.from_entries(n, len(kept), [(i, t, x) for t, (_, col) in enumerate(kept)
                                                      for i, x in cycles[col - first].items()])
         t = [{j - width: x for j, x in row.items() if j >= width} for row, _ in kept]
-        return FieldSubquotient(self, gens, checks, IntMatrix._adopt(t, n),
-                                [row[col] for row, col in kept])
-
-
-class FieldSubquotient:
-    """ker(out)/im(in) over a field, in the shape of the integral Subquotient.
-
-    gens holds the representatives as columns: integer cycles whose classes
-    form a basis.  Every generator is free, so orders is all zeros and
-    invariants() is (dimension, ()).  A vector v is a cycle exactly when
-    checks @ v vanishes (mod p), checks being the echelon rows of out.
-    Every representative is a pivot column of the reduced echelon form
-    t @ [in | kernel], so the coordinates of a cycle v are (t @ v) /
-    pivots, row by row.
-    """
-
-    __slots__ = ("ops", "gens", "orders", "_checks", "_t", "_pivots")
-
-    def __init__(self, ops, gens, checks, t, pivots):
-        self.ops = ops
-        self.gens = gens
-        self.orders = (0,) * gens.ncols
-        self._checks = checks
-        self._t = t
-        self._pivots = pivots
-
-    @property
-    def n_gens(self):
-        return self.gens.ncols
-
-    def invariants(self):
-        return (self.gens.ncols, ())
-
-    def is_trivial(self):
-        return self.gens.ncols == 0
+        return ((0,) * len(kept), gens, checks, IntMatrix._adopt(t, n),
+                [row[col] for row, col in kept])
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of the integer matrix
         mat, one column each: ints in [0, p) over F_p, Fractions over Q.
         Raises LinalgError on a column not a cycle."""
+        _, checks, t, pivots = self._built()
         p = self.ops.p
-        checks = (self._checks @ mat)._rows
+        checks = (checks @ mat)._rows
         if any(any(x % p for x in row.values()) if p else row for row in checks):
             raise LinalgError("vector is not a cycle")
-        z = (self._t @ mat)._rows
+        z = (t @ mat)._rows
         if p:
             return IntMatrix._adopt([{j: y for j, x in row.items() if (y := x % p)}
                                      for row in z], mat.ncols)
         return IntMatrix._adopt([{j: Fraction(x, d) for j, x in row.items()}
-                                 for row, d in zip(z, self._pivots)], mat.ncols)
+                                 for row, d in zip(z, pivots)], mat.ncols)
 
     def express(self, vec):
         """express_columns of the one-column matrix vec; over Q, vec may

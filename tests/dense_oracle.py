@@ -5,7 +5,8 @@ eliminations of macoh.linalg are checked against.
 A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
 shapes keep their shape.  Nothing here shares code with macoh.linalg,
 except the helpers at the end, which read what tests ask of the Smith
-decomposition, of homology_of_pair and of a PresentedGroup.
+decomposition, of homology_of_pair and of a PresentedGroup, and scale an
+IntMatrix.
 """
 
 from macoh.linalg import (
@@ -189,3 +190,9 @@ def element_is_zero(group, coords):
     """Whether the element with generator coordinates coords is zero in the
     PresentedGroup group: is_zero of the one-column matrix coords."""
     return group.is_zero(IntMatrix.from_columns([coords], len(coords)))
+
+
+def scaled(a, c):
+    """c times the IntMatrix a, built from its entries; a - b is
+    a + scaled(b, -1)."""
+    return IntMatrix.from_entries(a.nrows, a.ncols, [(r, j, c * v) for r, j, v in a.entries()])

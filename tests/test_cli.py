@@ -6,12 +6,14 @@ import sys
 
 import pytest
 
+from dense_oracle import scaled
 from macoh import cli
 from macoh import complexes
 from macoh import hochster
 from macoh import koszul
 from macoh import linalg
 from macoh.complexes import SimplicialComplex
+from macoh.errors import VerificationError
 
 
 def run(argv, capsys):
@@ -272,7 +274,7 @@ def test_fuzz_catches_a_fault_that_both_pipelines_share(monkeypatch, capsys):
     def doubled_boundaries(f, g):
         # ker(g)/im(2f): every homology group of both pipelines gains
         # 2-torsion, so their tables still agree, and so do the free ranks
-        return real(linalg.GroupMorphism(f.source, f.target, f.matrix.scaled(2)), g)
+        return real(linalg.GroupMorphism(f.source, f.target, scaled(f.matrix, 2)), g)
 
     monkeypatch.setattr(linalg, "homology_of_pair", doubled_boundaries)
     code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
@@ -286,7 +288,7 @@ def test_fuzz_catches_odd_torsion_that_both_pipelines_share(monkeypatch, capsys)
 
     def tripled_boundaries(f, g):
         # ker(g)/im(3f): odd torsion, which F_2 cannot see and Q ignores
-        return real(linalg.GroupMorphism(f.source, f.target, f.matrix.scaled(3)), g)
+        return real(linalg.GroupMorphism(f.source, f.target, scaled(f.matrix, 3)), g)
 
     monkeypatch.setattr(linalg, "homology_of_pair", tripled_boundaries)
     code, out, _ = run(["fuzz", "--seed", "3", "--m-max", "7", "--trials", "2"], capsys)
@@ -348,6 +350,42 @@ def test_fuzz_catches_tables_that_change_under_relabelling(monkeypatch, capsys):
     assert code == 2
     assert "trial 1 (rp2): VIOLATION: cohomology of the copy relabelled by [" in out
     assert "] disagrees with k at bidegree" in out
+
+
+def test_the_strand_euler_guard_compares_h_with_hh():
+    k = complexes.rp2_minimal()
+    dd = hochster.double_cohomology(k)
+    h3 = hochster.hochster_field(k, 3)
+    hh3 = hochster.double_field(h3, 3)
+    cli._check_strand_euler(dd.decomposition.invariants(), dd.invariants(), "Z")
+    cli._check_strand_euler(h3.dims, hh3, "F_3")
+    # torsion does not count; one more class at (-2, 6), on the strand
+    # p = 3 - 2 - 1 = 0, does
+    h, hh = dd.decomposition.invariants(), dd.invariants()
+    rank, torsion = hh.get((2, 3), (0, ()))
+    cli._check_strand_euler(h, {**hh, (2, 3): (rank, torsion + (2,))}, "Z")
+    with pytest.raises(VerificationError, match="over Z have different Euler "
+                                                "characteristics on the strand p = 0"):
+        cli._check_strand_euler(h, {**hh, (2, 3): (rank + 1, torsion)}, "Z")
+    with pytest.raises(VerificationError, match="over F_3 .* strand p = -1"):
+        cli._check_strand_euler(h3.dims, {**hh3, (0, 0): 0}, "F_3")
+
+
+def test_fuzz_catches_a_class_that_both_double_cohomology_pipelines_lose(monkeypatch, capsys):
+    real = linalg.graded_homology
+
+    def drop_the_first_bidegree(morphisms, step):
+        # the HH step of both pipelines: their HH tables still agree
+        groups = real(morphisms, step)
+        del groups[min(groups)]
+        return groups
+
+    monkeypatch.setattr(hochster, "graded_homology", drop_the_first_bidegree)
+    monkeypatch.setattr(koszul, "graded_homology", drop_the_first_bidegree)
+    code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
+    assert code == 2
+    assert "trial 1 (rp2): VIOLATION: H and HH over Z have different Euler " \
+           "characteristics on the strand p = -1" in out
 
 
 def test_generate(tmp_path, capsys):

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from dense_oracle import kernel_subgroup
+from dense_oracle import kernel_subgroup, scaled
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,7 +252,7 @@ def _pushforward(l_complex, k_complex):
         zero = IntMatrix.zeros(dst_next.group.n_gens, mat.ncols)
         left = matrices[nxt] @ d_src[(kk, l)].matrix if nxt in matrices else zero
         right = d_dst[(kk, l)].matrix @ mat if (kk, l) in d_dst else zero
-        assert dst_next.group.is_zero(left - right), (kk, l)
+        assert dst_next.group.is_zero(left + scaled(right, -1)), (kk, l)
     return hd_src, hd_dst, matrices
 
 
@@ -324,15 +324,37 @@ def test_an_unknown_side_is_rejected():
 
 
 def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypatch):
+    # the sweep ranks its (co)boundaries through FieldOps.rank as well, so
+    # only the calls on the d' matrices that _connecting hands out count
     k = cycle(6)
     for field in ("Q", 3):
         fh = hochster_field(k, field)
         n_matrices = sum(1 for mat in _connecting(fh).values() if mat.nrows)
-        calls = []
-        rank = FieldOps.rank
-        monkeypatch.setattr(FieldOps, "rank", lambda ops, m: calls.append(m) or rank(ops, m))
-        assert double_field(fh, field) == double_field(k, field)
-        assert len(calls) == 2 * n_matrices
+        sweeps, d_primes, ranked, eliminated = [], [], [], []
+
+        def record(wrapped, calls):
+            return lambda *args: calls.append(args[-1]) or wrapped(*args)
+
+        def connecting(hd, real=hochster._connecting):
+            out = real(hd)
+            d_primes.extend(out.values())
+            return out
+
+        monkeypatch.setattr(hochster, "_sweep", record(hochster._sweep, sweeps))
+        monkeypatch.setattr(hochster, "_connecting", connecting)
+        monkeypatch.setattr(FieldOps, "rank", record(FieldOps.rank, ranked))
+        monkeypatch.setattr(FieldOps, "_rank", record(FieldOps._rank, eliminated))
+        reused = double_field(fh, field)
+        assert not sweeps and len(d_primes) == len(fh.layouts)
+        assert reused == double_field(k, field)
+        assert len(sweeps) == 1 and len(d_primes) == 2 * len(fh.layouts)
+        # the sweep eliminates each (co)boundary once, though it is read at two degrees
+        assert len({id(m) for m in eliminated}) == len(eliminated)
+        # each d' matrix with rows is ranked once and eliminated once
+        with_rows = sorted(id(mat) for mat in d_primes if mat.nrows)
+        assert len(with_rows) == 2 * n_matrices
+        for calls in (ranked, eliminated):
+            assert sorted(id(m) for m in calls if any(m is d for d in d_primes)) == with_rows
         monkeypatch.undo()
         with pytest.raises(ValueError):
             double_field(fh, field, side="homology")

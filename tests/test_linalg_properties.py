@@ -13,6 +13,7 @@ from dense_oracle import (
     element_is_zero,
     kernel_basis,
     kernel_subgroup,
+    scaled,
     smith_by_full_scan,
     smith_diagonal,
     smith_divisors_by_full_scan,
@@ -22,6 +23,7 @@ from macoh.complexes import cycle
 from macoh.hochster import hochster_cohomology, hochster_field
 from macoh.linalg import (
     FieldOps,
+    FieldSubquotient,
     GroupMorphism,
     IntMatrix,
     LinalgError,
@@ -119,7 +121,7 @@ def test_smith_divisors_read_twice_match_the_dense_oracle(a):
     assert smith_divisors(a) == expected
     assert smith_divisors(a) == expected
     # a matrix built from a has a slot of its own
-    assert smith_divisors(a.scaled(2)) == tuple(2 * d for d in expected)
+    assert smith_divisors(scaled(a, 2)) == tuple(2 * d for d in expected)
 
 
 def _well_defined_step(d, e):
@@ -200,6 +202,15 @@ def test_integral_h_of_a_cycle_reads_no_representatives(monkeypatch):
     monkeypatch.setattr(linalg, "_kernel_lattice", refuse)
     got = hochster_cohomology(cycle(8)).invariants()
     assert got == {b: (dim, ()) for b, dim in hochster_field(cycle(8), "Q").dims.items()}
+
+
+def test_field_h_of_a_cycle_builds_no_representatives(monkeypatch):
+    def refuse(sq, d_in, d_out):
+        raise AssertionError("a representative was built")
+
+    monkeypatch.setattr(FieldSubquotient, "_represent", refuse)
+    got = hochster_field(cycle(8), "Q").dims
+    assert got == {b: rank for b, (rank, _) in hochster_cohomology(cycle(8)).invariants().items()}
 
 
 def test_orders_that_the_build_contradicts_raise(monkeypatch):
@@ -329,10 +340,10 @@ def _check_against_the_dense_oracle(a, b, c, vec):
     _same(a, da)
     _same(a @ c, da @ dc)
     _same(a + b, da + db)
-    _same(a - b, da - db)
-    _same(a - a, da - da)  # every entry cancels
+    _same(a + scaled(b, -1), da - db)
+    _same(a + scaled(a, -1), da - da)  # every entry cancels
     for s in (0, 1, -2):
-        _same(a.scaled(s), da.scaled(s))
+        _same(scaled(a, s), da.scaled(s))
     _same(a.transpose(), da.transpose())
     _same(a.hstack(b), da.hstack(db))
     columns = [a.column(j) for j in range(a.ncols)]
@@ -479,6 +490,40 @@ def test_free_homology_rejects_a_non_cycle(cx, data):
             h.express(v)
     else:
         h.express(v)
+
+
+@PROPERTY
+@given(free_complexes())
+@example((IntMatrix([[2], [0]]), IntMatrix.zeros(0, 2), None))
+@example((IntMatrix([[3, 0], [0, 0], [0, 0]]), IntMatrix([[0, 0, 2]]), None))
+def test_field_dimension_from_ranks_is_that_of_the_built_generators(cx):
+    d_in, d_out, _ = cx
+    for field in ("Q", 2, 3):
+        ops = FieldOps(field)
+        sq = ops.free_homology(d_in, d_out)
+        assert sq._reps is None  # the dimension came from ranks alone
+        dim = sq.n_gens
+        assert sq.invariants() == (dim, ()) and sq.gens.ncols == dim
+        assert sq._pair is None  # the build released d_in and d_out
+        # the Smith divisors prime to p: an oracle that shares no code with _echelon
+        for mat in (d_in, d_out):
+            assert ops.rank(mat) == sum(1 for d in smith_divisors(mat)
+                                        if field == "Q" or d % field)
+
+
+def test_a_field_pair_whose_composite_is_not_zero_raises():
+    # d_out @ d_in = [1]: ranks give dimension 2 - 1 - 1 = 0, but im(d_in)
+    # leaves ker(d_out), so the build keeps its one cycle e_2 as a class
+    d_in, d_out = IntMatrix([[1], [1]]), IntMatrix([[1, 0]])
+    for field in ("Q", 2, 3):
+        sq = FieldOps(field).free_homology(d_in, d_out)
+        assert sq.n_gens == 0
+        for _ in range(2):  # and again: nothing of the failed build is kept
+            with pytest.raises(LinalgError, match="orders"):
+                sq.gens
+        # ranks that exceed the middle dimension need no build to fail
+        with pytest.raises(LinalgError, match="not zero"):
+            FieldOps(field).free_homology(IntMatrix([[1]]), IntMatrix([[1]]))
 
 
 FIELDS = ("Q", 2, 3, 5)
