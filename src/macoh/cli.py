@@ -24,7 +24,7 @@ from . import koszul
 from . import verification
 from .complexes import ComplexError, SimplicialComplex
 from .errors import VerificationError
-from .linalg import is_prime
+from .linalg import LinalgError, is_prime
 
 VERTEX_WARN_THRESHOLD = 16
 
@@ -183,6 +183,7 @@ def cmd_compute(args):
     if need_hhhom:
         hhhom_rows = _rows(_double_tables(k, field, "homology")[1])
     if args.verify:
+        _check_strand_euler(hd.invariants(), hh, coeff_label)
         if field is None:
             rc = koszul.RComplex(k)
             rc.check_identities()
@@ -256,8 +257,11 @@ def _fuzz_one(k, inject_sign_fault, rng):
     HH and field HH_*, the integral and F_3 tables of a copy of k
     relabelled by a permutation drawn from rng against those of k, and H
     against HH per strand over Z and F_3; raises on violation.  The shared
-    homology_of_pair and its divisor path are checked only by the field
-    checks, the relabelled copy, and the orders of built representatives."""
+    homology_of_pair and its divisor path are checked by the field checks,
+    the relabelled copy, the orders of built representatives, and the
+    groups that the sweep reads off a smaller subset: when d' builds one of
+    those, a fault that changes homotopy-equivalent complexes differently
+    gives other orders, and LinalgError."""
     rc = koszul.RComplex(k)
     rc.check_identities()
     dd = hochster.double_cohomology(k, sign_fault=inject_sign_fault)
@@ -328,7 +332,7 @@ def cmd_fuzz(args):
     for index, (label, k) in enumerate(plan, 1):
         try:
             _fuzz_one(k, args.inject_sign_fault, rng)
-        except VerificationError as exc:
+        except (VerificationError, LinalgError) as exc:
             print(f"trial {index} ({label}): VIOLATION: {exc}")
             print("offending complex:")
             print(k.to_json())
@@ -381,7 +385,8 @@ def build_parser():
                          help="coefficients (default Z)")
     compute.add_argument("--p", type=int, help="the prime for --coeff Fp")
     compute.add_argument("--verify", action="store_true",
-                         help="run both pipelines and the bicomplex identity checks")
+                         help="run both pipelines, the bicomplex identity checks and "
+                              "the check of H against HH per strand")
     compute.add_argument("--json", action="store_true", help="machine-readable output")
     compute.set_defaults(func=cmd_compute)
 

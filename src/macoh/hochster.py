@@ -31,6 +31,7 @@ from .homology import (
     homology,
     induced_map,
     inclusion_matrix,
+    read_off_cohomology,
     reduced_complex,
     restriction_matrix,
 )
@@ -114,22 +115,30 @@ def _sweep(k, compute):
     each link face to the one at its position in P's bases, so the key
     (class of P, those positions) names the class.  A repeat builds no
     matrix, only the bases are kept, and a class is its index in results.
+
+    A new class whose P is nonempty and whose link of t is the simplex on
+    the union of the link faces (union | t a face of K) builds no matrix
+    either: t is isolated (union empty) or coned off, so K_I has the
+    groups of P, plus one free generator in degree 0 when t is isolated
+    (see homology).  read_off_cohomology builds its reduced complex only
+    when d' reads representatives, and checks the orders then.
     """
     faces = k.faces
     cxs, cohs, classes = {}, {}, {}
     computed, results = {}, []  # key -> class index into results
-    bases, key = [[0]], None  # the empty set; each later I is built from its P
+    bases, key, top, union = [[0]], None, 0, 0  # the empty set; each later I is built from its P
     for mask in range(1 << k.m):
         if mask:
             top = 1 << (mask.bit_length() - 1)
             below = cxs[mask ^ top].bases
-            link, raised, position = [], [], 0
+            link, raised, position, union = [], [], 0, 0
             for group in below:
                 up = []
                 for f in group:
                     if f | top in faces:
                         up.append(f | top)
                         link.append(position)
+                        union |= f
                     position += 1
                 raised.append(up)
             bases = [a + b for a, b in zip(below + [[]], [[]] + raised)]
@@ -140,10 +149,21 @@ def _sweep(k, compute):
         index = computed.get(key)
         if index is None:
             index = computed[key] = len(results)
-            results.append(compute(reduced_complex(k, mask, bases)))
+            build = partial(_build_class, compute, k, mask, bases)
+            if mask != top and union | top in faces:
+                orders = {p: g.orders for p, g in cohs[mask ^ top].groups.items()}
+                if not union:
+                    orders[0] = orders.get(0, ()) + (0,)
+                results.append(read_off_cohomology(orders, build))
+            else:
+                results.append(build())
         classes[mask] = index
         cohs[mask] = results[index]
     return cxs, cohs, classes
+
+
+def _build_class(compute, k, mask, bases):
+    return compute(reduced_complex(k, mask, bases))
 
 
 def _summands(cohs):

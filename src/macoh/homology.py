@@ -13,14 +13,26 @@ The coboundary of the basis cochain dual to a face L is
 and the boundary operator on chains is its transpose.  Restriction to a
 smaller subset deletes the faces that meet the removed vertex;
 inclusion into a larger subset is the dual injection on chains.
+
+Some groups are known before their complex is built.  Let t be the
+highest vertex of I, P = I - t nonempty, and L the link of t in K_P.
+Then K_I = K_P ∪ t*L.  If L is only the empty face, K_I is K_P plus the
+isolated point t: the same groups, and one more free generator in
+degree 0.  If L is the simplex σ on the union of its faces, t*L is the
+simplex σ + t, which meets K_P in σ; both are contractible, so K_I
+collapses onto K_P and has its groups (Barmak–Minian, "Strong homotopy
+types, nerves and collapses", 2012).  Either way this holds over Z, Q
+and F_p, for homology and cohomology.  read_off_cohomology holds such
+groups and builds the complex itself only when representatives are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .complexes import sign_eps
-from .linalg import IntMatrix, free_homology
+from .linalg import IntMatrix, LinalgError, PresentedGroup, free_homology
 
 
 @dataclass
@@ -117,6 +129,52 @@ class ComplexCohomology:
     def invariants(self, p):
         g = self.groups.get(p)
         return g.invariants() if g is not None else (0, ())
+
+
+class ReadOffGroup(PresentedGroup):
+    """The group at degree p of a complex whose orders per degree, read_off,
+    were read off a smaller subset (see the module docstring).
+
+    gens, express_columns and express read the group at p of build(), the
+    (co)homology of the complex itself, which must have the orders of
+    read_off in every degree, or LinalgError.  The groups of one complex
+    share build, cached, and no group refers back to another, so a
+    decomposition is freed without the cyclic garbage collector.
+    """
+
+    __slots__ = ("_p", "_read_off", "_build", "_group")
+
+    def __init__(self, p, read_off, build):
+        self.orders = read_off[p]
+        self._p, self._read_off, self._build, self._group = p, read_off, build, None
+
+    def _read(self):
+        built = self._build()
+        got = {q: built.group(q).orders for q in built.degrees()}
+        if got != self._read_off:
+            raise LinalgError(f"groups read off a smaller subset have the orders "
+                              f"{self._read_off} per degree, their built complex {got}")
+        self._group = built.groups[self._p]
+        self._read_off = self._build = None
+        return self._group
+
+    @property
+    def gens(self):
+        return (self._group or self._read()).gens
+
+    def express_columns(self, mat):
+        return (self._group or self._read()).express_columns(mat)
+
+    def express(self, vec):
+        return (self._group or self._read()).express(vec)
+
+
+def read_off_cohomology(orders, build):
+    """ComplexCohomology of ReadOffGroups with orders[p] at each degree p;
+    build() gives the (co)homology of the complex, on the first read of
+    representatives, once for all its degrees."""
+    build = cache(build)
+    return ComplexCohomology({p: ReadOffGroup(p, orders, build) for p in orders})
 
 
 def _groups(cx, side, homology_at):

@@ -213,6 +213,22 @@ def test_disagreement_exits_two(monkeypatch, capsys):
     assert "disagree" in err
 
 
+def test_verify_compares_h_with_hh_on_each_strand(monkeypatch, capsys):
+    real = cli._double_tables
+
+    def one_more_class(k, field, side):
+        hd, hh = real(k, field, side)
+        rank, torsion = hh[(0, 0)]
+        return hd, {**hh, (0, 0): (rank + 1, torsion)}
+
+    monkeypatch.setattr(cli, "_double_tables", one_more_class)
+    code, out, err = run(["compute", "--gen", "cycle:5", "--verify"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "verification failure: H and HH over Z have different Euler characteristics " \
+           "on the strand p = -1" in err
+
+
 def test_verify_paper_filter(capsys):
     code, out, _ = run(["verify-paper", "--only", "four-cycle product"], capsys)
     assert code == 0
@@ -268,22 +284,23 @@ def test_fuzz_catches_double_homology_ranks_that_disagree(monkeypatch, capsys):
            "cohomology disagree at bidegree (0, 0)" in out
 
 
-def test_fuzz_catches_a_fault_that_both_pipelines_share(monkeypatch, capsys):
+def test_fuzz_catches_doubled_boundaries_where_a_read_off_subset_is_built(monkeypatch, capsys):
     real = linalg.homology_of_pair
 
     def doubled_boundaries(f, g):
-        # ker(g)/im(2f): every homology group of both pipelines gains
-        # 2-torsion, so their tables still agree, and so do the free ranks
+        # ker(g)/im(2f): every homology group that is built gains 2-torsion,
+        # but not the groups the sweep reads off a smaller subset, so
+        # building one of those for d' finds other orders
         return real(linalg.GroupMorphism(f.source, f.target, scaled(f.matrix, 2)), g)
 
     monkeypatch.setattr(linalg, "homology_of_pair", doubled_boundaries)
     code, out, _ = run(["fuzz", "--seed", "1", "--trials", "1"], capsys)
     assert code == 2
-    assert "trial 1 (rp2): VIOLATION: cohomology over F_2 disagrees with the universal " \
-           "coefficient theorem at bidegree (0, 2)" in out
+    assert "trial 1 (rp2): VIOLATION: groups read off a smaller subset have the orders " \
+           "{0: (2,)} per degree, their built complex {0: (2,), 1: (2,)}" in out
 
 
-def test_fuzz_catches_odd_torsion_that_both_pipelines_share(monkeypatch, capsys):
+def test_fuzz_catches_tripled_boundaries_where_a_read_off_subset_is_built(monkeypatch, capsys):
     real = linalg.homology_of_pair
 
     def tripled_boundaries(f, g):
@@ -293,8 +310,26 @@ def test_fuzz_catches_odd_torsion_that_both_pipelines_share(monkeypatch, capsys)
     monkeypatch.setattr(linalg, "homology_of_pair", tripled_boundaries)
     code, out, _ = run(["fuzz", "--seed", "3", "--m-max", "7", "--trials", "2"], capsys)
     assert code == 2
-    assert "trial 1 (rp2): VIOLATION: cohomology over F_3 disagrees with the universal " \
-           "coefficient theorem at bidegree (0, 2)" in out
+    assert "trial 1 (rp2): VIOLATION: groups read off a smaller subset have the orders " \
+           "{0: (3,)} per degree, their built complex {0: (3,), 1: (3,)}" in out
+
+
+@pytest.mark.parametrize("p, argv", [(2, ["--seed", "1", "--trials", "1"]),
+                                     (3, ["--seed", "3", "--m-max", "7", "--trials", "2"])])
+def test_fuzz_catches_torsion_that_the_tables_of_both_pipelines_share(monkeypatch, capsys,
+                                                                      p, argv):
+    real = linalg.merge_torsion
+
+    def one_more_factor(orders):
+        # every group with torsion gains Z/p in the invariants of both
+        # pipelines, so their tables still agree; only F_p sees it
+        return real(orders) + (p,) if orders else ()
+
+    monkeypatch.setattr(linalg, "merge_torsion", one_more_factor)
+    code, out, _ = run(["fuzz", *argv], capsys)
+    assert code == 2
+    assert f"trial 1 (rp2): VIOLATION: cohomology over F_{p} disagrees with the universal " \
+           "coefficient theorem at bidegree (-3, 12)" in out
 
 
 def test_fuzz_catches_double_cohomology_over_q_that_disagrees(monkeypatch, capsys):

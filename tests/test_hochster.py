@@ -51,6 +51,7 @@ from macoh.linalg import (
     FieldOps,
     GroupMorphism,
     IntMatrix,
+    LinalgError,
     PresentedGroup,
     homology_of_pair,
     smith_normal_form,
@@ -363,9 +364,11 @@ def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypa
 def test_sweep_results_equal_a_direct_computation_for_every_subset():
     # the sweep computes each distinct subcomplex once and hands the result
     # to every subset whose full subcomplex relabels onto it
+    # and reads the groups of a subset whose highest vertex is isolated or
+    # coned off from the smaller subset; reading gens builds its own complex
     relabelled = cycle(7).relabeled(dict(zip(range(1, 8), (4, 7, 1, 6, 2, 5, 3))))
     cases = [relabelled, rp2_minimal(), join(cycle(4), cycle(4)),
-             random_complex(random.Random(17), 7)]
+             random_complex(random.Random(17), 7), disjoint_points(6), boundary_simplex(6)]
     for k in cases:
         for decompose, direct in ((hochster_cohomology, cohomology),
                                   (hochster_homology, homology)):
@@ -377,12 +380,41 @@ def test_sweep_results_equal_a_direct_computation_for_every_subset():
                 for p in expected.degrees():
                     assert coh.group(p).orders == expected.group(p).orders
                     assert coh.group(p).gens.rows == expected.group(p).gens.rows
-        fh = hochster_field(k, "Q")
-        for mask, coh in fh.cohs.items():
-            expected = FieldComplexCohomology(reduced_complex(k, mask), fh.ops)
-            assert coh.degrees() == expected.degrees()
-            for p in expected.degrees():
-                assert coh.group(p).gens == expected.group(p).gens
+        for field in ("Q", 2):
+            fh = hochster_field(k, field)
+            for mask, coh in fh.cohs.items():
+                expected = FieldComplexCohomology(reduced_complex(k, mask), fh.ops)
+                assert coh.degrees() == expected.degrees()
+                for p in expected.degrees():
+                    assert coh.group(p).orders == expected.group(p).orders
+                    assert coh.group(p).gens == expected.group(p).gens
+
+
+def test_the_sweep_builds_no_complex_where_the_new_vertex_is_isolated_or_coned_off(
+        monkeypatch):
+    built = []
+    monkeypatch.setattr(hochster, "reduced_complex",
+                        lambda *args: built.append(args[1]) or reduced_complex(*args))
+    # points: only the empty set and one point; cycle(8): 29 of its 80 classes
+    for k, n_built, n_classes in ((disjoint_points(6), 2, 7), (cycle(8), 29, 80)):
+        del built[:]
+        hd = hochster_cohomology(k)
+        assert (len(built), len(set(hd.classes.values()))) == (n_built, n_classes)
+    # d' then builds the read-off classes that it reads, each once: 40 of 51
+    del built[:]
+    double_cohomology(cycle(8))
+    assert len(built) == len(set(built)) == 69
+
+
+def test_read_off_groups_that_disagree_with_their_built_complex_raise(monkeypatch):
+    real = hochster.read_off_cohomology
+
+    def one_more_generator(orders, build):
+        return real({**orders, 0: orders.get(0, ()) + (0,)}, build)
+
+    monkeypatch.setattr(hochster, "read_off_cohomology", one_more_generator)
+    with pytest.raises(LinalgError, match="groups read off a smaller subset"):
+        double_cohomology(cycle(6))
 
 
 def test_sweep_shares_results_between_repeated_subcomplexes():
