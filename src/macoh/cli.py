@@ -417,7 +417,7 @@ def main(argv=None):
     except ComplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except VerificationError as exc:
+    except (VerificationError, LinalgError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,10 @@ the remaining vertices, in bidegree (k, l) = (|J|, |J| + |I|)
     d'(u_J v_I) = sum over j in J of sign_eps(j, J) u_{J-j} v_I
 
 with d^2 = 0, d'^2 = 0, d d' = -d' d, and d' the sum of the derivations
-iota_i that strip u_i.  Cohomology of (R, d) is the bigraded cohomology
-of Z_K; descending d' to it and taking homology again gives HH.
+iota_i that strip u_i.  sign_eps(j, J) is (-1) to the position of j in
+J, counted from 0 at the lowest label: along J it starts at +1 and
+alternates.  Cohomology of (R, d) is the bigraded cohomology of Z_K;
+descending d' to it and taking homology again gives HH.
 
 The multiplication is u_J v_I * u_{J'} v_{I'} = 0 unless the supports
 are disjoint and I + I' is a face, in which case the coefficient is
@@ -18,6 +20,8 @@ are disjoint and I + I' is a face, in which case the coefficient is
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .complexes import sign_eps, sign_eps_set, submasks
 from .errors import VerificationError
@@ -43,27 +47,47 @@ def _bits(mask):
     return out
 
 
+@cache
+def _signed_bits(mask):
+    """(sign_eps(j, mask), bit of j) for each label j of mask, lowest first;
+    cached, as each J recurs across the basis."""
+    out = []
+    sign = 1
+    while mask:
+        low = mask & -mask
+        out.append((sign, low))
+        mask ^= low
+        sign = -sign
+    return tuple(out)
+
+
 def _d_terms(mon):
+    """The terms of d(u_J v_I), I+j a face or not, signed by the position
+    of j along J (_signed_bits) rather than by sign_eps."""
     jmask, imask = mon
-    return [(sign_eps(low.bit_length(), jmask), (jmask ^ low, imask | low))
-            for low in _bits(jmask)]
+    return [(sign, (jmask ^ low, imask | low)) for sign, low in _signed_bits(jmask)]
 
 
 def _dprime_terms(mon):
     jmask, imask = mon
-    return [(sign_eps(low.bit_length(), jmask), (jmask ^ low, imask)) for low in _bits(jmask)]
+    return [(sign, (jmask ^ low, imask)) for sign, low in _signed_bits(jmask)]
+
+
+def _iota_terms(mon, strip):
+    """The term (sign_eps(i, J), u_{J-i} v_I) of iota_i for each label i of
+    both J and strip, signed by sign_eps itself."""
+    jmask, imask = mon
+    return [(sign_eps(low.bit_length(), jmask), (jmask ^ low, imask))
+            for low in _bits(jmask & strip)]
 
 
 def _signed_matrix(basis, index, terms):
     """The matrix from basis into index whose column c has sign in the row
     of each (sign, monomial) of terms(basis[c]) that index holds."""
-    entries = []
-    for c, mon in enumerate(basis):
-        for sign, target in terms(mon):
-            r = index.get(target)
-            if r is not None:
-                entries.append((r, c, sign))
-    return IntMatrix.from_entries(len(index), len(basis), entries)
+    get = index.get
+    return IntMatrix.from_entries(len(index), len(basis), [
+        (r, c, sign) for c, mon in enumerate(basis) for sign, target in terms(mon)
+        if (r := get(target)) is not None])
 
 
 class RComplex:
@@ -111,34 +135,37 @@ class RComplex:
 
     def iota_matrix(self, b, i):
         """The derivation stripping u_i: (k, l) -> (k-1, l-1)."""
+        return self._iotas(b, 1 << (i - 1))
+
+    def _iotas(self, b, strip):
+        """The sum of iota_i over the labels i of strip, at b, from one walk
+        over the basis of b."""
         kk, l = b
-        bit = 1 << (i - 1)
-
-        def terms(mon):
-            jmask, imask = mon
-            return [(sign_eps(i, jmask), (jmask ^ bit, imask))] if jmask & bit else []
-
-        return _signed_matrix(self.basis(b), self.index.get((kk - 1, l - 1), {}), terms)
+        return _signed_matrix(self.basis(b), self.index.get((kk - 1, l - 1), {}),
+                              lambda mon: _iota_terms(mon, strip))
 
     def check_identities(self):
-        """d^2 = 0, d'^2 = 0, d d' + d' d = 0, d' = sum of iotas.
+        """d^2 = 0, d'^2 = 0, d d' + d' d = 0, d' = sum of iotas, per
+        bidegree.  The sum of the iota_i is built in one walk over the
+        basis, with the signs of sign_eps, while d' takes its signs by
+        position along J: the last check compares the two.
 
-        Raises VerificationError on any failure."""
+        Raises VerificationError on any failure, naming the displayed
+        bidegree (-k, 2l)."""
+        full = self.complex.full_mask()
         for b in self.bidegrees:
             kk, l = b
+            at = f"bidegree ({-kk}, {2 * l})"
             if not (self.d_matrix((kk - 1, l)) @ self.d_matrix(b)).is_zero():
-                raise VerificationError(f"d^2 != 0 at {b}")
+                raise VerificationError(f"d^2 != 0 at {at}")
             if not (self.dprime_matrix((kk - 1, l - 1)) @ self.dprime_matrix(b)).is_zero():
-                raise VerificationError(f"d'^2 != 0 at {b}")
+                raise VerificationError(f"d'^2 != 0 at {at}")
             anti = (self.d_matrix((kk - 1, l - 1)) @ self.dprime_matrix(b)
                     + self.dprime_matrix((kk - 1, l)) @ self.d_matrix(b))
             if not anti.is_zero():
-                raise VerificationError(f"d d' + d' d != 0 at {b}")
-            total = IntMatrix.zeros(self.dim((kk - 1, l - 1)), self.dim(b))
-            for i in range(1, self.complex.m + 1):
-                total = total + self.iota_matrix(b, i)
-            if total != self.dprime_matrix(b):
-                raise VerificationError(f"d' is not the sum of the iota derivations at {b}")
+                raise VerificationError(f"d d' + d' d != 0 at {at}")
+            if self._iotas(b, full) != self.dprime_matrix(b):
+                raise VerificationError(f"d' is not the sum of the iota derivations at {at}")
         return True
 
     # -- multiplication ----------------------------------------------------

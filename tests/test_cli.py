@@ -229,6 +229,20 @@ def test_verify_compares_h_with_hh_on_each_strand(monkeypatch, capsys):
            "on the strand p = -1" in err
 
 
+def test_a_linalg_error_in_compute_is_a_verification_failure(monkeypatch, capsys):
+    real = hochster.read_off_cohomology
+
+    def one_more_generator(orders, build):
+        # the groups read off no longer match the complex built for d'
+        return real({**orders, 0: orders.get(0, ()) + (0,)}, build)
+
+    monkeypatch.setattr(hochster, "read_off_cohomology", one_more_generator)
+    code, out, err = run(["compute", "--gen", "cycle:6"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("verification failure: groups read off a smaller subset have the "
+                          "orders") and "Traceback" not in err
+
+
 def test_verify_paper_filter(capsys):
     code, out, _ = run(["verify-paper", "--only", "four-cycle product"], capsys)
     assert code == 0

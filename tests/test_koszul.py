@@ -11,9 +11,9 @@ import random
 
 import pytest
 
-from dense_oracle import kernel_basis
+from dense_oracle import kernel_basis, scaled
 from macoh import complexes, hochster, koszul, linalg
-from macoh.complexes import mask_of
+from macoh.complexes import mask_of, sign_eps
 from macoh.errors import VerificationError
 from macoh.linalg import IntMatrix, SmithSolver, smith_normal_form
 from macoh.verification import (
@@ -52,6 +52,101 @@ def test_bicomplex_identities_on_random_complexes():
     for _ in range(15):
         k = complexes.random_complex(rng, rng.randint(2, 6))
         assert koszul.RComplex(k).check_identities()
+
+
+def _flip(mat, r, c):
+    """mat with its (r, c) entry negated."""
+    return mat + IntMatrix.from_entries(mat.nrows, mat.ncols, [(r, c, -2 * mat.column(c)[r])])
+
+
+def _mutant(k, name, change):
+    """An RComplex of k whose method name returns change(b, value) in
+    place of the value it returns at b."""
+    real = getattr(koszul.RComplex, name)
+
+    def method(self, b, *rest):
+        return change(b, real(self, b, *rest))
+
+    return type("Mutant", (koszul.RComplex,), {"__slots__": (), name: method})(k)
+
+
+def _displayed(b):
+    return rf"bidegree \({-b[0]}, {2 * b[1]}\)"
+
+
+@pytest.mark.parametrize("name", ["rp2", "cycle:6"])
+def test_check_identities_catches_a_flipped_entry_of_d(name):
+    """Flip d at a column u_J v_I of full support, in a row whose d is not
+    zero: d^2 breaks at that bidegree, and d' has no term into u_J v_I, so
+    d d' + d' d cannot break first."""
+    k = complexes.ZOO_BUILDERS[name]()
+    rc = koszul.RComplex(k)
+    b, r, c = next((b, r, c) for b in rc.bidegrees
+                   for r, c, _ in rc.d_matrix(b).entries()
+                   if rc.basis(b)[c][0] | rc.basis(b)[c][1] == k.full_mask()
+                   and any(rc.d_matrix((b[0] - 1, b[1])).column(r)))
+    mutant = _mutant(k, "d_matrix", lambda bb, mat: _flip(mat, r, c) if bb == b else mat)
+    with pytest.raises(VerificationError, match=r"^d\^2 != 0 at bidegree"):
+        mutant.check_identities()
+
+
+@pytest.mark.parametrize("name", ["rp2", "cycle:6"])
+def test_check_identities_catches_a_flipped_entry_of_dprime(name):
+    """Flip d' at a column u_J v_0 with |J| >= 2: d'^2 breaks at that
+    bidegree, and d has no term into v_0, so d d' + d' d cannot break first."""
+    k = complexes.ZOO_BUILDERS[name]()
+    rc = koszul.RComplex(k)
+    b, r, c = next((b, r, c) for b in rc.bidegrees
+                   for r, c, _ in rc.dprime_matrix(b).entries()
+                   if rc.basis(b)[c][1] == 0 and b[0] >= 2)
+    mutant = _mutant(k, "dprime_matrix", lambda bb, mat: _flip(mat, r, c) if bb == b else mat)
+    with pytest.raises(VerificationError, match=r"^d'\^2 != 0 at bidegree"):
+        mutant.check_identities()
+
+
+@pytest.mark.parametrize("name", ["rp2", "cycle:6"])
+def test_check_identities_catches_dprime_negated_at_one_bidegree(name):
+    """-d' at one bidegree b still squares to zero; only d d' + d' d, at b
+    or at b + (1, 0), sees it."""
+    k = complexes.ZOO_BUILDERS[name]()
+    rc = koszul.RComplex(k)
+    b = next(b for b in rc.bidegrees
+             if not (rc.d_matrix((b[0] - 1, b[1] - 1)) @ rc.dprime_matrix(b)).is_zero())
+    mutant = _mutant(k, "dprime_matrix", lambda bb, mat: scaled(mat, -1) if bb == b else mat)
+    with pytest.raises(VerificationError, match=rf"^d d' \+ d' d != 0 at "
+                       rf"({_displayed(b)}|{_displayed((b[0] + 1, b[1]))})$"):
+        mutant.check_identities()
+
+
+@pytest.mark.parametrize("name", ["rp2", "cycle:6"])
+def test_check_identities_catches_a_missing_iota(name):
+    """Leave iota_2 out of the sum: d and d' are unchanged, so only the last
+    check fails, at the first bidegree where iota_2 is not zero."""
+    k = complexes.ZOO_BUILDERS[name]()
+    rc = koszul.RComplex(k)
+    b = next(b for b in rc.bidegrees if not rc.iota_matrix(b, 2).is_zero())
+    mutant = _mutant(k, "_iotas", lambda bb, mat: mat + scaled(rc.iota_matrix(bb, 2), -1))
+    with pytest.raises(VerificationError, match=rf"^d' is not the sum of the iota derivations "
+                       rf"at {_displayed(b)}$"):
+        mutant.check_identities()
+
+
+def test_signed_bits_agree_with_sign_eps_on_every_subset_of_seven_labels():
+    for mask in range(1 << 7):
+        signed = koszul._signed_bits(mask)
+        assert [low.bit_length() for _, low in signed] == _labels(mask)
+        assert [sign for sign, _ in signed] == [sign_eps(j, mask) for j in _labels(mask)]
+
+
+@pytest.mark.parametrize("name", list(complexes.ZOO_BUILDERS))
+def test_one_pass_iota_sum_is_the_sum_of_the_iota_matrices(name):
+    k = complexes.ZOO_BUILDERS[name]()
+    rc = koszul.RComplex(k)
+    for b in rc.bidegrees:
+        total = IntMatrix.zeros(rc.dim((b[0] - 1, b[1] - 1)), rc.dim(b))
+        for i in range(1, k.m + 1):
+            total = total + rc.iota_matrix(b, i)
+        assert rc._iotas(b, k.full_mask()) == total, b
 
 
 def test_pentagon_cochain_level_connecting_values():
