@@ -144,14 +144,11 @@ def _yesno(flag):
 
 
 def _double_tables(k, field, side):
-    """(decomposition, HH table) on one side: invariants over Z, dimensions
-    over a field."""
-    if field is None:
-        dd = (hochster.double_cohomology(k) if side == "cohomology"
-              else hochster.double_homology(k))
-        return dd.decomposition, dd.invariants()
+    """(decomposition, HH invariants) on one side over the ring of field
+    (None for Z); over a field each invariant is (dimension, ())."""
     hd = hochster.hochster_field(k, field, side=side)
-    return hd, hochster.double_field(hd, field, side=side)
+    double = hochster.double_cohomology if side == "cohomology" else hochster.double_homology
+    return hd, double(hd).invariants()
 
 
 def cmd_compute(args):
@@ -173,8 +170,7 @@ def cmd_compute(args):
     if need_hh or args.verify:
         hd, hh = _double_tables(k, field, "cohomology")
     elif need_h:
-        hd = (hochster.hochster_cohomology(k) if field is None
-              else hochster.hochster_field(k, field))
+        hd = hochster.hochster_field(k, field)
     if need_h:
         h_rows = _rows(hd.invariants())
     if need_hh:
@@ -184,17 +180,11 @@ def cmd_compute(args):
         hhhom_rows = _rows(_double_tables(k, field, "homology")[1])
     if args.verify:
         _check_strand_euler(hd.invariants(), hh, coeff_label)
-        if field is None:
-            rc = koszul.RComplex(k)
-            rc.check_identities()
-            hhk = koszul.hh_via_koszul(rc)
-            koszul_h, koszul_hh = hhk.kc.invariants(), hhk.invariants()
-        else:
-            alg = koszul.KoszulFieldAlgebra(k, field)
-            alg.rc.check_identities()
-            koszul_h, koszul_hh = alg.h_dims(), alg.hh_dims()
-        agreement = (_rows(koszul_h) == _rows(hd.invariants())
-                     and _rows(koszul_hh) == _rows(hh))
+        rc = koszul.RComplex(k)
+        rc.check_identities()
+        hhk = koszul.hh_via_koszul(rc, field)
+        agreement = (_rows(hhk.kc.invariants()) == _rows(hd.invariants())
+                     and _rows(hhk.invariants()) == _rows(hh))
     elapsed = time.monotonic() - started
 
     if args.json:
@@ -297,7 +287,7 @@ def _fuzz_one(k, inject_sign_fault, rng):
         *((field_h[p].dims, uct[p],
            f"cohomology over F_{p} disagrees with the universal coefficient theorem")
           for p in field_h),
-        (koszul.KoszulFieldAlgebra(k, 3).hh_dims(), hh3,
+        (koszul.KoszulFieldAlgebra(rc, 3).hh_dims(), hh3,
          "double cohomology over F_3 disagrees between pipelines"),
         # HH_* and HH^* over a field are dual
         (hochster.double_field(k, 3, "homology"), hh3,

@@ -43,7 +43,7 @@ from .linalg import (
     NonzeroComposite,
     PresentedGroup,
     graded_homology,
-    homology_of_pair,  # noqa: F401 (perfbench tests read hochster.homology_of_pair)
+    homology_of_pair,
 )
 
 
@@ -286,6 +286,17 @@ def _connecting(hd, sign_fault=False):
             for b in hd.bidegrees()}
 
 
+def _morphisms(hd, connecting):
+    """The matrices of connecting, per source bidegree, as morphisms into
+    the adjacent bidegree; a trivial target yields the zero group."""
+    morphisms = {}
+    for b, mat in connecting.items():
+        dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
+        dst_group = dst_layout.group if dst_layout else PresentedGroup.free(0)
+        morphisms[b] = GroupMorphism(hd.layouts[b].group, dst_group, mat)
+    return morphisms
+
+
 def d_prime(hd, sign_fault=False):
     """Connecting differentials per source bidegree over Z; _double tests d'^2 = 0.
 
@@ -293,12 +304,7 @@ def d_prime(hd, sign_fault=False):
     ((k-1, l-1) on the cohomology side, (k+1, l+1) on the homology
     side); a trivial target yields a morphism to the zero group.
     """
-    morphisms = {}
-    for b, mat in _connecting(hd, sign_fault).items():
-        dst_layout = hd.layouts.get(_next_bidegree(b, hd.side))
-        dst_group = dst_layout.group if dst_layout else PresentedGroup.free(0)
-        morphisms[b] = GroupMorphism(hd.layouts[b].group, dst_group, mat)
-    return morphisms
+    return _morphisms(hd, _connecting(hd, sign_fault))
 
 
 class DoubleGroups(BigradedGroups):
@@ -311,10 +317,23 @@ class DoubleGroups(BigradedGroups):
         self.decomposition = decomposition
 
 
-def _double(hd, sign_fault=False):
-    morphisms = d_prime(hd, sign_fault=sign_fault)
+def _double(k_or_hd, side, sign_fault=False):
+    """HH on side by graded_homology, over Z from a complex, or over the
+    ring of k_or_hd, a decomposition on side.  The ring picks only the
+    spot routine.  d_prime is the integral entry point; a field d' (over Q
+    with Fraction entries) comes straight from _connecting."""
+    hd = k_or_hd
+    if not isinstance(hd, HochsterDecomposition):
+        hd = hochster_field(hd, None, side=side)
+    elif hd.side != side:
+        raise ValueError(f"decomposition is on the {hd.side} side, not the {side} side")
+    if hd.ops is None:
+        morphisms, homology_at = d_prime(hd, sign_fault), homology_of_pair
+    else:
+        morphisms = _morphisms(hd, _connecting(hd, sign_fault))
+        homology_at = hd.ops.homology_of_pair
     try:
-        groups = graded_homology(morphisms, _step(hd.side))
+        groups = graded_homology(morphisms, _step(side), homology_at)
     except NonzeroComposite as exc:
         kk, l = exc.bidegree
         raise VerificationError(f"connecting differential does not square to zero at "
@@ -322,14 +341,14 @@ def _double(hd, sign_fault=False):
     return DoubleGroups(hd, groups)
 
 
-def double_cohomology(k, sign_fault=False):
-    """HH*(Z_K) over Z, from the cohomology-side connecting differential."""
-    return _double(hochster_cohomology(k), sign_fault=sign_fault)
+def double_cohomology(k_or_hd, sign_fault=False):
+    """HH*(Z_K): over Z, or over the ring of a decomposition (reused)."""
+    return _double(k_or_hd, "cohomology", sign_fault=sign_fault)
 
 
-def double_homology(k, sign_fault=False):
-    """HH_*(Z_K) over Z, from the homology-side connecting differential."""
-    return _double(hochster_homology(k), sign_fault=sign_fault)
+def double_homology(k_or_hd, sign_fault=False):
+    """HH_*(Z_K): over Z, or over the ring of a decomposition (reused)."""
+    return _double(k_or_hd, "homology", sign_fault=sign_fault)
 
 
 # ---------------------------------------------------------------------------
@@ -337,41 +356,28 @@ def double_homology(k, sign_fault=False):
 
 
 def hochster_field(k, field, side="cohomology"):
-    """Bigraded (co)homology over Q or F_p: a HochsterDecomposition whose
-    dims are the dimensions and whose summands are FieldSubquotients, each
-    with its dimension first and representatives only when d' reads them."""
+    """Bigraded (co)homology over Q or F_p (over Z when field is None): a
+    HochsterDecomposition whose dims are the dimensions and whose summands
+    are FieldSubquotients, each with its dimension first and
+    representatives only when d' reads them."""
     _check_side(side)
     return _decompose(k, side, field)
 
 
 def double_field(k_or_hd, field, side="cohomology"):
-    """Dimensions of double (co)homology over the field, per bidegree:
-    the ranks of the d' matrices of _connecting, each taken once.
+    """Dimensions of double (co)homology over the field, per bidegree, from
+    the walk of _double; each d' matrix is eliminated once, as FieldOps.rank
+    keeps its rank.  k_or_hd is a complex, or the decomposition that
+    hochster_field(k, field, side) returned, whose sweep is then reused.
 
-    k_or_hd is a complex, or the decomposition that hochster_field(k,
-    field, side) returned, whose sweep is then reused.
-
-    Ranks alone do not test d'^2 = 0, but they catch a failure that would
-    make a dimension negative: rank(d' into b) + rank(d' out of b) >
-    dim(b) puts an image outside a kernel.  For the first such b in
-    sorted order this raises the VerificationError of _double, naming
-    b - step, the source of the nonzero d'^2.
+    Ranks alone do not test d'^2 = 0, but they catch a failure that makes
+    a dimension negative, and _double then names its source bidegree.
     """
-    if isinstance(k_or_hd, HochsterDecomposition):
-        hd = k_or_hd
-        if (hd.field, hd.side) != (field, side):
-            raise ValueError(f"decomposition is over {hd.field or 'Z'} on the {hd.side} "
-                             f"side, not over {field} on the {side} side")
-    else:
-        hd = hochster_field(k_or_hd, field, side=side)
-    ranks = {b: hd.ops.rank(mat) if mat.nrows else 0
-             for b, mat in _connecting(hd).items()}
-    dk, dl = _step(hd.side)
-    dims = {b: dim - ranks[b] - ranks.get((b[0] - dk, b[1] - dl), 0)
-            for b, dim in hd.dims.items()}
-    negative = [b for b, hh in dims.items() if hh < 0]
-    if negative:
-        kk, l = min(negative)
-        raise VerificationError(f"connecting differential does not square to zero at "
-                                f"bidegree (-{kk - dk}, {2 * (l - dl)})")
-    return {b: hh for b, hh in dims.items() if hh}
+    if field is None:
+        raise ValueError("double_field needs Q or a prime; over Z use double_cohomology")
+    if not isinstance(k_or_hd, HochsterDecomposition):
+        k_or_hd = hochster_field(k_or_hd, field, side=side)
+    elif (k_or_hd.field, k_or_hd.side) != (field, side):
+        raise ValueError(f"decomposition is over {k_or_hd.field or 'Z'} on the "
+                         f"{k_or_hd.side} side, not over {field} on the {side} side")
+    return {b: group.n_gens for b, group in _double(k_or_hd, side).groups.items()}

@@ -12,7 +12,9 @@ with d^2 = 0, d'^2 = 0, d d' = -d' d, and d' the sum of the derivations
 iota_i that strip u_i.  sign_eps(j, J) is (-1) to the position of j in
 J, counted from 0 at the lowest label: along J it starts at +1 and
 alternates.  Cohomology of (R, d) is the bigraded cohomology of Z_K;
-descending d' to it and taking homology again gives HH.
+descending d' to it and taking homology again gives HH.  Both steps are
+walks of linalg.graded_homology over Z, Q and F_p alike: the field
+argument picks only the routine that computes each spot.
 
 The multiplication is u_J v_I * u_{J'} v_{I'} = 0 unless the supports
 are disjoint and I + I' is a face, in which case the coefficient is
@@ -32,8 +34,8 @@ from .linalg import (
     IntMatrix,
     NonzeroComposite,
     PresentedGroup,
-    free_homology,
     graded_homology,
+    homology_of_pair,
 )
 
 
@@ -219,43 +221,36 @@ class KoszulCohomology(BigradedGroups):
         self.rc = rc
 
 
-def _layers(outgoing, step, homology_at):
-    """Per bidegree b, the nontrivial homology_at(incoming, outgoing[b]):
-    outgoing maps b into b + step, and incoming is outgoing[b - step], or
-    a matrix with no columns when there is none."""
-    layers = {}
-    for (kk, l), out in outgoing.items():
-        incoming = outgoing.get((kk - step[0], l - step[1]), IntMatrix.zeros(out.ncols, 0))
-        sq = homology_at(incoming, out)
-        if not sq.is_trivial():
-            layers[(kk, l)] = sq
-    return layers
+def _homology_at(field):
+    """The spot routine of graded_homology over the ring: homology_of_pair
+    over Z (field None), FieldOps(field).homology_of_pair over Q or F_p."""
+    return homology_of_pair if field is None else FieldOps(field).homology_of_pair
 
 
-def _class_dprime(rc, layers):
-    """d' on class coordinates per source bidegree, as a matrix into the
-    layer at (k-1, l-1) (no rows when there is none there)."""
-    out = {}
-    for b, sq in layers.items():
-        tgt = layers.get((b[0] - 1, b[1] - 1))
-        out[b] = (IntMatrix.zeros(0, sq.n_gens) if tgt is None
-                  else tgt.express_columns(rc.dprime_matrix(b) @ sq.gens))
-    return out
+def _free_morphisms(matrices):
+    """Per bidegree, matrix as a morphism between free groups."""
+    return {b: GroupMorphism(PresentedGroup.free(mat.ncols), PresentedGroup.free(mat.nrows), mat)
+            for b, mat in matrices.items()}
 
 
-def cohomology_via_koszul(k_or_rc):
+def cohomology_via_koszul(k_or_rc, field=None):
+    """Cohomology of (R, d) over Z, or over Q or F_p when field is "Q" or p."""
     rc = k_or_rc if isinstance(k_or_rc, RComplex) else RComplex(k_or_rc)
-    d = {b: rc.d_matrix(b) for b in rc.bidegrees}
-    return KoszulCohomology(rc, _layers(d, (-1, 0), free_homology))
+    d = _free_morphisms({b: rc.d_matrix(b) for b in rc.bidegrees})
+    return KoszulCohomology(rc, graded_homology(d, (-1, 0), _homology_at(field)))
 
 
 def _descend_dprime(kc):
-    """Class-level d' matrices on Koszul cohomology, keyed by source
-    bidegree, each a morphism between the cohomology groups; hh_via_koszul
-    tests d'^2 = 0."""
-    empty = PresentedGroup.free(0)
-    return {b: GroupMorphism(kc.groups[b], kc.groups.get((b[0] - 1, b[1] - 1), empty), mat)
-            for b, mat in _class_dprime(kc.rc, kc.groups).items()}
+    """d' on classes per source bidegree b: the morphism from the group at
+    b to the one at (k-1, l-1), or to the zero group when there is none,
+    whose columns are the coordinates of d' of b's representatives there.
+    hh_via_koszul tests d'^2 = 0."""
+    out = {}
+    for b, sq in kc.groups.items():
+        tgt = kc.groups.get((b[0] - 1, b[1] - 1), PresentedGroup.free(0))
+        out[b] = GroupMorphism(sq, tgt, tgt.express_columns(kc.rc.dprime_matrix(b) @ sq.gens)
+                               if tgt.n_gens else IntMatrix.zeros(0, sq.n_gens))
+    return out
 
 
 class KoszulDouble(BigradedGroups):
@@ -268,10 +263,13 @@ class KoszulDouble(BigradedGroups):
         self.kc = kc
 
 
-def hh_via_koszul(k_or_rc):
-    kc = cohomology_via_koszul(k_or_rc)
+def hh_via_koszul(k_or_rc, field=None):
+    """HH over Z, or over Q or F_p when field is "Q" or p: the homology of
+    the descended d' by graded_homology, whose spot routine is the only
+    part that the ring picks."""
+    kc = cohomology_via_koszul(k_or_rc, field)
     try:
-        groups = graded_homology(_descend_dprime(kc), (-1, -1))
+        groups = graded_homology(_descend_dprime(kc), (-1, -1), _homology_at(field))
     except NonzeroComposite as exc:
         kk, l = exc.bidegree
         raise VerificationError(
@@ -353,8 +351,8 @@ def d_prime_acyclicity(k):
     """Homology of (R, d') per bidegree; nonzero only for a full simplex,
     where it is a single Z in bidegree (0, m) generated by v_1...v_m."""
     rc = RComplex(k)
-    return rc, _layers({b: rc.dprime_matrix(b) for b in rc.bidegrees}, (-1, -1),
-                       free_homology)
+    return rc, graded_homology(_free_morphisms({b: rc.dprime_matrix(b) for b in rc.bidegrees}),
+                               (-1, -1), homology_of_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +363,16 @@ class KoszulFieldAlgebra:
     """Cohomology and double cohomology of R(K) over a field, with the
     multiplicative structure on classes.
 
-    h_layers and class_dprime come from the same _layers and _class_dprime
-    as the integral pipeline, with FieldOps.free_homology in place of
-    free_homology; hh_layers is _layers of class_dprime.  As over Z, a
-    layer gives its dimension first and representatives on first read.
+    h_layers and hh_layers are the groups of hh_via_koszul(k_or_rc,
+    field), the integral path with the field's spot routine; this class
+    adds only the products.
     """
 
-    def __init__(self, k, field):
-        self.rc = rc = RComplex(k)
-        ops = FieldOps(field)
-        d = {b: rc.d_matrix(b) for b in rc.bidegrees}
-        self.h_layers = _layers(d, (-1, 0), ops.free_homology)
-        self.class_dprime = _class_dprime(rc, self.h_layers)
-        self.hh_layers = _layers(self.class_dprime, (-1, -1), ops.free_homology)
-
-    def h_dims(self):
-        return {b: layer.n_gens for b, layer in self.h_layers.items()}
+    def __init__(self, k_or_rc, field):
+        hh = hh_via_koszul(k_or_rc, field)
+        self.rc = hh.kc.rc
+        self.h_layers = hh.kc.groups
+        self.hh_layers = hh.groups
 
     def hh_dims(self):
         return {b: layer.n_gens for b, layer in self.hh_layers.items()}

@@ -203,9 +203,6 @@ class IntMatrix:
         return (isinstance(other, IntMatrix) and self.shape == other.shape
                 and self._rows == other._rows)
 
-    def __hash__(self):
-        return hash((self.shape, tuple(frozenset(row.items()) for row in self._rows)))
-
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"IntMatrix(shape={self.shape})"
@@ -734,14 +731,18 @@ def free_homology(d_in, d_out):
     return homology_of_pair(f, g)
 
 
-def graded_homology(morphisms, step):
-    """Homology of a bigraded complex of groups at every bidegree.
+def graded_homology(morphisms, step, homology_at):
+    """Homology of a bigraded complex of groups at every bidegree, over
+    every ring: the ring picks only homology_at(incoming, outgoing), which
+    is homology_of_pair over Z and FieldOps(field).homology_of_pair over a
+    field.  Callers pass it by a name of their own module, so that the
+    benchmark tracer, which rebinds module names, sees every spot.
 
     morphisms maps each bidegree b to its outgoing morphism, into
     b + step; a bidegree with no incoming morphism gets the zero map.
     Returns bidegree -> Subquotient for the nontrivial homology groups.
-    homology_of_pair tests each composite once; a nonzero one raises
-    NonzeroComposite with bidegree set to its source, b - step.
+    A nonzero composite raises NonzeroComposite with bidegree set to its
+    source, b - step.
     """
     groups = {}
     for (kk, l), g in morphisms.items():
@@ -749,7 +750,7 @@ def graded_homology(morphisms, step):
         if f is None:
             f = GroupMorphism.zero(PresentedGroup.free(0), g.source)
         try:
-            sq = homology_of_pair(f, g)
+            sq = homology_at(f, g)
         except NonzeroComposite as exc:
             exc.bidegree = (kk - step[0], l - step[1])
             raise
@@ -933,14 +934,19 @@ class FieldOps:
     def free_homology(self, d_in, d_out):
         """ker(d_out)/im(d_in) for F^a --d_in--> F^n --d_out--> F^b, integer
         (over Q, also Fraction) entries: dimension n - rank(d_out) - rank(d_in)
-        first, and LinalgError if that is negative, as then d_out @ d_in != 0."""
+        first.  If that is negative, d_out @ d_in != 0: NonzeroComposite, as
+        over Z.  No product is taken, so a nonzero one may go unseen."""
         n = d_out.ncols
         if d_in.nrows != n:
             raise LinalgError("d_in and d_out disagree")
         dim = n - self.rank(d_out) - self.rank(d_in)
         if dim < 0:
-            raise LinalgError("d_out @ d_in is not zero")
+            raise NonzeroComposite("d_out @ d_in is not zero")
         return FieldSubquotient(self, d_in, d_out, dim)
+
+    def homology_of_pair(self, f, g):
+        """free_homology(f.matrix, g.matrix): graded_homology's spot routine."""
+        return self.free_homology(f.matrix, g.matrix)
 
 
 class FieldSubquotient(Subquotient):

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, exit codes, output formats."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -205,7 +206,7 @@ def test_disagreement_exits_two(monkeypatch, capsys):
         def invariants():
             return {}
 
-    monkeypatch.setattr(cli.koszul, "hh_via_koszul", lambda rc: Stub)
+    monkeypatch.setattr(cli.koszul, "hh_via_koszul", lambda rc, field=None: Stub)
     code, out, err = run(["compute", "--gen", "cycle:4", "--what", "HH",
                           "--verify"], capsys)
     assert code == 2
@@ -423,10 +424,12 @@ def test_the_strand_euler_guard_compares_h_with_hh():
 def test_fuzz_catches_a_class_that_both_double_cohomology_pipelines_lose(monkeypatch, capsys):
     real = linalg.graded_homology
 
-    def drop_the_first_bidegree(morphisms, step):
-        # the HH step of both pipelines: their HH tables still agree
-        groups = real(morphisms, step)
-        del groups[min(groups)]
+    def drop_the_first_bidegree(morphisms, step, *homology_at):
+        # the HH^* step of both pipelines, whose step is (-1, -1): their HH
+        # tables still agree; the Koszul H step, (-1, 0), is left alone
+        groups = real(morphisms, step, *homology_at)
+        if step == (-1, -1):
+            del groups[min(groups)]
         return groups
 
     monkeypatch.setattr(hochster, "graded_homology", drop_the_first_bidegree)
@@ -435,6 +438,41 @@ def test_fuzz_catches_a_class_that_both_double_cohomology_pipelines_lose(monkeyp
     assert code == 2
     assert "trial 1 (rp2): VIOLATION: H and HH over Z have different Euler " \
            "characteristics on the strand p = -1" in out
+
+
+def test_fuzz_builds_r_of_k_once_per_trial(monkeypatch):
+    built = []
+    real = koszul.RComplex.__init__
+
+    def record(rc, k):
+        built.append(k)
+        real(rc, k)
+
+    monkeypatch.setattr(koszul.RComplex, "__init__", record)
+    cli._fuzz_one(complexes.cycle(6), False, random.Random(1))
+    assert built == [complexes.cycle(6)]
+
+
+@pytest.mark.parametrize("coeff", [[], ["--coeff", "Q"], ["--coeff", "Fp", "--p", "3"]])
+def test_verify_names_the_bidegree_of_a_descended_dprime_fault_over_every_ring(
+        monkeypatch, capsys, coeff):
+    real = koszul._descend_dprime
+
+    def with_a_diagonal(kc):
+        out = {}
+        for b, f in real(kc).items():
+            diagonal = [(i, i, 1) for i in range(min(f.matrix.shape))]
+            out[b] = linalg.GroupMorphism(
+                f.source, f.target, f.matrix + linalg.IntMatrix.from_entries(*f.matrix.shape,
+                                                                            diagonal))
+        return out
+
+    monkeypatch.setattr(koszul, "_descend_dprime", with_a_diagonal)
+    code, out, err = run(["compute", "--gen", "two_squares", "--verify", *coeff], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.endswith("verification failure: descended d' does not square to zero at "
+                        "bidegree (-3, 8)\n")
 
 
 def test_generate(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Bigraded cohomology via subsets, connecting differential, double groups."""
 
-import functools
 import random
 
 import pytest
@@ -183,8 +182,9 @@ def test_sign_fault_names_the_displayed_bidegree(complex_, side, displayed):
 def test_sign_fault_over_a_field_names_the_integral_bidegree(monkeypatch, complex_, side,
                                                              displayed, field):
     # the displayed bidegrees are those of the integral path above
+    real = hochster._connecting
     monkeypatch.setattr(hochster, "_connecting",
-                        functools.partial(hochster._connecting, sign_fault=True))
+                        lambda hd, sign_fault=False: real(hd, sign_fault=True))
     message = f"connecting differential does not square to zero at bidegree {displayed}"
     with pytest.raises(VerificationError) as caught:
         double_field(complex_(), field, side)
@@ -317,6 +317,23 @@ def test_homology_side_field_matches_cohomology_side_field():
         assert co == ho
 
 
+@pytest.mark.parametrize("field", [None, "Q", 2, 3])
+def test_double_groups_take_the_ring_of_a_reused_decomposition(field):
+    k = rp2_minimal()
+    for side, double in (("cohomology", double_cohomology), ("homology", double_homology)):
+        hd = hochster_field(k, field, side)
+        dd = double(hd)
+        assert dd.decomposition is hd
+        if field is None:
+            assert dd.invariants() == double(k).invariants()
+        else:
+            assert dd.invariants() == {b: (n, ()) for b, n in double_field(k, field, side).items()}
+    with pytest.raises(ValueError, match="on the cohomology side, not the homology side"):
+        double_homology(hochster_field(k, field))
+    with pytest.raises(ValueError, match="needs Q or a prime"):
+        double_field(k, None)  # generator counts over Z would drop the torsion orders
+
+
 def test_an_unknown_side_is_rejected():
     with pytest.raises(ValueError, match="side must be"):
         hochster_field(rp2_minimal(), 2, side="Cohomology")
@@ -336,8 +353,8 @@ def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypa
         def record(wrapped, calls):
             return lambda *args: calls.append(args[-1]) or wrapped(*args)
 
-        def connecting(hd, real=hochster._connecting):
-            out = real(hd)
+        def connecting(hd, sign_fault=False, real=hochster._connecting):
+            out = real(hd, sign_fault)
             d_primes.extend(out.values())
             return out
 
@@ -351,11 +368,13 @@ def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypa
         assert len(sweeps) == 1 and len(d_primes) == 2 * len(fh.layouts)
         # the sweep eliminates each (co)boundary once, though it is read at two degrees
         assert len({id(m) for m in eliminated}) == len(eliminated)
-        # each d' matrix with rows is ranked once and eliminated once
+        # each d' matrix is ranked as the outgoing map at one spot and as the
+        # incoming one at the next, and each one with rows is eliminated once
         with_rows = sorted(id(mat) for mat in d_primes if mat.nrows)
         assert len(with_rows) == 2 * n_matrices
-        for calls in (ranked, eliminated):
-            assert sorted(id(m) for m in calls if any(m is d for d in d_primes)) == with_rows
+        assert {id(m) for m in ranked if any(m is d for d in d_primes)} >= set(with_rows)
+        assert sorted(id(m) for m in eliminated
+                      if m.nrows and any(m is d for d in d_primes)) == with_rows
         monkeypatch.undo()
         with pytest.raises(ValueError):
             double_field(fh, field, side="homology")

@@ -15,7 +15,7 @@ from dense_oracle import kernel_basis, scaled
 from macoh import complexes, hochster, koszul, linalg
 from macoh.complexes import mask_of, sign_eps
 from macoh.errors import VerificationError
-from macoh.linalg import IntMatrix, SmithSolver, smith_normal_form
+from macoh.linalg import GroupMorphism, IntMatrix, SmithSolver, smith_normal_form
 from macoh.verification import (
     FOUR_CYCLE_HH,
     PENTAGON_COL_BASIS,
@@ -178,17 +178,42 @@ def test_pentagon_connecting_matrix_in_the_standard_class_basis():
 
 
 def test_descended_dprime_failure_names_the_displayed_bidegree(monkeypatch):
-    original = koszul._class_dprime
+    original = koszul._descend_dprime
 
-    def faulty(rc, layers):
-        out = original(rc, layers)
+    def faulty(kc):
+        out = original(kc)
         for b in ((3, 4), (2, 3)):  # (3,4) -> (2,3) -> (1,2) is a chain on two_squares
-            out[b] = IntMatrix.from_entries(out[b].nrows, out[b].ncols, [(0, 0, 1)])
+            f = out[b]
+            out[b] = GroupMorphism(f.source, f.target,
+                                   IntMatrix.from_entries(*f.matrix.shape, [(0, 0, 1)]))
         return out
 
-    monkeypatch.setattr(koszul, "_class_dprime", faulty)
+    monkeypatch.setattr(koszul, "_descend_dprime", faulty)
     with pytest.raises(VerificationError, match=r"square to zero at bidegree \(-3, 8\)$"):
         koszul.hh_via_koszul(complexes.two_squares())
+
+
+@pytest.mark.parametrize("field", [None, "Q", 3])
+def test_a_descended_dprime_fault_names_its_bidegree_over_every_ring(monkeypatch, field):
+    # a diagonal of ones added to every class d': over a field no product
+    # is taken, and the dimension that turns negative names the bidegree
+    original = koszul._descend_dprime
+
+    def with_a_diagonal(kc):
+        out = {}
+        for b, f in original(kc).items():
+            diagonal = [(i, i, 1) for i in range(min(f.matrix.shape))]
+            out[b] = GroupMorphism(f.source, f.target,
+                                   f.matrix + IntMatrix.from_entries(*f.matrix.shape, diagonal))
+        return out
+
+    monkeypatch.setattr(koszul, "_descend_dprime", with_a_diagonal)
+    message = r"^descended d' does not square to zero at bidegree \(-3, 8\)$"
+    with pytest.raises(VerificationError, match=message):
+        koszul.hh_via_koszul(complexes.two_squares(), field)
+    if field is not None:
+        with pytest.raises(VerificationError, match=message):
+            koszul.KoszulFieldAlgebra(complexes.two_squares(), field)
 
 
 def test_pentagon_double_cohomology():
