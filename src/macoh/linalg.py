@@ -1,10 +1,10 @@
 """Exact linear algebra over the integers and over fields.
 
 Everything in the bigraded pipelines reduces to a handful of integer
-lattice computations: Smith divisors, Smith normal forms with tracked
-unimodular transforms, saturated kernel lattices, solving A x = b over
-Z, and presenting subquotients ker(g)/im(f) with enough bookkeeping to
-express an arbitrary element in the chosen generators.  The groups
+lattice computations: Smith divisors, elimination by unit pivots with
+Smith normal forms (with tracked unimodular transforms) for what units
+leave, solving A x = b over Z, and presenting subquotients ker(g)/im(f)
+with enough bookkeeping to express an element in chosen generators.  The groups
 involved are direct sums of cyclic groups, each given by its generator
 orders (0 for Z, d for Z/d), so membership in their relations is a
 divisibility test.
@@ -393,18 +393,20 @@ def smith_divisors(a):
 
 
 def _eliminate_units(a):
-    """The divisors of smith_normal_form(a), by unit pivots first.
+    """The divisors of smith_normal_form(a): a 1 per pivot of _unit_pivots,
+    then those of smith_normal_form on the rows left, also when none is."""
+    pivots, _, rest = _unit_pivots(a._rows)
+    return (1,) * len(pivots) + smith_normal_form(rest).divisors
 
-    Each step takes the first entry of absolute value 1 in row-major
-    order as pivot and clears its column in the other rows.  Column
-    operations then clear the pivot row without touching the others, so
-    the pivot splits off a divisor 1 and its row and column are dropped.
-    Rows that become zero are dropped as they appear, zero columns at
-    the end, and smith_normal_form gives the divisors of what is left,
-    also when nothing is.
-    """
-    rows = [dict(row) for row in a._rows if row]
-    units = 0
+
+def _unit_pivots(rows):
+    """(pivots, cols, rest): copies of the sparse rows, eliminated by unit
+    pivots.  Each step takes the first row holding a ±1, at its lowest such
+    column j, clears column j in the other rows, and drops the pivot row
+    and any zero row.  pivots holds (j, entry, row) in order; rest is the
+    matrix of the rows left, on the sorted columns cols that they touch."""
+    rows = [dict(row) for row in rows if row]
+    pivots = []
     while True:
         for i, row in enumerate(rows):
             values = row.values()
@@ -424,10 +426,60 @@ def _eliminate_units(a):
                     continue
             kept.append(row)
         rows = kept
-        units += 1
-    cols = {c: t for t, c in enumerate(sorted(set().union(*rows)))} if rows else {}
-    rest = IntMatrix._adopt([{cols[c]: x for c, x in row.items()} for row in rows], len(cols))
-    return (1,) * units + smith_normal_form(rest).divisors
+        pivots.append((j, sign, pivot))
+    place = {c: t for t, c in enumerate(sorted(set().union(*rows)))} if rows else {}
+    return pivots, list(place), IntMatrix._adopt([{place[c]: x for c, x in row.items()}
+                                                  for row in rows], len(place))
+
+
+def _back_substitute(pivots):
+    """{j: e}: each pivot variable x_j of _unit_pivots through the others,
+    so that its row (j, s, row) reads 0: x_j = -s * sum of row[k] x_k over
+    k != j, last pivot first, each later pivot x_k replaced by its e."""
+    solved = {}
+    for j, sign, row in reversed(pivots):
+        e = {}
+        for k, a in row.items():
+            if k != j:
+                _axpy(e, solved[k] if k in solved else {k: 1}, -sign * a)
+        solved[j] = e
+    return solved
+
+
+def _unit_frame(rows, n, quotient):
+    """(orders, w, q) for the matrix A of the sparse rows, n columns wide.
+
+    Unit pivots write each pivot variable through the others (e_v
+    extended: e_v plus, at each pivot variable, its coefficient of x_v).
+    smith_normal_form(R^T) = (U, U_inv) takes the rest, R on the columns
+    T it touches.  Paired rows of w and q: per kept i, row i of U extended
+    and column i of U_inv, on T; per other column v that no pivot took,
+    e_v extended and e_v: so q @ w^T = 1.  quotient False keeps i >= rank
+    R: w^T is a basis of ker A, q gives coordinates in it.  quotient True
+    keeps divisors other than 1: q^T generates Z^n / (rows of A), w gives
+    coordinates.
+    """
+    pivots, cols, rem = _unit_pivots(rows)
+    ext = {}
+    for j, e in _back_substitute(pivots).items():
+        for v, x in e.items():
+            ext.setdefault(v, {v: 1})[j] = x
+    taken = {j for j, _, _ in pivots}
+    orders, w, q = [], [], []
+    if cols:
+        taken.update(cols)
+        dec = smith_normal_form(rem.transpose())
+        divisors = dec.divisors + (0,) * (len(cols) - len(dec.divisors))
+        kept = [i for i, d in enumerate(divisors) if not d or quotient and d != 1]
+        u = IntMatrix._adopt([dec.U._rows[i] for i in kept], len(cols))
+        w = (u @ IntMatrix._adopt([ext.get(c) or {c: 1} for c in cols], n))._rows
+        ui_t = dec.U_inv.transpose()._rows
+        q = [{cols[t]: x for t, x in ui_t[i].items()} for i in kept]
+        orders = [divisors[i] for i in kept]
+    free = [v for v in range(n) if v not in taken]
+    w += [ext.get(v) or {v: 1} for v in free]
+    q += [{v: 1} for v in free]
+    return tuple(orders) + (0,) * len(free), IntMatrix._adopt(w, n), IntMatrix._adopt(q, n)
 
 
 class SmithSolver:
@@ -560,17 +612,12 @@ class GroupMorphism:
 class Subquotient(PresentedGroup):
     """ker(g)/im(f): a PresentedGroup with representatives and express() maps.
 
-    Generators are coordinate vectors in the middle group's generator
-    basis.  Units are dropped; torsion generators come first, each with
-    its order, then free generators with order 0.
-
-    orders is known from the start; the representatives (gens,
-    express_columns, express, class_is_zero) are built from f and g on
-    first use, by _represent.  That build must find the same orders, or
-    it raises LinalgError; after it, f and g are released.
-    express_columns needs only the coordinate map of _kernel_lattice and
-    the kept rows of the relator U, so nothing else of the Smith forms is
-    kept.
+    Generators are coordinate vectors in the basis of the middle group,
+    units dropped: torsion ones first, each with its order, then free
+    ones.  orders is known from the start; _represent builds the
+    representatives on first use, and must find the same orders or raise
+    LinalgError.  They keep the rows of g under the coordinate map, so
+    that one product gives a column's coordinates and its test g x = 0.
     """
 
     __slots__ = ("_pair", "_reps")
@@ -605,21 +652,21 @@ class Subquotient(PresentedGroup):
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of mat, one column each,
-        in the normalized generators.
-
-        Every column must represent an element of ker(g); torsion
-        coordinates are reduced into [0, order).
-        """
-        _, kernel_coords, ux = self._built()
-        a = kernel_coords(mat)
-        if a is None:
+        torsion ones reduced into [0, order).  Every column must lie in
+        ker(g)."""
+        _, target, stacked, z_coords = self._built()
+        rows, n = (stacked @ mat)._rows, len(self.orders)
+        z = _torsion_lift(target, IntMatrix._adopt(rows[n:], mat.ncols))
+        if z is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
-        z = ux @ a
-        rows = z._rows
+        out = IntMatrix._adopt(rows[:n], mat.ncols)
+        if z:
+            out = out + z_coords @ IntMatrix._adopt(z, mat.ncols)
+        rows = out._rows
         for i, d in enumerate(self.orders):
             if d and rows[i]:
                 rows[i] = {j: y for j, x in rows[i].items() if (y := x % d)}
-        return z
+        return out
 
     def express(self, vec):
         """express_columns of the one-column matrix vec."""
@@ -642,9 +689,8 @@ def homology_of_pair(f, g):
     coordinates in a basis of ker(g), and the group is Z^(n_B - rank(g)
     - rank(f)) plus Z/d for each divisor d > 1 of f.  smith_divisors of
     f and of g give these orders, and the representatives wait for
-    their first use.  Otherwise (a generator of B or C has a nonzero
-    order) they are built now, which also raises LinalgError if im(f)
-    or a relation of B escapes ker(g).
+    their first use.  Otherwise (B or C has torsion) _representatives
+    builds them now, raising LinalgError if im(f) or R_B escapes ker(g).
     """
     if f.target.orders != g.source.orders:
         raise LinalgError("f.target and g.source disagree")
@@ -657,70 +703,45 @@ def homology_of_pair(f, g):
     return Subquotient(f, g, tuple(d for d in f_divisors if d != 1) + (0,) * n_free)
 
 
+def _torsion_lift(target, gx):
+    """z with gx + R z = 0, R the relations of target: z_k = -gx_k / d_k
+    per generator of order d_k > 0.  None when gx is not zero in target."""
+    if not target.is_zero(gx):
+        return None
+    return [{j: -x // d for j, x in row.items()} for row, d in zip(gx._rows, target.orders) if d]
+
+
 def _representatives(f, g):
-    """(orders, gens, kernel_coords, ux) of ker(g)/im(f), from two Smith
-    forms at most: _kernel_lattice's when C has generators, and one of the
-    kernel coordinates of im(f) and the relations of B."""
-    ker, kernel_coords = _kernel_lattice(g)
-    x_mat = kernel_coords(f.matrix.hstack(g.source.relations))
-    if x_mat is None:
-        raise LinalgError("im(f) or a relation of B escapes ker(g)")
-    k = ker.ncols
-    dec = smith_normal_form(x_mat)
+    """(orders, gens, C, stacked, z_coords) of ker(g)/im(f), by two _unit_frame calls.
 
-    divisors = list(dec.divisors) + [0] * (k - len(dec.divisors))
-    kept = [i for i in range(k) if divisors[i] != 1]
-    orders = tuple(divisors[i] for i in kept)
-    place = {i: t for t, i in enumerate(kept)}
-    picked = [{place[i]: x for i, x in row.items() if i in place} for row in dec.U_inv._rows]
-    gens = ker @ IntMatrix._adopt(picked, len(kept))  # the kept columns of U_inv
-    ux = IntMatrix._adopt([dec.U._rows[i] for i in kept], k)  # U rows of the kept coordinates
-    return orders, gens, kernel_coords, ux
-
-
-def _kernel_lattice(g):
-    """(ker, coords): a basis ker of L = {x : g(x) = 0 in C}, and the map
-    from a matrix to the coordinates of its columns in ker, or None when
-    some column lies outside L.
-
-    L is the projection to B of the kernel of A = [g | R_C], R_C the
-    relation matrix of C.  With U A^T V = S of rank r, rows r... of U are
-    a basis of ker A, and R_C is injective, so their first n_B entries
-    are a basis of L.  A column w = (x; z) lies in ker A exactly when rows
-    0..r-1 of U^-T w vanish, and rows r... are its coordinates.  z is
-    forced: z_k = -(g x)_k / d_k for the generator of order d_k on row k
-    of C, and a division that is not exact puts x outside L.
-    """
-    n_b = g.source.n_gens
-    if g.target.n_gens == 0:
-        return IntMatrix.identity(n_b), lambda mat: mat  # the standard basis
-    dec = smith_normal_form(g.matrix.hstack(g.target.relations).transpose())
-    r = len(dec.divisors)
-    ker = IntMatrix._adopt([{j: x for j, x in row.items() if j < n_b} for row in dec.U._rows[r:]],
-                           n_b).transpose()
-    u_inv = dec.U_inv
-    torsion = [d for d in g.target.orders if d]
-    # transpose copies the rows it reads, so g.matrix keeps its own
-    g_torsion_t = IntMatrix._adopt([row for row, d in zip(g.matrix._rows, g.target.orders) if d],
-                                   n_b).transpose()
-
-    def coords(mat):
-        ws = mat.transpose()._rows  # the columns x of mat, extended below by z
-        if torsion:
-            gxs = (IntMatrix._adopt(ws, n_b) @ g_torsion_t)._rows
-            for x, gx in zip(ws, gxs):
-                for t, y in gx.items():
-                    z, rem = divmod(-y, torsion[t])
-                    if rem:
-                        return None
-                    x[n_b + t] = z
-        cs = (IntMatrix._adopt(ws, u_inv.nrows) @ u_inv)._rows
-        if any(c and min(c) < r for c in cs):
-            return None
-        return IntMatrix._adopt([{j - r: x for j, x in c.items()} for c in cs],
-                                u_inv.nrows - r).transpose()
-
-    return ker, coords
+    ker(g) is the projection to B of ker [g | R_C], one to one as R_C is:
+    the first frame gives a basis w1^T of it, and q1 maps a lift (x; z)
+    (_torsion_lift) to coordinates.  The lifts of [f | R_B] in those
+    coordinates are the relations of the second frame: generators q2^T,
+    coordinates w2.  So gens is the B part of (q2 @ w1)^T; stacked holds
+    the x columns of w2 @ q1 over the rows of g, z_coords its z columns.
+    LinalgError if im(f) or a relation of B escapes ker(g), or gens does."""
+    n_b, target = g.source.n_gens, g.target
+    a = g.matrix.hstack(target.relations) if any(target.orders) else g.matrix
+    _, w1, q1 = _unit_frame(a._rows, a.ncols, False)
+    lifts = f.matrix  # with B and C free, homology_of_pair has tested g∘f = 0
+    if any(g.source.orders) or a is not g.matrix:
+        y = f.matrix.hstack(g.source.relations)
+        z = _torsion_lift(target, g.matrix @ y)
+        if z is None:
+            raise LinalgError("im(f) or a relation of B escapes ker(g)")
+        lifts = IntMatrix._adopt(y._rows + z, y.ncols)
+    orders, w2, q2 = _unit_frame((q1 @ lifts).transpose()._rows, w1.nrows, True)
+    gens, coords = (q2 @ w1)._rows, (w2 @ q1)._rows
+    z_coords = [{j - n_b: x for j, x in row.items() if j >= n_b} for row in coords]
+    if a is not g.matrix:  # drop the z columns
+        gens, coords = ([{j: x for j, x in row.items() if j < n_b} for row in rows]
+                        for rows in (gens, coords))
+    gens = IntMatrix._adopt(gens, n_b).transpose()
+    if not target.is_zero(g.matrix @ gens):
+        raise LinalgError("the representatives of ker(g)/im(f) escape ker(g)")
+    return (orders, gens, target, IntMatrix._adopt(coords + list(map(dict, g.matrix._rows)), n_b),
+            IntMatrix._adopt(z_coords, a.ncols - n_b))
 
 
 def free_homology(d_in, d_out):
@@ -921,7 +942,10 @@ class FieldOps:
         return out, pivots
 
     def rank(self, mat):
-        """Rank of mat over the field, eliminated once per field (see IntMatrix)."""
+        """Rank of mat over the field, eliminated once per field (see
+        IntMatrix); 0 at once for a matrix with no row or no column."""
+        if not (mat.nrows and mat.ncols):
+            return 0
         ranks = mat._ranks = mat._ranks or {}
         if self.p not in ranks:
             ranks[self.p] = self._rank(mat)

@@ -380,6 +380,26 @@ def test_double_field_reuses_a_decomposition_and_ranks_each_matrix_once(monkeypa
             double_field(fh, field, side="homology")
 
 
+def test_the_field_walk_eliminates_no_matrix_without_rows_or_columns(monkeypatch):
+    # the walk over Q meets d' matrices with no row or no column at many
+    # spots; rank gives 0 for them and eliminates only the others, once each
+    ranked, eliminated = [], []
+    real_rank, real_eliminate = FieldOps.rank, FieldOps._rank
+
+    def rank(ops, mat):
+        ranked.append((mat, real_rank(ops, mat)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(FieldOps, "rank", rank)
+    monkeypatch.setattr(FieldOps, "_rank",
+                        lambda ops, mat: eliminated.append(mat) or real_eliminate(ops, mat))
+    double_field(hochster_field(cycle(8), "Q"), "Q")
+    empty = [rank for mat, rank in ranked if not (mat.nrows and mat.ncols)]
+    assert len(empty) > len(eliminated) / 2 and not any(empty)
+    assert all(mat.nrows and mat.ncols for mat in eliminated)
+    assert len(eliminated) == len({id(mat) for mat, _ in ranked if mat.nrows and mat.ncols})
+
+
 def test_sweep_results_equal_a_direct_computation_for_every_subset():
     # the sweep computes each distinct subcomplex once and hands the result
     # to every subset whose full subcomplex relabels onto it

@@ -19,8 +19,8 @@ from dense_oracle import (
     smith_divisors_by_full_scan,
 )
 from macoh import linalg
-from macoh.complexes import cycle
-from macoh.hochster import hochster_cohomology, hochster_field
+from macoh.complexes import cycle, rp2_minimal
+from macoh.hochster import double_cohomology, hochster_cohomology, hochster_field
 from macoh.linalg import (
     FieldOps,
     FieldSubquotient,
@@ -196,10 +196,10 @@ def test_lazy_subquotient_equals_the_eager_build(b_orders, c_orders, data):
 
 
 def test_integral_h_of_a_cycle_reads_no_representatives(monkeypatch):
-    def refuse(g):
+    def refuse(f, g):
         raise AssertionError("a representative was built")
 
-    monkeypatch.setattr(linalg, "_kernel_lattice", refuse)
+    monkeypatch.setattr(linalg, "_representatives", refuse)
     got = hochster_cohomology(cycle(8)).invariants()
     assert got == {b: (dim, ()) for b, dim in hochster_field(cycle(8), "Q").dims.items()}
 
@@ -222,6 +222,101 @@ def test_orders_that_the_build_contradicts_raise(monkeypatch):
     for _ in range(2):  # and again: nothing of the failed build is kept
         with pytest.raises(LinalgError, match="orders"):
             h.gens
+
+
+# per kind of pair: the entries of g, the orders of B and C, and the
+# coefficients of f over a kernel basis.  Units only; no unit in g or the
+# orders, so that smith_normal_form gets the whole kernel step; or both
+PAIR_KINDS = {
+    "all-unit": (st.sampled_from((0, 0, 1, -1)), (0, 0, 0, 1, 2), st.sampled_from((0, 1, -1))),
+    "unit-free": (st.sampled_from((0, 0, 2, -2, 3, -4, 6)), (0, 0, 2, 3, 4),
+                  st.sampled_from((0, 2, -2, 4))),
+    "mixed": (unit_rich, (0, 0, 1, 2, 3, 4, 6), entries),
+}
+
+
+@st.composite
+def presented_pairs(draw, kind, torsion):
+    """(f, g): g: B -> C well defined between diagonal groups, free ones
+    unless torsion, and f: A -> B with random combinations of a kernel
+    basis of [g | R_C] as columns."""
+    g_entries, order_values, f_coefs = PAIR_KINDS[kind]
+    group_orders = st.lists(st.sampled_from(order_values if torsion else (0,)), max_size=5)
+    b, c = PresentedGroup(draw(group_orders)), PresentedGroup(draw(group_orders))
+    g_mat = IntMatrix([[draw(g_entries) * _well_defined_step(d, e) for d in b.orders]
+                       for e in c.orders], b.n_gens)
+    lattice = kernel_basis(g_mat.hstack(c.relations))
+    coefs = st.lists(f_coefs, min_size=lattice.ncols, max_size=lattice.ncols)
+    f_cols = [lattice.mulvec(draw(coefs))[:b.n_gens]
+              for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    f_mat = IntMatrix.from_columns(f_cols, b.n_gens)
+    return GroupMorphism(PresentedGroup.free(len(f_cols)), b, f_mat), GroupMorphism(b, c, g_mat)
+
+
+def _orders_by_ranks(f, g):
+    """The orders of ker(g)/im(f) from Smith divisors on dense rows: with
+    F the columns y of [f | R_B] lifted to (y; z), z_k = -(g y)_k / d_k on
+    the generators of order d_k > 0 of C, the divisors > 1 of F, then
+    n_B + r_C - rank [g | R_C] - rank F free generators."""
+    a = g.matrix.hstack(g.target.relations)
+    dense_g = DenseMatrix.of(g.matrix)
+    lifts = []
+    for y in DenseMatrix.of(f.matrix.hstack(g.source.relations)).transpose().rows:
+        gy = dense_g.mulvec(y)
+        lifts.append(y + [-x // d for x, d in zip(gy, g.target.orders) if d])
+    f_divisors = smith_divisors_by_full_scan(IntMatrix.from_columns(lifts, a.ncols))
+    n_free = a.ncols - len(smith_divisors_by_full_scan(a)) - len(f_divisors)
+    return tuple(d for d in f_divisors if d > 1) + (0,) * n_free
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from(sorted(PAIR_KINDS)), st.booleans(), st.data())
+def test_representatives_match_the_dense_oracle(kind, torsion, data):
+    f, g = data.draw(presented_pairs(kind, torsion))
+    n = g.source.n_gens
+    orders, gens, *_ = linalg._representatives(f, g)
+    assert orders == _orders_by_ranks(f, g)
+    if not any(g.source.orders + g.target.orders):  # the dimension-first path
+        assert orders == homology_of_pair(f, g).orders
+    # gens lie in L = {x : g(x) = 0 in C} ...
+    dense_g = DenseMatrix.of(g.matrix)
+    assert all(element_is_zero(g.target, dense_g.mulvec(col))
+               for col in DenseMatrix.of(gens).transpose().rows)
+    # ... and with im(f) and the relations of B, which lie in L too, they
+    # span it: the same divisors as a basis of L
+    full = kernel_basis(g.matrix.hstack(g.target.relations))
+    lattice = IntMatrix(full.rows[:n], full.ncols)
+    spanned = gens.hstack(f.matrix).hstack(g.source.relations)
+    assert smith_divisors_by_full_scan(spanned) == smith_divisors_by_full_scan(lattice)
+    sq = Subquotient(f, g)
+    assert (sq.orders, sq.gens) == (orders, gens)
+    for j in range(len(orders)):
+        assert sq.express(gens.column(j)) == [int(i == j) % d if d else int(i == j)
+                                              for i, d in enumerate(orders)]
+    relators = f.matrix.hstack(g.source.relations)
+    assert sq.express_columns(relators).is_zero()
+    v = data.draw(st.lists(entries, min_size=n, max_size=n))
+    if not element_is_zero(g.target, dense_g.mulvec(v)):
+        with pytest.raises(LinalgError, match="does not lie in the kernel subgroup"):
+            sq.express(v)
+
+
+@pytest.mark.parametrize("k", [cycle(6), rp2_minimal()], ids=["cycle:6", "rp2"])
+def test_a_sign_flipped_by_back_substitution_fails_the_build(monkeypatch, k):
+    # negative control: one entry of the first pivot variable that has
+    # one, with its sign flipped, in every back-substitution
+    real = linalg._back_substitute
+
+    def flipped(pivots):
+        solved = real(pivots)
+        e = next((e for e in solved.values() if e), {})
+        for v in list(e)[:1]:
+            e[v] = -e[v]
+        return solved
+
+    monkeypatch.setattr(linalg, "_back_substitute", flipped)
+    with pytest.raises(LinalgError, match=r"representatives of ker\(g\)/im\(f\) escape"):
+        double_cohomology(k)
 
 
 @PROPERTY
