@@ -52,7 +52,7 @@ class Summand:
     mask: int
     degree: int
     offset: int
-    group: object  # Subquotient, or over a field FieldSubquotient, of the subset
+    group: object  # Subquotient, over Z or the field, of the subset
 
 
 @dataclass
@@ -358,7 +358,7 @@ def double_homology(k_or_hd, sign_fault=False):
 def hochster_field(k, field, side="cohomology"):
     """Bigraded (co)homology over Q or F_p (over Z when field is None): a
     HochsterDecomposition whose dims are the dimensions and whose summands
-    are FieldSubquotients, each with its dimension first and
+    are Subquotients over the field, each with its dimension first and
     representatives only when d' reads them."""
     _check_side(side)
     return _decompose(k, side, field)

@@ -234,7 +234,7 @@ def induced_map(src_coh, dst_coh, chain_matrix, p):
 
 class FieldComplexCohomology(ComplexCohomology):
     """(Co)homology of one reduced complex over the field of ops, as
-    FieldSubquotients: dimension first, representatives on first read."""
+    Subquotients over it: dimension first, representatives on first read."""
 
     __slots__ = ()
 

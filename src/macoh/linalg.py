@@ -8,10 +8,17 @@ with enough bookkeeping to express an element in chosen generators.  The groups
 involved are direct sums of cyclic groups, each given by its generator
 orders (0 for Z, d for Z/d), so membership in their relations is a
 divisibility test.
-All entries are Python ints, so results are exact.  An IntMatrix keeps
-only its nonzero entries, a dict per row: the matrices of both pipelines
-are mostly zeros.  Smith normal form and field elimination work on
-their own copies of the rows; nothing here writes into an operand.
+One elimination serves Z, Q and F_p: _unit_pivots, with _back_substitute
+and _unit_frame on top.  The ring is p, as FieldOps holds it (None over
+Q, the prime over F_p; Z is the default), and it decides only which
+entries are units, how a row is updated and the coefficient of
+back-substitution.  Over a field every nonzero entry is a unit, so no
+Smith normal form is needed there.
+All entries are Python ints (over Q, Fractions in coordinates), so
+results are exact.  An IntMatrix keeps only its nonzero entries, a dict
+per row: the matrices of both pipelines are mostly zeros.  Smith normal
+form and unit-pivot elimination work on their own copies of the rows;
+nothing here writes into an operand.
 
 Matrix convention: morphism matrices act on column vectors of generator
 coordinates; a group's relation matrix has one column d * e_k per
@@ -21,7 +28,6 @@ generator k of order d > 0.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -38,8 +44,8 @@ class NonzeroComposite(LinalgError):
 
 
 class IntMatrix:
-    """Sparse integer matrix (Fractions for the Q coordinates of
-    FieldSubquotient): row i is a dict {column: entry} of its nonzero
+    """Sparse integer matrix (Fractions for the Q coordinates of a
+    Subquotient over Q): row i is a dict {column: entry} of its nonzero
     entries only, so products, sums and zero tests skip the zeros that
     make up most of every matrix of both pipelines.  0 x n and n x 0
     shapes are legal.  The constructor takes dense rows, checks their
@@ -399,69 +405,135 @@ def _eliminate_units(a):
     return (1,) * len(pivots) + smith_normal_form(rest).divisors
 
 
-def _unit_pivots(rows):
+def _mod(rows, p):
+    """The sparse rows with their entries reduced into [0, p), new dicts,
+    over F_p; the rows themselves over Z and Q (p 0 or None)."""
+    return [{j: y for j, x in row.items() if (y := x % p)} for row in rows] if p else rows
+
+
+def _cleared(row):
+    """(v, s): the sparse row of ints v = s * row, for the least s > 0."""
+    # reduce, not lcm(*...): the argument tuples of starred calls raised
+    # the tracemalloc peak of a field-ladder pass from 1.2 to 1.6 MiB
+    s = reduce(math.lcm, [x.denominator for x in row.values()], 1)
+    return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
+
+
+def _unit_pivots(rows, p=0):
     """(pivots, cols, rest): copies of the sparse rows, eliminated by unit
-    pivots.  Each step takes the first row holding a ±1, at its lowest such
-    column j, clears column j in the other rows, and drops the pivot row
-    and any zero row.  pivots holds (j, entry, row) in order; rest is the
-    matrix of the rows left, on the sorted columns cols that they touch."""
-    rows = [dict(row) for row in rows if row]
+    pivots over the ring of p, as FieldOps holds it: Z for 0, the default,
+    Q for None, F_p for a prime p.
+
+    A unit is ±1 over Z and any nonzero entry over a field, so over a
+    field the first row is the pivot row and no row is left.  Each step
+    takes the first row holding a unit, at its lowest such column j,
+    clears column j in the other rows, and drops the pivot row and any
+    zero row.  The ring decides how.  With pivot entry a and entry c at
+    j, a row gets -c * a times the pivot row over Z, where a = ±1, and
+    over F_p, where the pivot row is scaled to a = 1 and every entry is
+    kept in [0, p).  Over Q the rows are kept integral, their
+    denominators cleared first: a row becomes (a/g) row - (c/g) pivot,
+    g = gcd(a, c), divided by the gcd of its entries (fraction-free, as
+    in Bareiss's elimination).  pivots holds (j, a, row) in order; rest
+    is the matrix of the rows left, on the sorted columns cols that they
+    touch.
+    """
+    if p == 0:
+        rows = [dict(row) for row in rows if row]
+        update = _axpy
+    elif p:
+        rows = [row for row in _mod(rows, p) if row]
+
+        def update(row, pivot, b):
+            for k, y in pivot.items():
+                x = (row.get(k, 0) + b * y) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    else:
+        rows = [_cleared(row)[0] for row in rows if row]
+
+        def update(row, pivot, b):
+            c = -b // a  # the loop passes b = -c * a
+            g = math.gcd(a, c)
+            if a != g:
+                s = a // g
+                for k in row:
+                    row[k] *= s
+            _axpy(row, pivot, -c // g)
+            g = reduce(math.gcd, row.values(), 0)
+            if g > 1:
+                for k in row:
+                    row[k] //= g
     pivots = []
-    while True:
-        for i, row in enumerate(rows):
-            values = row.values()
-            if 1 in values or -1 in values:
+    while rows:
+        if p == 0:
+            for i, row in enumerate(rows):
+                values = row.values()
+                if 1 in values or -1 in values:
+                    break
+            else:
                 break
+            j = min([c for c, x in row.items() if x == 1 or x == -1])
         else:
-            break
-        j = min([c for c, x in row.items() if x == 1 or x == -1])
+            i, j = 0, min(rows[0])
         pivot = rows.pop(i)
-        sign = pivot[j]
+        if p and pivot[j] != 1:
+            inv = pow(pivot[j], -1, p)
+            pivot = {k: x * inv % p for k, x in pivot.items()}
+        a = pivot[j]
         kept = []
         for row in rows:
             c = row.get(j)
             if c:
-                _axpy(row, pivot, -c * sign)
+                update(row, pivot, -c * a)
                 if not row:
                     continue
             kept.append(row)
         rows = kept
-        pivots.append((j, sign, pivot))
+        pivots.append((j, a, pivot))
     place = {c: t for t, c in enumerate(sorted(set().union(*rows)))} if rows else {}
     return pivots, list(place), IntMatrix._adopt([{place[c]: x for c, x in row.items()}
                                                   for row in rows], len(place))
 
 
-def _back_substitute(pivots):
-    """{j: e}: each pivot variable x_j of _unit_pivots through the others,
-    so that its row (j, s, row) reads 0: x_j = -s * sum of row[k] x_k over
-    k != j, last pivot first, each later pivot x_k replaced by its e."""
+def _back_substitute(pivots, p=0):
+    """{j: e}: each pivot variable x_j of _unit_pivots(..., p) through the
+    others, so that its row (j, a, row) reads 0: x_j = -(1/a) * sum of
+    row[k] x_k over k != j, last pivot first, each later pivot x_k
+    replaced by its e.  So e holds only variables that no pivot took.
+    -1/a is -a for a = ±1, as over Z and F_p, where e is reduced into
+    [0, p), and a Fraction otherwise, over Q."""
     solved = {}
-    for j, sign, row in reversed(pivots):
+    for j, a, row in reversed(pivots):
+        coef = -a if a == 1 or a == -1 else Fraction(-1, a)
         e = {}
-        for k, a in row.items():
+        for k, x in row.items():
             if k != j:
-                _axpy(e, solved[k] if k in solved else {k: 1}, -sign * a)
-        solved[j] = e
+                _axpy(e, solved[k] if k in solved else {k: 1}, coef * x)
+        solved[j] = _mod([e], p)[0]
     return solved
 
 
-def _unit_frame(rows, n, quotient):
-    """(orders, w, q) for the matrix A of the sparse rows, n columns wide.
+def _unit_frame(rows, n, quotient, p=0):
+    """(orders, w, q) for the matrix A of the sparse rows, n columns wide,
+    over the ring of p (see _unit_pivots).
 
     Unit pivots write each pivot variable through the others (e_v
     extended: e_v plus, at each pivot variable, its coefficient of x_v).
     smith_normal_form(R^T) = (U, U_inv) takes the rest, R on the columns
-    T it touches.  Paired rows of w and q: per kept i, row i of U extended
-    and column i of U_inv, on T; per other column v that no pivot took,
-    e_v extended and e_v: so q @ w^T = 1.  quotient False keeps i >= rank
-    R: w^T is a basis of ker A, q gives coordinates in it.  quotient True
-    keeps divisors other than 1: q^T generates Z^n / (rows of A), w gives
-    coordinates.
+    T it touches; over a field there is none.  Paired rows of w and q: per
+    kept i, row i of U extended and column i of U_inv, on T; per other
+    column v that no pivot took, e_v extended and e_v: so q @ w^T = 1.
+    quotient False keeps i >= rank R: w^T is a basis of ker A, q gives
+    coordinates in it; over Q each e_v extended is scaled to ints, and
+    its e_v by the inverse.  quotient True keeps divisors other than 1:
+    q^T generates Z^n / (rows of A), w gives coordinates.
     """
-    pivots, cols, rem = _unit_pivots(rows)
+    pivots, cols, rem = _unit_pivots(rows, p)
     ext = {}
-    for j, e in _back_substitute(pivots).items():
+    for j, e in _back_substitute(pivots, p).items():
         for v, x in e.items():
             ext.setdefault(v, {v: 1})[j] = x
     taken = {j for j, _, _ in pivots}
@@ -477,8 +549,12 @@ def _unit_frame(rows, n, quotient):
         q = [{cols[t]: x for t, x in ui_t[i].items()} for i in kept]
         orders = [divisors[i] for i in kept]
     free = [v for v in range(n) if v not in taken]
-    w += [ext.get(v) or {v: 1} for v in free]
-    q += [{v: 1} for v in free]
+    for v in free:
+        vec, s = ext.get(v) or {v: 1}, 1
+        if p is None and not quotient:
+            vec, s = _cleared(vec)
+        w.append(vec)
+        q.append({v: Fraction(1, s) if s > 1 else 1})
     return tuple(orders) + (0,) * len(free), IntMatrix._adopt(w, n), IntMatrix._adopt(q, n)
 
 
@@ -610,33 +686,33 @@ class GroupMorphism:
 
 
 class Subquotient(PresentedGroup):
-    """ker(g)/im(f): a PresentedGroup with representatives and express() maps.
+    """ker(g)/im(f) over the ring of p (see _unit_pivots): a
+    PresentedGroup with representatives and express() maps.
 
     Generators are coordinate vectors in the basis of the middle group,
     units dropped: torsion ones first, each with its order, then free
-    ones.  orders is known from the start; _represent builds the
-    representatives on first use, and must find the same orders or raise
-    LinalgError.  They keep the rows of g under the coordinate map, so
-    that one product gives a column's coordinates and its test g x = 0.
+    ones; over a field every order is 0.  orders is known from the start;
+    _representatives builds the representatives on first use, and must
+    find the same orders or raise LinalgError.  They keep the rows of g
+    under the coordinate map, so that one product gives a column's
+    coordinates and its test g x = 0.
     """
 
-    __slots__ = ("_pair", "_reps")
+    __slots__ = ("_pair", "_reps", "p")
 
-    def __init__(self, f, g, orders=None):
+    def __init__(self, f, g, orders=None, p=0):
         """With orders None, the representatives are built now and give them."""
         self.orders = orders
         self._pair = (f, g)
         self._reps = None
+        self.p = p
         if orders is None:
             self._built()
 
-    def _represent(self, f, g):
-        return _representatives(f, g)
-
     def _built(self):
-        """The representatives from _represent, built on the first call."""
+        """The representatives from _representatives, built on the first call."""
         if self._reps is None:
-            orders, *reps = self._represent(*self._pair)
+            orders, *reps = _representatives(*self._pair, self.p)
             if self.orders is None:
                 self.orders = orders
             elif orders != self.orders:
@@ -652,10 +728,11 @@ class Subquotient(PresentedGroup):
 
     def express_columns(self, mat):
         """Coordinates of the classes of the columns of mat, one column each,
-        torsion ones reduced into [0, order).  Every column must lie in
-        ker(g)."""
+        torsion ones reduced into [0, order); over F_p every one into
+        [0, p), over Q they may be Fractions, as mat's entries may.  Every
+        column must lie in ker(g)."""
         _, target, stacked, z_coords = self._built()
-        rows, n = (stacked @ mat)._rows, len(self.orders)
+        rows, n = _mod((stacked @ mat)._rows, self.p), len(self.orders)
         z = _torsion_lift(target, IntMatrix._adopt(rows[n:], mat.ncols))
         if z is None:
             raise LinalgError("vector does not lie in the kernel subgroup")
@@ -711,8 +788,9 @@ def _torsion_lift(target, gx):
     return [{j: -x // d for j, x in row.items()} for row, d in zip(gx._rows, target.orders) if d]
 
 
-def _representatives(f, g):
-    """(orders, gens, C, stacked, z_coords) of ker(g)/im(f), by two _unit_frame calls.
+def _representatives(f, g, p=0):
+    """(orders, gens, C, stacked, z_coords) of ker(g)/im(f) over the ring
+    of p, by two _unit_frame calls.
 
     ker(g) is the projection to B of ker [g | R_C], one to one as R_C is:
     the first frame gives a basis w1^T of it, and q1 maps a lift (x; z)
@@ -720,36 +798,45 @@ def _representatives(f, g):
     coordinates are the relations of the second frame: generators q2^T,
     coordinates w2.  So gens is the B part of (q2 @ w1)^T; stacked holds
     the x columns of w2 @ q1 over the rows of g, z_coords its z columns.
-    LinalgError if im(f) or a relation of B escapes ker(g), or gens does."""
+    LinalgError if im(f) or a relation of B escapes ker(g), or gens does.
+    Over a field, where only ranks gave the orders, one product tests
+    that im(f) lies in ker(g)."""
     n_b, target = g.source.n_gens, g.target
     a = g.matrix.hstack(target.relations) if any(target.orders) else g.matrix
-    _, w1, q1 = _unit_frame(a._rows, a.ncols, False)
-    lifts = f.matrix  # with B and C free, homology_of_pair has tested g∘f = 0
+    _, w1, q1 = _unit_frame(a._rows, a.ncols, False, p)
+    lifts = f.matrix  # over Z, with B and C free, homology_of_pair has tested g∘f = 0
     if any(g.source.orders) or a is not g.matrix:
         y = f.matrix.hstack(g.source.relations)
         z = _torsion_lift(target, g.matrix @ y)
         if z is None:
             raise LinalgError("im(f) or a relation of B escapes ker(g)")
         lifts = IntMatrix._adopt(y._rows + z, y.ncols)
-    orders, w2, q2 = _unit_frame((q1 @ lifts).transpose()._rows, w1.nrows, True)
+    elif p != 0 and any(_mod((g.matrix @ f.matrix)._rows, p)):
+        raise LinalgError("im(f) escapes ker(g): the ranks of f and g do not give the "
+                          "orders of ker(g)/im(f)")
+    orders, w2, q2 = _unit_frame((q1 @ lifts).transpose()._rows, w1.nrows, True, p)
     gens, coords = (q2 @ w1)._rows, (w2 @ q1)._rows
     z_coords = [{j - n_b: x for j, x in row.items() if j >= n_b} for row in coords]
     if a is not g.matrix:  # drop the z columns
         gens, coords = ([{j: x for j, x in row.items() if j < n_b} for row in rows]
                         for rows in (gens, coords))
     gens = IntMatrix._adopt(gens, n_b).transpose()
-    if not target.is_zero(g.matrix @ gens):
+    if not target.is_zero(IntMatrix._adopt(_mod((g.matrix @ gens)._rows, p), gens.ncols)):
         raise LinalgError("the representatives of ker(g)/im(f) escape ker(g)")
     return (orders, gens, target, IntMatrix._adopt(coords + list(map(dict, g.matrix._rows)), n_b),
             IntMatrix._adopt(z_coords, a.ncols - n_b))
 
 
+def _free_pair(d_in, d_out):
+    """(f, g): the matrices as morphisms between free groups."""
+    mid = PresentedGroup.free(d_out.ncols)
+    return (GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in),
+            GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out))
+
+
 def free_homology(d_in, d_out):
     """ker(d_out)/im(d_in) for integer matrices Z^a --d_in--> Z^n --d_out--> Z^b."""
-    mid = PresentedGroup.free(d_out.ncols)
-    f = GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in)
-    g = GroupMorphism(mid, PresentedGroup.free(d_out.nrows), d_out)
-    return homology_of_pair(f, g)
+    return homology_of_pair(*_free_pair(d_in, d_out))
 
 
 def graded_homology(morphisms, step, homology_at):
@@ -841,13 +928,11 @@ class FieldOps:
     """Linear algebra over Q or F_p: the coefficient ring of the field
     paths, which pass its free_homology where Z passes the module's: like
     homology_of_pair, dimension first, representatives on first read.
-    Rows are dicts {column: nonzero int}, as in IntMatrix: entries in
-    [0, p) over F_p, integer multiples of the vectors they stand for over
-    Q, where an input row may also hold Fractions that _integers clears.
-    Elimination is fraction-free (Bareiss): over Q rows are
-    cross-multiplied and divided by the gcd of their entries.  Fractions
-    appear only in rref's rows and in the coordinates that
-    FieldSubquotient returns over Q.
+    p is None over Q and the prime over F_p, and it is all the ring needs:
+    ranks, representatives and rref run on _unit_pivots and
+    _back_substitute, the elimination of Z, which takes p.  Entries are
+    ints, over Q also Fractions; Fractions appear only in rref's rows and
+    in the coordinates that a Subquotient over Q returns.
 
     >>> [FieldOps(f).rank(IntMatrix([[2, 4], [1, 3]])) for f in ('Q', 2, 3)]
     [2, 1, 2]
@@ -861,89 +946,30 @@ class FieldOps:
                 raise LinalgError(f"not a prime: {field!r}")
             self.p = field
 
-    def _integers(self, row):
-        """(v, s) with row = v / s and v a new dict of nonzero ints; s = 1
-        over F_p."""
-        p = self.p
-        if p is not None:
-            return {j: y for j, x in row.items() if (y := x % p)}, 1
-        # reduce, not lcm(*...) or gcd(*row): the argument tuples of starred
-        # calls raised the tracemalloc peak of a field-ladder pass from 1.2
-        # to 1.6 MiB
-        s = reduce(math.lcm, [x.denominator for x in row.values()], 1)
-        return {j: x.numerator * (s // x.denominator) for j, x in row.items()}, s
-
-    def _echelon(self, m, stop, reduced):
-        """Eliminate the rows of m in place, in the columns before stop;
-        returns the pivot columns.
-
-        Each pivot is the first row, from the next pivot row on, with an
-        entry in the leftmost column that has one there.  The pivot rows
-        come first, in pivot order, and zero rows last.  With reduced,
-        each pivot column is cleared above its pivot as well as below.
-        Over F_p the pivot entries are scaled to 1; over Q the rows are
-        ints and each pivot entry is left as it is.
-        """
-        p = self.p
-        nrows = len(m)
-        pivots = []
-        r = 0
-        for col in range(stop if nrows else 0):
-            pivot = next((i for i in range(r, nrows) if col in m[i]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            prow = m[r]
-            if p is not None and prow[col] != 1:
-                inv = pow(prow[col], -1, p)
-                prow = m[r] = {j: x * inv % p for j, x in prow.items()}
-            a = prow[col]
-            # every row from r on, prow too, is zero left of col
-            for i in range(0 if reduced else r + 1, nrows):
-                row = m[i]
-                c = row.get(col)
-                if c is None or i == r:
-                    continue
-                if p is not None:
-                    for j, y in prow.items():
-                        x = (row.get(j, 0) - c * y) % p
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
-                    continue
-                g = math.gcd(a, c)
-                a_g, c_g = a // g, c // g
-                if a_g != 1:
-                    row = {j: a_g * x for j, x in row.items()}
-                _axpy(row, prow, -c_g)
-                g = reduce(math.gcd, row.values(), 0)
-                m[i] = {j: x // g for j, x in row.items()} if g > 1 else row
-            pivots.append(col)
-            r += 1
-            if r == nrows:
-                break
-        return pivots
-
     def rref(self, m):
         """Reduced row echelon form of the dense rows m, returns (dense
-        rows, pivot column list)."""
-        ncols = len(m[0]) if m else 0
-        ints = [self._integers({j: x for j, x in enumerate(row) if x})[0] for row in m]
-        pivots = self._echelon(ints, ncols, reduced=True)
-        if self.p is not None:
-            return [[row.get(j, 0) for j in range(ncols)] for row in ints], pivots
-        zero = Fraction(0)
+        rows, pivot column list).  The pivot rows of _unit_pivots have
+        distinct lowest columns, so their pivot columns are those of the
+        reduced form, whose row for pivot j is x_j minus the expression
+        that _back_substitute gives for x_j."""
+        ncols, p = len(m[0]) if m else 0, self.p
+        pivots = _unit_pivots([{j: x for j, x in enumerate(row) if x} for row in m], p)[0]
+        solved = _back_substitute(pivots, p)
+        zero, cols = 0 if p else Fraction(0), sorted(solved)
         out = []
-        for row, col in zip(ints, pivots):
-            d = row[col]
-            out.append([Fraction(row[j], d) if j in row else zero for j in range(ncols)])
-        out.extend([zero] * ncols for _ in ints[len(pivots):])
-        return out, pivots
+        for j in cols:
+            row = [zero] * ncols
+            row[j] = zero + 1
+            for k, x in solved[j].items():
+                row[k] = -x % p if p else zero - x
+            out.append(row)
+        out.extend([zero] * ncols for _ in m[len(out):])
+        return out, cols
 
     def rank(self, mat):
-        """Rank of mat over the field, eliminated once per field (see
-        IntMatrix); 0 at once for a matrix with no row or no column."""
+        """Rank of mat over the field: the number of pivots of _unit_pivots,
+        eliminated once per field (see IntMatrix); 0 at once for a matrix
+        with no row or no column."""
         if not (mat.nrows and mat.ncols):
             return 0
         ranks = mat._ranks = mat._ranks or {}
@@ -952,107 +978,20 @@ class FieldOps:
         return ranks[self.p]
 
     def _rank(self, mat):
-        m = [v for v in (self._integers(row)[0] for row in mat._rows) if v]
-        return len(self._echelon(m, mat.ncols, reduced=False))
+        return len(_unit_pivots(mat._rows, self.p)[0])
 
     def free_homology(self, d_in, d_out):
         """ker(d_out)/im(d_in) for F^a --d_in--> F^n --d_out--> F^b, integer
-        (over Q, also Fraction) entries: dimension n - rank(d_out) - rank(d_in)
-        first.  If that is negative, d_out @ d_in != 0: NonzeroComposite, as
-        over Z.  No product is taken, so a nonzero one may go unseen."""
-        n = d_out.ncols
-        if d_in.nrows != n:
-            raise LinalgError("d_in and d_out disagree")
-        dim = n - self.rank(d_out) - self.rank(d_in)
-        if dim < 0:
-            raise NonzeroComposite("d_out @ d_in is not zero")
-        return FieldSubquotient(self, d_in, d_out, dim)
+        (over Q, also Fraction) entries."""
+        return self.homology_of_pair(*_free_pair(d_in, d_out))
 
     def homology_of_pair(self, f, g):
-        """free_homology(f.matrix, g.matrix): graded_homology's spot routine."""
-        return self.free_homology(f.matrix, g.matrix)
-
-
-class FieldSubquotient(Subquotient):
-    """ker(out)/im(in) over the field of ops, all orders 0: the dimension
-    comes from ranks, the rest from two eliminations in _represent, on
-    first read.  The reduced echelon form of out gives the cycle checks,
-    its nonzero rows, and an integer kernel vector per free column (over
-    F_p with free coordinate 1).  [in | kernel | identity] is then
-    eliminated up to the identity block: its kernel pivot columns are
-    gens, integer cycles whose classes form a basis, and the identity
-    block t of their rows maps a cycle v to its coordinates (t @ v) / pivots.
-    """
-
-    __slots__ = ("ops",)
-
-    def __init__(self, ops, d_in, d_out, dim):
-        self.ops = ops
-        super().__init__(d_in, d_out, (0,) * dim)
-
-    def _represent(self, d_in, d_out):
-        ops, n, p = self.ops, d_out.ncols, self.ops.p
-        ints = [ops._integers(row)[0] for row in d_out._rows]
-        pivots = ops._echelon(ints, n, reduced=True)
-        checks = IntMatrix._adopt(ints[:len(pivots)], n)
-        # a reduced pivot row has no other pivot column, so its other
-        # entries sit in free columns: (entry, pivot entry, pivot column)
-        # per free column
-        terms = defaultdict(list)
-        for row, col in zip(ints, pivots):
-            a = row[col]
-            for f, x in row.items():
-                if f != col:
-                    terms[f].append((x, a, col))
-        cycles = []
-        for f in sorted(set(range(n)).difference(pivots)):
-            # the least s > 0 that makes every -x * s / a whole; 1 over F_p,
-            # where the pivot entries are 1
-            s = reduce(math.lcm, [a // math.gcd(a, x) for x, a, _ in terms[f]], 1)
-            vec = {f: s}
-            for x, a, col in terms[f]:
-                vec[col] = -x * s // a
-            cycles.append({j: y % p for j, y in vec.items()} if p else vec)
-        first = d_in.ncols
-        width = first + len(cycles)
-        # the identity block goes through _integers too, so that it records
-        # the scaling of each row over Q; with no cycles there is nothing to pick
-        m = []
-        if cycles:
-            rows = [dict(row) for row in d_in._rows]
-            for t, vec in enumerate(cycles):
-                for i, x in vec.items():
-                    rows[i][first + t] = x
-            for i, row in enumerate(rows):
-                row[width + i] = 1
-                m.append(ops._integers(row)[0])
-        kept = [(row, col) for row, col in zip(m, ops._echelon(m, width, reduced=True))
-                if col >= first]
-        gens = IntMatrix.from_entries(n, len(kept), [(i, t, x) for t, (_, col) in enumerate(kept)
-                                                     for i, x in cycles[col - first].items()])
-        t = [{j - width: x for j, x in row.items() if j >= width} for row, _ in kept]
-        return ((0,) * len(kept), gens, checks, IntMatrix._adopt(t, n),
-                [row[col] for row, col in kept])
-
-    def express_columns(self, mat):
-        """Coordinates of the classes of the columns of the integer matrix
-        mat, one column each: ints in [0, p) over F_p, Fractions over Q.
-        Raises LinalgError on a column not a cycle."""
-        _, checks, t, pivots = self._built()
-        p = self.ops.p
-        checks = (checks @ mat)._rows
-        if any(any(x % p for x in row.values()) if p else row for row in checks):
-            raise LinalgError("vector is not a cycle")
-        z = (t @ mat)._rows
-        if p:
-            return IntMatrix._adopt([{j: y for j, x in row.items() if (y := x % p)}
-                                     for row in z], mat.ncols)
-        return IntMatrix._adopt([{j: Fraction(x, d) for j, x in row.items()}
-                                 for row, d in zip(z, pivots)], mat.ncols)
-
-    def express(self, vec):
-        """express_columns of the one-column matrix vec; over Q, vec may
-        hold Fractions, and so does every coordinate returned."""
-        v, s = self.ops._integers({i: x for i, x in enumerate(vec) if x})
-        coords = self.express_columns(_one_column([v.get(i, 0) for i in range(len(vec))]))
-        return coords.column(0) if self.ops.p else [Fraction(x, s) for x in coords.column(0)]
+        """ker(g)/im(f) over the field, graded_homology's spot routine: a
+        Subquotient whose dimension n - rank(g) - rank(f) comes first.  If
+        that is negative, g∘f != 0: NonzeroComposite, as over Z.  No product
+        is taken until representatives are built, so a nonzero one may go
+        unseen until then."""
+        dim = g.source.n_gens - self.rank(g.matrix) - self.rank(f.matrix)
+        if dim < 0:
+            raise NonzeroComposite("g∘f is not zero")
+        return Subquotient(f, g, (0,) * dim, self.p)

@@ -20,10 +20,9 @@ from dense_oracle import (
 )
 from macoh import linalg
 from macoh.complexes import cycle, rp2_minimal
-from macoh.hochster import double_cohomology, hochster_cohomology, hochster_field
+from macoh.hochster import double_cohomology, double_field, hochster_cohomology, hochster_field
 from macoh.linalg import (
     FieldOps,
-    FieldSubquotient,
     GroupMorphism,
     IntMatrix,
     LinalgError,
@@ -205,10 +204,10 @@ def test_integral_h_of_a_cycle_reads_no_representatives(monkeypatch):
 
 
 def test_field_h_of_a_cycle_builds_no_representatives(monkeypatch):
-    def refuse(sq, d_in, d_out):
+    def refuse(f, g, p):
         raise AssertionError("a representative was built")
 
-    monkeypatch.setattr(FieldSubquotient, "_represent", refuse)
+    monkeypatch.setattr(linalg, "_representatives", refuse)
     got = hochster_field(cycle(8), "Q").dims
     assert got == {b: rank for b, (rank, _) in hochster_cohomology(cycle(8)).invariants().items()}
 
@@ -301,14 +300,20 @@ def test_representatives_match_the_dense_oracle(kind, torsion, data):
             sq.express(v)
 
 
-@pytest.mark.parametrize("k", [cycle(6), rp2_minimal()], ids=["cycle:6", "rp2"])
-def test_a_sign_flipped_by_back_substitution_fails_the_build(monkeypatch, k):
+@pytest.mark.parametrize("k, field", [
+    pytest.param(cycle(6), None, id="cycle:6"),
+    pytest.param(rp2_minimal(), None, id="rp2"),
+    *(pytest.param(k, field, id=f"{name}-{field}")
+      for field in ("Q", 3) for name, k in (("cycle:6", cycle(6)), ("rp2", rp2_minimal()))),
+])
+def test_a_sign_flipped_by_back_substitution_fails_the_build(monkeypatch, k, field):
     # negative control: one entry of the first pivot variable that has
-    # one, with its sign flipped, in every back-substitution
+    # one, with its sign flipped, in every back-substitution; over F_2 a
+    # flipped sign changes nothing, so the fields are Q and F_3
     real = linalg._back_substitute
 
-    def flipped(pivots):
-        solved = real(pivots)
+    def flipped(pivots, p=0):
+        solved = real(pivots, p)
         e = next((e for e in solved.values() if e), {})
         for v in list(e)[:1]:
             e[v] = -e[v]
@@ -316,7 +321,7 @@ def test_a_sign_flipped_by_back_substitution_fails_the_build(monkeypatch, k):
 
     monkeypatch.setattr(linalg, "_back_substitute", flipped)
     with pytest.raises(LinalgError, match=r"representatives of ker\(g\)/im\(f\) escape"):
-        double_cohomology(k)
+        double_cohomology(k) if field is None else double_field(k, field)
 
 
 @PROPERTY
@@ -602,9 +607,10 @@ def test_field_dimension_from_ranks_is_that_of_the_built_generators(cx):
         dim = sq.n_gens
         assert sq.invariants() == (dim, ()) and sq.gens.ncols == dim
         assert sq._pair is None  # the build released d_in and d_out
-        # the Smith divisors prime to p: an oracle that shares no code with _echelon
+        # the Smith divisors prime to p, by the dense oracle: smith_divisors
+        # would share _unit_pivots with the field ranks
         for mat in (d_in, d_out):
-            assert ops.rank(mat) == sum(1 for d in smith_divisors(mat)
+            assert ops.rank(mat) == sum(1 for d in smith_divisors_by_full_scan(mat)
                                         if field == "Q" or d % field)
 
 
@@ -691,11 +697,19 @@ def field_matrices(draw, field, max_rows=6, max_cols=8):
     return rows
 
 
+def _over_q(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
 @PROPERTY
-@given(st.data())
-def test_field_rref_matches_naive_gauss_jordan(data):
-    for field in FIELDS:
-        m = data.draw(field_matrices(field))
+@given(st.fixed_dictionaries({field: field_matrices(field) for field in FIELDS}))
+# the first row's lowest column is not the leftmost pivot column, so the
+# unit pivots come in another order than Gauss-Jordan's
+@example({"Q": _over_q([[0, 0, 1], [1, 1, 0], [2, 2, 0]]), 2: [[0, 0, 1], [1, 1, 0], [2, 2, 0]]})
+# pivot entries 3 and -4 over Q: back-substitution divides by them
+@example({"Q": _over_q([[0, 3, 6, 1], [0, 2, 1, 0], [-4, 0, 0, 2]])})
+def test_field_rref_matches_naive_gauss_jordan(matrices_by_field):
+    for field, m in matrices_by_field.items():
         ops = FieldOps(field)
         rows, pivots = ops.rref(m)
         expected_rows, expected_pivots = _naive_rref(m, field)
