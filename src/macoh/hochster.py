@@ -28,12 +28,11 @@ from .homology import (
     FaceBases,
     FieldComplexCohomology,
     cohomology,
+    face_positions,
     homology,
     induced_map,
-    inclusion_matrix,
     read_off_cohomology,
     reduced_complex,
-    restriction_matrix,
 )
 from .linalg import (
     BigradedGroups,
@@ -225,26 +224,25 @@ def _moves(hd, summand, dst_index, memo, sign_fault=False):
     matrix) per vertex move whose subset has a summand in dst_index.
 
     Cohomology removes a vertex of the subset and restricts cochains;
-    homology adds a vertex outside it and includes chains.
+    homology adds a vertex outside it and includes chains; either chain
+    map is face_positions from the summand's subset to the other one.
 
     The class matrix depends only on the class of the larger subset (the
     subset itself on the cohomology side, the one with the vertex added
     on the homology side), the position of the moved vertex among its
     vertices (K has no ghost vertices, so those of K_I are I) and the
     degree.  An order-preserving relabelling of the larger subset
-    carries the smaller one, both bases and the chain matrix along, and
-    both subsets keep their (co)homology objects.  So memo, one dict per
-    _connecting call, keeps each class matrix under that triple; the
+    carries the smaller one, both bases and the face positions along,
+    and both subsets keep their (co)homology objects.  So memo, one dict
+    per _connecting call, keeps each class matrix under that triple; the
     sign stays outside it.
     """
     mask, p = summand.mask, summand.degree
     cohomology_side = hd.side == "cohomology"
     if cohomology_side:
         moves = [(v, mask & ~(1 << (v - 1))) for v in vertices_of(mask)]
-        chain_matrix = restriction_matrix
     else:
         moves = [(v, mask | (1 << (v - 1))) for v in vertices_of(hd.support & ~mask)]
-        chain_matrix = inclusion_matrix
     for vertex, other in moves:
         target = dst_index.get(other)
         if target is None:
@@ -258,23 +256,21 @@ def _moves(hd, summand, dst_index, memo, sign_fault=False):
         key = (hd.classes[larger], (larger & ((1 << (vertex - 1)) - 1)).bit_count(), p)
         block = memo.get(key)
         if block is None:
-            chain = chain_matrix(hd.cxs[mask], hd.cxs[other], p)
-            block = memo[key] = induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
+            positions = face_positions(hd.cxs[mask], hd.cxs[other], p)
+            block = memo[key] = induced_map(hd.cohs[mask], hd.cohs[other], positions, p)
         yield sign, target, block
 
 
 def _assemble(src_layout, dst_layout, blocks):
-    """The matrix from src_layout into dst_layout (None: no rows) that adds
-    sign * block at (target, summand) for each (sign, target summand, block)
-    of blocks(summand, dst_index), where dst_index keys the targets by mask."""
+    """The matrix from src_layout into dst_layout (None: no rows) that
+    places sign * block at (target, summand) offsets for each (sign, target
+    summand, block) of blocks(summand, dst_index), dst_index keyed by mask."""
     dst_index = {s.mask: s for s in dst_layout.summands} if dst_layout else {}
-    entries = []
-    for summand in src_layout.summands:
-        for sign, target, block in blocks(summand, dst_index):
-            entries.extend((target.offset + r, summand.offset + c, sign * v)
-                           for r, c, v in block.entries())
-    return IntMatrix.from_entries(dst_layout.group.n_gens if dst_layout else 0,
-                                  src_layout.group.n_gens, entries)
+    placed = ((target.offset, summand.offset, sign, block)
+              for summand in src_layout.summands
+              for sign, target, block in blocks(summand, dst_index))
+    return IntMatrix.from_blocks(dst_layout.group.n_gens if dst_layout else 0,
+                                 src_layout.group.n_gens, placed)
 
 
 def _connecting(hd, sign_fault=False):

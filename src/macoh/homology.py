@@ -12,7 +12,8 @@ The coboundary of the basis cochain dual to a face L is
 
 and the boundary operator on chains is its transpose.  Restriction to a
 smaller subset deletes the faces that meet the removed vertex;
-inclusion into a larger subset is the dual injection on chains.
+inclusion into a larger subset is the dual injection on chains.  Both
+are face_positions, and induced_map gathers rows of representatives by it.
 
 Some groups are known before their complex is built.  Let t be the
 highest vertex of I, P = I - t nonempty, and L the link of t in K_P.
@@ -198,38 +199,23 @@ def homology(cx):
     return ComplexCohomology(_groups(cx, "homology", free_homology))
 
 
-def restriction_matrix(cx_big, cx_small, p):
-    """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I; it
-    reads only the bases of the two FaceBases (or ReducedComplexes).
-
-    Faces of K_J are faces of K_I.  Row r holds one 1, in the column of the
-    r-th face of K_J among the faces of K_I; the other columns are zero.
-    """
-    small = cx_small.basis(p)
-    index = {mask: i for i, mask in enumerate(cx_big.basis(p))}
-    return IntMatrix.from_entries(len(small), len(index),
-                                  [(r, index[mask], 1) for r, mask in enumerate(small)])
+def face_positions(cx_from, cx_to, p):
+    """For each degree-p face of cx_to, its position among those of
+    cx_from, or None: the 0/1 chain matrix, one 1 per row at most, of
+    restriction (cx_to inside cx_from) and of inclusion (the reverse)."""
+    index = {mask: i for i, mask in enumerate(cx_from.basis(p))}
+    return [index.get(mask) for mask in cx_to.basis(p)]
 
 
-def inclusion_matrix(cx_small, cx_big, p):
-    """Chain inclusion C_p(K_I) -> C_p(K_J) for I a subset of J."""
-    return restriction_matrix(cx_big, cx_small, p).transpose()
-
-
-def induced_map(src_coh, dst_coh, chain_matrix, p):
-    """Class-level matrix of a (co)chain map in degree p.
-
-    chain_matrix sends source basis coordinates to target basis
-    coordinates; representatives of the source classes are pushed
-    through it and expressed in the target generators.
-    """
-    src = src_coh.group(p)
-    dst = dst_coh.group(p)
-    n_src = src.n_gens if src is not None else 0
-    n_dst = dst.n_gens if dst is not None else 0
+def induced_map(src_coh, dst_coh, positions, p):
+    """Class-level matrix in degree p of the (co)chain map that
+    face_positions gives as positions: the rows of the source
+    representatives that it picks, expressed in the target generators."""
+    src, dst = src_coh.group(p), dst_coh.group(p)
+    n_src, n_dst = (g.n_gens if g is not None else 0 for g in (src, dst))
     if n_src == 0 or n_dst == 0:
         return IntMatrix.zeros(n_dst, n_src)
-    return dst.express_columns(chain_matrix @ src.gens)
+    return dst.express_columns(src.gens.rows_at(positions))
 
 
 class FieldComplexCohomology(ComplexCohomology):

@@ -101,11 +101,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, nrows):
-        columns = [list(c) for c in columns]
-        if any(len(c) != nrows for c in columns):
-            raise LinalgError("column of wrong height")
-        return cls.from_entries(nrows, len(columns), [(i, j, x) for j, c in enumerate(columns)
-                                                      for i, x in enumerate(c) if x])
+        return cls(columns, nrows).transpose()
 
     @classmethod
     def from_entries(cls, nrows, ncols, entries):
@@ -127,6 +123,29 @@ class IntMatrix:
                 continue
             row[c] = v
         return cls._adopt(rows, ncols)
+
+    @classmethod
+    def from_blocks(cls, nrows, ncols, blocks):
+        """from_entries of the entries of sign * block shifted by (r0, c0),
+        for each (r0, c0, sign, block) of blocks; each block must fit."""
+        rows = [{} for _ in range(nrows)]
+        for r0, c0, sign, block in blocks:
+            if (r0 | c0) < 0 or r0 + block.nrows > nrows or c0 + block.ncols > ncols:
+                raise LinalgError(f"block at ({r0}, {c0}) outside a {nrows} x {ncols} matrix")
+            for i, brow in enumerate(block._rows if sign else ()):
+                if brow:
+                    _axpy(rows[r0 + i], {c0 + c: v for c, v in brow.items()}, sign)
+        return cls._adopt(rows, ncols)
+
+    def rows_at(self, positions):
+        """The matrix whose row r is a copy of row positions[r], or a zero
+        row where positions[r] is None: a 0/1 matrix with at most one 1 per
+        row times this one, without the product."""
+        if any(i is not None and not 0 <= i < self.nrows for i in positions):
+            raise LinalgError(f"a row position outside a matrix of {self.nrows} rows")
+        rows = self._rows
+        return IntMatrix._adopt([{} if i is None else dict(rows[i]) for i in positions],
+                                self.ncols)
 
     def entries(self):
         """(r, c, v) for each nonzero entry v at (r, c), in row-major order."""
@@ -214,11 +233,6 @@ class IntMatrix:
             return f"IntMatrix(shape={self.shape})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"IntMatrix([{body}])"
-
-
-def _one_column(vec):
-    """The one-column matrix of the vector vec."""
-    return IntMatrix._adopt([{0: x} if x else {} for x in vec], 1)
 
 
 def _axpy(row, other, c):
@@ -385,16 +399,16 @@ def smith_normal_form(a):
 def smith_divisors(a):
     """The divisors of smith_normal_form(a), without its transforms.
 
-    The first call eliminates a (_eliminate_units) and keeps the result
-    on a, in its _divisors slot; later calls return it.  No matrix is
-    written after it is handed out (see IntMatrix), so the kept result
-    stays that of a.
+    A matrix with no entries has none, at once.  Otherwise the first call
+    eliminates a (_eliminate_units) and keeps the result on a, in its
+    _divisors slot; later calls return it.  No matrix is written after it
+    is handed out (see IntMatrix), so the kept result stays that of a.
 
     >>> smith_divisors(IntMatrix([[0, 2, 0], [1, 4, 0], [-1, 0, 6]]))
     (1, 2, 6)
     """
     if a._divisors is None:
-        a._divisors = _eliminate_units(a)
+        a._divisors = () if a.is_zero() else _eliminate_units(a)
     return a._divisors
 
 
@@ -531,7 +545,7 @@ def _unit_frame(rows, n, quotient, p=0):
     its e_v by the inverse.  quotient True keeps divisors other than 1:
     q^T generates Z^n / (rows of A), w gives coordinates.
     """
-    pivots, cols, rem = _unit_pivots(rows, p)
+    pivots, cols, rem = _unit_pivots(rows, p) if any(rows) else ((), (), None)
     ext = {}
     for j, e in _back_substitute(pivots, p).items():
         for v, x in e.items():
@@ -747,7 +761,8 @@ class Subquotient(PresentedGroup):
 
     def express(self, vec):
         """express_columns of the one-column matrix vec."""
-        return self.express_columns(_one_column(vec)).column(0)
+        col = IntMatrix._adopt([{0: x} if x else {} for x in vec], 1)
+        return self.express_columns(col).column(0)
 
     def class_is_zero(self, vec):
         return all(c == 0 for c in self.express(vec))
@@ -759,7 +774,9 @@ def homology_of_pair(f, g):
     A, B and C may be any PresentedGroup, a Subquotient too.  Raises
     LinalgError if f.target and g.source have different orders, and its
     subclass NonzeroComposite if g∘f is not zero in C: the one d^2 = 0
-    test of both pipelines.  Generators are given in the coordinates of B.
+    test of both pipelines, which takes no product when f or g has no
+    entries (the orders test and GroupMorphism's shape check make the
+    shapes agree).  Generators are given in the coordinates of B.
 
     When B and C are free, g∘f = 0 puts im(f) in ker(g), a saturated
     lattice of rank n_B - rank(g).  So f has the Smith divisors of its
@@ -771,7 +788,8 @@ def homology_of_pair(f, g):
     """
     if f.target.orders != g.source.orders:
         raise LinalgError("f.target and g.source disagree")
-    if not g.target.is_zero(g.matrix @ f.matrix):
+    if not (f.matrix.is_zero() or g.matrix.is_zero()
+            or g.target.is_zero(g.matrix @ f.matrix)):
         raise NonzeroComposite("g∘f is not the zero morphism")
     if any(g.source.orders) or any(g.target.orders):
         return Subquotient(f, g)
@@ -969,8 +987,8 @@ class FieldOps:
     def rank(self, mat):
         """Rank of mat over the field: the number of pivots of _unit_pivots,
         eliminated once per field (see IntMatrix); 0 at once for a matrix
-        with no row or no column."""
-        if not (mat.nrows and mat.ncols):
+        with no entries, whatever its shape."""
+        if mat.is_zero():
             return 0
         ranks = mat._ranks = mat._ranks or {}
         if self.p not in ranks:

@@ -5,8 +5,11 @@ eliminations of macoh.linalg are checked against.
 A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
 shapes keep their shape.  Nothing here shares code with macoh.linalg,
 except the helpers at the end, which read what tests ask of the Smith
-decomposition, of homology_of_pair and of a PresentedGroup, and scale an
-IntMatrix.
+decomposition, of homology_of_pair and of a PresentedGroup, scale an
+IntMatrix, and build the 0/1 chain matrices of restriction and
+inclusion from face lists, with the class maps they induce: the
+block-by-block oracle of d', which shares nothing with face_positions,
+IntMatrix.rows_at or IntMatrix.from_blocks.
 """
 
 from macoh.linalg import (
@@ -196,3 +199,29 @@ def scaled(a, c):
     """c times the IntMatrix a, built from its entries; a - b is
     a + scaled(b, -1)."""
     return IntMatrix.from_entries(a.nrows, a.ncols, [(r, j, c * v) for r, j, v in a.entries()])
+
+
+def restriction_matrix(cx_big, cx_small, p):
+    """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I, from
+    the bases of the two FaceBases (or ReducedComplexes): row r holds one
+    1, in the column of the r-th face of K_J among the faces of K_I."""
+    small = cx_small.basis(p)
+    index = {mask: i for i, mask in enumerate(cx_big.basis(p))}
+    return IntMatrix.from_entries(len(small), len(index),
+                                  [(r, index[mask], 1) for r, mask in enumerate(small)])
+
+
+def inclusion_matrix(cx_small, cx_big, p):
+    """Chain inclusion C_p(K_I) -> C_p(K_J) for I a subset of J."""
+    return restriction_matrix(cx_big, cx_small, p).transpose()
+
+
+def induced_by_chain(src_coh, dst_coh, chain, p):
+    """Class-level matrix in degree p of the (co)chain map with matrix
+    chain: the source representatives pushed through the product with
+    chain and expressed in the target generators."""
+    src, dst = src_coh.group(p), dst_coh.group(p)
+    n_src, n_dst = (g.n_gens if g is not None else 0 for g in (src, dst))
+    if n_src == 0 or n_dst == 0:
+        return IntMatrix.zeros(n_dst, n_src)
+    return dst.express_columns(chain @ src.gens)

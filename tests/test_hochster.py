@@ -3,11 +3,17 @@
 import random
 
 import pytest
-from dense_oracle import kernel_subgroup, scaled
+from dense_oracle import (
+    inclusion_matrix,
+    induced_by_chain,
+    kernel_subgroup,
+    restriction_matrix,
+    scaled,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macoh import hochster
+from macoh import hochster, linalg
 from macoh.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -40,11 +46,10 @@ from macoh.homology import (
     FaceBases,
     FieldComplexCohomology,
     cohomology,
+    face_positions,
     homology,
     induced_map,
-    inclusion_matrix,
     reduced_complex,
-    restriction_matrix,
 )
 from macoh.linalg import (
     FieldOps,
@@ -240,7 +245,7 @@ def _pushforward(l_complex, k_complex):
             return []
         mask, p = summand.mask, summand.degree
         chain = inclusion_matrix(hd_src.cxs[mask], hd_dst.cxs[mask], p)
-        return [(1, target, induced_map(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p))]
+        return [(1, target, induced_by_chain(hd_src.cohs[mask], hd_dst.cohs[mask], chain, p))]
 
     matrices = {b: hochster._assemble(layout, hd_dst.layouts.get(b), pushed)
                 for b, layout in hd_src.layouts.items()}
@@ -534,9 +539,10 @@ def test_the_sweep_of_the_zoo_reads_no_face_list_of_k(monkeypatch, side, field):
 
 
 def _dprime_block_by_block(hd):
-    """(d' of hd per source bidegree, number of blocks), with one
-    induced_map call for every vertex move of every summand: the
-    assembly that _moves memoises."""
+    """(d' of hd per source bidegree, number of blocks), with one class
+    block for every vertex move of every summand, the assembly that
+    _moves memoises: 0/1 chain matrices times the representatives, and
+    signed, shifted entries through from_entries."""
     cohomology_side = hd.side == "cohomology"
     step = -1 if cohomology_side else 1
     out = {}
@@ -558,7 +564,7 @@ def _dprime_block_by_block(hd):
                 sign = sign_eps(v, mask) * (-1) ** (p + 1)
                 chain = (restriction_matrix(hd.cxs[mask], hd.cxs[other], p) if cohomology_side
                          else inclusion_matrix(hd.cxs[mask], hd.cxs[other], p))
-                block = induced_map(hd.cohs[mask], hd.cohs[other], chain, p)
+                block = induced_by_chain(hd.cohs[mask], hd.cohs[other], chain, p)
                 n_blocks += 1
                 entries.extend((target.offset + r, s.offset + c, sign * x)
                                for r, c, x in block.entries())
@@ -587,3 +593,32 @@ def test_memoised_dprime_equals_the_block_by_block_assembly(monkeypatch, side, f
         assert memoised == expected, name
     # the 672 blocks of cycle:8 fall into 228 classes, on either side
     assert (len(calls), n_blocks) == (228, 672)
+
+
+def test_dprime_raises_when_the_gather_reads_faces_in_the_wrong_order(monkeypatch):
+    # negative control: reversed face positions gather the wrong rows of
+    # the representatives, which no pipeline may pass over in silence
+    monkeypatch.setattr(hochster, "face_positions",
+                        lambda *args: face_positions(*args)[::-1])
+    for double in (double_cohomology, double_homology, lambda k: double_field(k, 3)):
+        with pytest.raises((LinalgError, VerificationError)):
+            double(cycle(6))
+
+
+def test_no_matrix_without_entries_is_eliminated(monkeypatch):
+    expected_h = hochster_cohomology(cycle(9)).invariants()
+    unit_pivots = linalg._unit_pivots
+
+    def refused(rows, p=0):
+        assert any(rows), "unit pivots on a matrix with no entries"
+        return unit_pivots(rows, p)
+
+    monkeypatch.setattr(linalg, "_unit_pivots", refused)
+    zero = IntMatrix.zeros(3, 4)
+    assert [FieldOps(field).rank(zero) for field in ("Q", 2)] == [0, 0]
+    assert linalg.smith_divisors(zero) == ()
+    z = (1, ())
+    assert double_cohomology(cycle(8)).invariants() == {(0, 0): z, (1, 2): z, (5, 6): z,
+                                                        (6, 8): z}
+    assert double_field(cycle(8), 2) == {(0, 0): 1, (1, 2): 1, (5, 6): 1, (6, 8): 1}
+    assert hochster_cohomology(cycle(9)).invariants() == expected_h

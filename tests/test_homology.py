@@ -1,8 +1,14 @@
 """Reduced cohomology of full subcomplexes: oracles and invariants."""
 
 import random
+from functools import partial
 
-from dense_oracle import kernel_subgroup
+from dense_oracle import (
+    inclusion_matrix,
+    induced_by_chain,
+    kernel_subgroup,
+    restriction_matrix,
+)
 from macoh.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -19,14 +25,14 @@ from macoh.complexes import (
 )
 from macoh.hochster import double_cohomology
 from macoh.homology import (
+    FieldComplexCohomology,
     cohomology,
+    face_positions,
     homology,
     induced_map,
-    inclusion_matrix,
     reduced_complex,
-    restriction_matrix,
 )
-from macoh.linalg import GroupMorphism, IntMatrix, PresentedGroup
+from macoh.linalg import FieldOps, GroupMorphism, IntMatrix, PresentedGroup
 
 
 def uct_consistency(cx):
@@ -165,6 +171,32 @@ def test_restrictions_compose():
         assert direct == via
 
 
+def test_face_positions_gather_what_the_chain_matrices_map():
+    # restriction K -> K - v and inclusion K - v -> K, over Z and F_3: the
+    # gather is the 0/1 chain matrix, and induced_map the class map it induces
+    rng = random.Random(8)
+    cases = [k for _, k in zoo()] + [random_complex(rng, rng.randint(2, 7)) for _ in range(12)]
+    f3 = FieldOps(3)
+    for k in cases:
+        full = k.full_mask()
+        cx_big = reduced_complex(k, full)
+        for v in range(k.m):
+            cx_small = reduced_complex(k, full & ~(1 << v))
+            for side, compute in (("cohomology", cohomology), ("homology", homology),
+                                  ("cohomology", partial(FieldComplexCohomology, ops=f3))):
+                if side == "cohomology":
+                    src, dst, chain_matrix = cx_big, cx_small, restriction_matrix
+                else:
+                    src, dst, chain_matrix = cx_small, cx_big, inclusion_matrix
+                src_coh, dst_coh = compute(src), compute(dst)
+                for p in range(-1, len(cx_big.bases) - 1):
+                    positions = face_positions(src, dst, p)
+                    chain = chain_matrix(src, dst, p)
+                    assert IntMatrix.identity(chain.ncols).rows_at(positions) == chain
+                    assert (induced_map(src_coh, dst_coh, positions, p)
+                            == induced_by_chain(src_coh, dst_coh, chain, p)), (k, v, side, p)
+
+
 def test_universal_coefficients_on_random_complexes():
     rng = random.Random(5)
     for _ in range(12):
@@ -241,7 +273,7 @@ def test_top_classes_are_the_kernel_of_the_restrictions_to_each_k_minus_v():
             # H~^p(K) -> the direct sum of H~^p(K - v), one block of rows per v
             orders, entries = [], []
             for sub, sub_coh in zip(subs, sub_cohs):
-                block = induced_map(coh, sub_coh, restriction_matrix(cx, sub, p), p)
+                block = induced_by_chain(coh, sub_coh, restriction_matrix(cx, sub, p), p)
                 entries += [(len(orders) + r, c, x) for r, c, x in block.entries()]
                 orders += sub_coh.group(p).orders if sub_coh.group(p) else []
             src = coh.group(p)

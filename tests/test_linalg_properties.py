@@ -545,6 +545,68 @@ def test_from_entries_refuses_any_entry_of_an_empty_shape():
 
 
 @PROPERTY
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 6), st.data())
+def test_rows_at_is_the_zero_one_chain_matrix_times_the_operand(n, m, k, data):
+    a = data.draw(sparse_matrix(n, m))
+    position = st.one_of(st.none(), st.integers(0, n - 1)) if n else st.none()
+    positions = data.draw(st.lists(position, min_size=k, max_size=k))
+    before = a.rows
+    chain = IntMatrix.from_entries(k, n, [(r, i, 1) for r, i in enumerate(positions)
+                                          if i is not None])
+    gathered = a.rows_at(positions)
+    assert gathered == chain @ a
+    assert a.rows == before
+    # every row of the result is a new dict: writing it cannot reach a
+    assert not {id(row) for row in gathered._rows} & {id(row) for row in a._rows}
+
+
+@pytest.mark.parametrize("position", [3, -1])
+def test_rows_at_refuses_a_position_outside_the_rows(position):
+    with pytest.raises(LinalgError):
+        IntMatrix.identity(3).rows_at([0, None, position])
+
+
+@st.composite
+def placed_blocks(draw):
+    """(nrows, ncols, blocks): (row offset, column offset, sign, block)
+    tuples that fit the shape and may overlap."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        r0, c0 = draw(st.integers(0, nrows)), draw(st.integers(0, ncols))
+        block = draw(sparse_matrix(draw(st.integers(0, nrows - r0)),
+                                   draw(st.integers(0, ncols - c0))))
+        blocks.append((r0, c0, draw(st.sampled_from((1, -1, 2, 0))), block))
+    return nrows, ncols, blocks
+
+
+_square = IntMatrix([[1, -2], [0, 3]])
+
+
+@PROPERTY
+@given(placed_blocks())
+@example((2, 3, [(0, 1, 1, _square), (0, 1, -1, _square)]))  # every entry cancels
+@example((3, 3, [(0, 0, 1, _square), (1, 1, 2, _square), (2, 0, -1, IntMatrix([[4]]))]))
+def test_from_blocks_equals_from_entries_of_the_shifted_signed_entries(case):
+    nrows, ncols, blocks = case
+    before = [block.rows for _, _, _, block in blocks]
+    expected = IntMatrix.from_entries(nrows, ncols, [
+        (r0 + r, c0 + c, sign * v) for r0, c0, sign, block in blocks
+        for r, c, v in block.entries()])
+    assert IntMatrix.from_blocks(nrows, ncols, blocks) == expected
+    assert [block.rows for _, _, _, block in blocks] == before
+
+
+@pytest.mark.parametrize("r0, c0, shape", [
+    (2, 0, (2, 2)), (0, 2, (2, 2)), (-1, 0, (1, 1)), (0, -1, (1, 1)), (3, 0, (1, 0))])
+def test_from_blocks_refuses_a_block_that_overruns_its_offsets(r0, c0, shape):
+    # the overrunning blocks have no entries outside the shape, or none at all
+    with pytest.raises(LinalgError):
+        IntMatrix.from_blocks(3, 3, [(0, 0, 1, IntMatrix.identity(3)),
+                                     (r0, c0, 1, IntMatrix.zeros(*shape))])
+
+
+@PROPERTY
 @given(st.lists(st.integers(min_value=2, max_value=72), max_size=5))
 def test_merge_torsion_matches_smith_of_the_diagonal(group_orders):
     n = len(group_orders)
