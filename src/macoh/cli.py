@@ -385,9 +385,12 @@ def build_parser():
     verify.set_defaults(func=cmd_verify_paper)
 
     fuzz = sub.add_parser("fuzz", help="random complexes through both pipelines")
-    fuzz.add_argument("--seed", type=int, default=1)
-    fuzz.add_argument("--m-max", type=int, default=6, dest="m_max")
-    fuzz.add_argument("--trials", type=int, default=100)
+    fuzz.add_argument("--seed", type=int, default=1, help="seed of the random complexes")
+    fuzz.add_argument("--m-max", type=int, default=6, dest="m_max",
+                      help="most vertices of a random complex (default 6)")
+    fuzz.add_argument("--trials", type=int, default=100,
+                      help="number of complexes (default 100); trials 1 and 2 are always "
+                           "rp2 and two_squares, whatever --m-max")
     fuzz.add_argument("--inject-sign-fault", action="store_true",
                       help="negative control: corrupt a sign and expect detection")
     fuzz.set_defaults(func=cmd_fuzz)

@@ -25,7 +25,6 @@ from functools import partial
 from .complexes import sign_eps, vertices_of
 from .errors import VerificationError
 from .homology import (
-    FaceBases,
     FieldComplexCohomology,
     cohomology,
     face_positions,
@@ -46,7 +45,7 @@ from .linalg import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Summand:
     mask: int
     degree: int
@@ -65,7 +64,7 @@ class HochsterDecomposition:
 
     field is None over Z, else "Q" or a prime p, with ops its FieldOps;
     over a field every generator is free, so invariants() gives
-    (dimension, ()) per bidegree.  cxs holds the FaceBases of every
+    (dimension, ()) per bidegree.  cxs holds the bases list of every
     subset, cohs its (co)homology, and classes its class index from
     _sweep, the same for two subsets exactly when they share one
     (co)homology object, which _moves reads to share d' blocks.
@@ -99,21 +98,23 @@ class HochsterDecomposition:
 
 
 def _sweep(k, compute):
-    """FaceBases, compute(reduced complex) and the class of every vertex
-    subset of K.
+    """The bases lists, compute(reduced complex) and the class of every
+    vertex subset of K.
 
     Subsets come in ascending mask order, each I after P = I - t, t its
     highest vertex.  The faces of K_I with q + 1 vertices are those of P,
-    then f | t for the link faces f of P with q vertices (f | t in K),
-    already ascending as t exceeds every vertex of P.
+    then f | t for the link faces f of P with q vertices: the faces of P
+    in the lower link of t (f below t, f | t in K; built once from k.faces,
+    with the empty face always in it, as every vertex of K is a face).
+    The faces stay ascending; a cardinality that gains no face keeps P's list.
 
     Subsets whose full subcomplexes agree under an order-preserving
     relabelling form a class and share one result object, computed on the
     first one's reduced complex: the relabelling keeps the bases and every
     sign_eps, so the coboundary matrices.  It sends t to t, P onto P and
     each link face to the one at its position in P's bases, so the key
-    (class of P, those positions) names the class.  A repeat builds no
-    matrix, only the bases are kept, and a class is its index in results.
+    (class of P, positions of the nonempty link faces) names the class.  A
+    repeat builds no matrix, and a class is its index in results.
 
     A new class whose P is nonempty and whose link of t is the simplex on
     the union of the link faces (union | t a face of K) builds no matrix
@@ -122,75 +123,79 @@ def _sweep(k, compute):
     (see homology).  read_off_cohomology builds its reduced complex only
     when d' reads representatives, and checks the orders then.
     """
-    faces = k.faces
-    cxs, cohs, classes = {}, {}, {}
-    computed, results = {}, []  # key -> class index into results
-    bases, key, top, union = [[0]], None, 0, 0  # the empty set; each later I is built from its P
-    for mask in range(1 << k.m):
-        if mask:
-            top = 1 << (mask.bit_length() - 1)
-            below = cxs[mask ^ top].bases
-            link, raised, position, union = [], [], 0, 0
-            for group in below:
-                up = []
-                for f in group:
-                    if f | top in faces:
-                        up.append(f | top)
-                        link.append(position)
-                        union |= f
-                    position += 1
-                raised.append(up)
-            bases = [a + b for a, b in zip(below + [[]], [[]] + raised)]
-            if not bases[-1]:  # no link face of P's top cardinality
-                bases.pop()
-            key = (classes[mask ^ top], tuple(link))
-        cxs[mask] = FaceBases(mask, bases)
-        index = computed.get(key)
-        if index is None:
-            index = computed[key] = len(results)
-            build = partial(_build_class, compute, k, mask, bases)
-            if mask != top and union | top in faces:
-                orders = {p: g.orders for p, g in cohs[mask ^ top].groups.items()}
-                if not union:
-                    orders[0] = orders.get(0, ()) + (0,)
-                results.append(read_off_cohomology(orders, build))
-            else:
-                results.append(build())
-        classes[mask] = index
-        cohs[mask] = results[index]
+    lower = {}  # t -> the lower link of t without its empty face
+    for g in k.faces:
+        if g.bit_count() > 1:
+            top = 1 << (g.bit_length() - 1)
+            lower.setdefault(top, set()).add(g ^ top)
+    cxs, cohs, classes = {0: [[0]]}, {0: compute(reduced_complex(k, 0, [[0]]))}, {0: 0}
+    computed, results = {}, [cohs[0]]  # key -> class index into results
+    for j in range(k.m):
+        top = 1 << j
+        link = lower.get(top, ())
+        depth = max(map(int.bit_count, link), default=0) + 1  # groups that can hold link faces
+        for below_mask in range(top):  # P; I = P | t ascends with it
+            below = cxs[below_mask]
+            bases, at, position = below[:], [], 1  # positions after the empty face
+            bases[1:2] = [below[1] + [top] if below_mask else [top]]  # t is a vertex
+            for q in range(1, min(depth, len(below))):
+                group = below[q]
+                hits = [i for i, f in enumerate(group, position) if f in link]
+                if hits:  # a new list for the cardinality above q, or a first one
+                    up = [group[i - position] | top for i in hits]
+                    bases[q + 1:q + 2] = [below[q + 1] + up if q + 1 < len(below) else up]
+                    at += hits
+                position += len(group)
+            mask = below_mask | top
+            cxs[mask] = bases
+            key = (classes[below_mask], tuple(at))
+            index = computed.get(key)
+            if index is None:
+                index = computed[key] = len(results)
+                results.append(_new_class(compute, k, mask, bases, cohs[below_mask]))
+            classes[mask] = index
+            cohs[mask] = results[index]
     return cxs, cohs, classes
 
 
-def _build_class(compute, k, mask, bases):
-    return compute(reduced_complex(k, mask, bases))
+def _new_class(compute, k, mask, bases, below):
+    """The (co)homology of I = mask, the first subset of its class: read
+    off below, that of P, where t is isolated or coned off, else computed."""
+    top = 1 << (mask.bit_length() - 1)
+    # t and the union of its link faces, its neighbours: distinct bits, so + is |
+    cone = top + sum(g ^ top for edges in bases[2:3] for g in edges if g & top)
 
+    def build():
+        return compute(reduced_complex(k, mask, bases))
 
-def _summands(cohs):
-    """Per bidegree, the nonzero subset summands in ascending mask order,
-    each at the offset where its generators start."""
-    layouts = {}
-    for mask in sorted(cohs):
-        l = mask.bit_count()
-        coh = cohs[mask]
-        for p in coh.degrees():
-            summands = layouts.setdefault((l - p - 1, l), [])
-            last = summands[-1] if summands else None
-            offset = last.offset + last.group.n_gens if last else 0
-            summands.append(Summand(mask=mask, degree=p, offset=offset, group=coh.group(p)))
-    return layouts
+    if mask == top or cone not in k.faces:
+        return build()
+    orders = {p: g.orders for p, g in below.groups.items()}
+    if cone == top:  # t is isolated: one more generator in degree 0
+        orders = {0: orders.pop(0, ()) + (0,), **orders}
+    return read_off_cohomology(orders, build)
 
 
 def _decompose(k, side, field=None):
+    """The decomposition of K on side over field: per bidegree, the nonzero
+    subset summands in ascending mask order (cohs ascends by mask, and each
+    groups dict by degree), each at the offset where its generators start."""
     ops = None if field is None else FieldOps(field)
     if ops is None:
         compute = cohomology if side == "cohomology" else homology
     else:
         compute = partial(FieldComplexCohomology, ops=ops, side=side)
     cxs, cohs, classes = _sweep(k, compute)
-    layouts = {}
-    for b, summands in _summands(cohs).items():
-        group = PresentedGroup(d for s in summands for d in s.group.orders)
-        layouts[b] = BidegreeLayout(summands=summands, group=group)
+    summands, ends = {}, {}  # bidegree -> summands, and where their generators end
+    for mask, coh in cohs.items():
+        l = mask.bit_count()
+        for p, group in coh.groups.items():
+            b = (l - p - 1, l)
+            offset = ends.get(b, 0)
+            ends[b] = offset + group.n_gens
+            summands.setdefault(b, []).append(Summand(mask, p, offset, group))
+    layouts = {b: BidegreeLayout(ss, PresentedGroup(d for s in ss for d in s.group.orders))
+               for b, ss in summands.items()}
     return HochsterDecomposition(k, side, field, ops, cxs, cohs, classes, layouts)
 
 

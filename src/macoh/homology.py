@@ -10,7 +10,8 @@ The coboundary of the basis cochain dual to a face L is
 
     d(alpha_L) = sum over j in I \\ L with L + j a face of sign_eps(j, L) alpha_{L+j},
 
-and the boundary operator on chains is its transpose.  Restriction to a
+built row by row: the row of a face g has one entry per facet g - j.
+The boundary operator on chains is its transpose.  Restriction to a
 smaller subset deletes the faces that meet the removed vertex;
 inclusion into a larger subset is the dual injection on chains.  Both
 are face_positions, and induced_map gathers rows of representatives by it.
@@ -30,47 +31,32 @@ groups and builds the complex itself only when representatives are read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .complexes import sign_eps
 from .linalg import IntMatrix, LinalgError, PresentedGroup, free_homology
 
 
+def _basis(bases, p):
+    """The faces of degree p (p + 1 vertices) of a bases list, or []."""
+    return bases[p + 1] if 0 <= p + 1 < len(bases) else []
+
+
 @dataclass
-class FaceBases:
-    """The cochain bases of one full subcomplex K_I, without its matrices.
+class ReducedComplex:
+    """Cochain data of one full subcomplex K_I.  bases[q] lists the faces
+    with q vertices (q = 0 holds the empty face), so degree p cochains
+    live on bases[p + 1]; coboundaries[q] maps q-cochains to
+    (q+1)-cochains."""
 
-    bases[q] lists the faces with q vertices (q = 0 holds the empty
-    face), so the largest face has len(bases) - 1 vertices.  Degree p
-    cochains live on bases[p + 1].
-    """
-
-    support: int
     bases: list
-
-    def basis(self, p):
-        q = p + 1
-        if q < 0 or q >= len(self.bases):
-            return []
-        return self.bases[q]
-
-
-@dataclass
-class ReducedComplex(FaceBases):
-    """Cochain data of one full subcomplex K_I: its bases, and
-    coboundaries[q] mapping q-cochains to (q+1)-cochains."""
-
     coboundaries: list
     _boundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def coboundary(self, p):
         """Matrix of d: C^p -> C^{p+1}."""
-        q = p + 1
-        if 0 <= q < len(self.coboundaries):
-            return self.coboundaries[q]
-        rows = len(self.basis(p + 1))
-        cols = len(self.basis(p))
-        return IntMatrix.zeros(rows, cols)
+        if 0 <= p + 1 < len(self.coboundaries):
+            return self.coboundaries[p + 1]
+        return IntMatrix.zeros(len(_basis(self.bases, p + 1)), len(_basis(self.bases, p)))
 
     def boundary(self, p):
         """Matrix of the transpose operator C_p -> C_{p-1} on chains, built
@@ -92,25 +78,28 @@ class ReducedComplex(FaceBases):
 
 def reduced_complex(k, support=None, faces=None):
     """Reduced cochain complex of the full subcomplex on the support mask;
-    faces, when the caller has them, is k.faces_within(support)."""
+    faces, when the caller has them, is k.faces_within(support).
+
+    Row g of each coboundary has one entry per facet g - j, with sign
+    sign_eps(j, g - j); a full subcomplex holds every facet of its faces.
+    The facets come by descending j, so each row's columns ascend."""
     if support is None:
         support = k.full_mask()
     groups = k.faces_within(support) if faces is None else faces
-    index = [{mask: i for i, mask in enumerate(group)} for group in groups]
     coboundaries = []
     for q, cols in enumerate(groups):
-        row_index = index[q + 1] if q + 1 < len(groups) else {}
+        rows = groups[q + 1] if q + 1 < len(groups) else ()
+        index = {mask: i for i, mask in enumerate(cols)}
         entries = []
-        for ci, face in enumerate(cols):
-            rest = support & ~face
+        for ri, g in enumerate(rows):
+            rest = g
             while rest:
-                low = rest & -rest
-                rest ^= low
-                ri = row_index.get(face | low)
-                if ri is not None:
-                    entries.append((ri, ci, sign_eps(low.bit_length(), face)))
-        coboundaries.append(IntMatrix.from_entries(len(row_index), len(cols), entries))
-    return ReducedComplex(support=support, bases=groups, coboundaries=coboundaries)
+                j = rest.bit_length()
+                bit = 1 << (j - 1)
+                rest ^= bit
+                entries.append((ri, index[g ^ bit], sign_eps(j, g ^ bit)))
+        coboundaries.append(IntMatrix.from_entries(len(rows), len(cols), entries))
+    return ReducedComplex(bases=groups, coboundaries=coboundaries)
 
 
 class ComplexCohomology:
@@ -139,24 +128,25 @@ class ReadOffGroup(PresentedGroup):
     gens, express_columns and express read the group at p of build(), the
     (co)homology of the complex itself, which must have the orders of
     read_off in every degree, or LinalgError.  The groups of one complex
-    share build, cached, and no group refers back to another, so a
-    decomposition is freed without the cyclic garbage collector.
+    share memo, [build, its result once called], and none refers back to
+    another, so a decomposition is freed without the cyclic collector.
     """
 
-    __slots__ = ("_p", "_read_off", "_build", "_group")
+    __slots__ = ("_p", "_read_off", "_memo", "_group")
 
-    def __init__(self, p, read_off, build):
+    def __init__(self, p, read_off, memo):
         self.orders = read_off[p]
-        self._p, self._read_off, self._build, self._group = p, read_off, build, None
+        self._p, self._read_off, self._memo, self._group = p, read_off, memo, None
 
     def _read(self):
-        built = self._build()
+        memo = self._memo
+        built = memo[1] = memo[1] or memo[0]()
         got = {q: built.group(q).orders for q in built.degrees()}
         if got != self._read_off:
             raise LinalgError(f"groups read off a smaller subset have the orders "
                               f"{self._read_off} per degree, their built complex {got}")
         self._group = built.groups[self._p]
-        self._read_off = self._build = None
+        self._read_off = self._memo = None
         return self._group
 
     @property
@@ -174,8 +164,8 @@ def read_off_cohomology(orders, build):
     """ComplexCohomology of ReadOffGroups with orders[p] at each degree p;
     build() gives the (co)homology of the complex, on the first read of
     representatives, once for all its degrees."""
-    build = cache(build)
-    return ComplexCohomology({p: ReadOffGroup(p, orders, build) for p in orders})
+    memo = [build, None]
+    return ComplexCohomology({p: ReadOffGroup(p, orders, memo) for p in orders})
 
 
 def _groups(cx, side, homology_at):
@@ -199,12 +189,13 @@ def homology(cx):
     return ComplexCohomology(_groups(cx, "homology", free_homology))
 
 
-def face_positions(cx_from, cx_to, p):
-    """For each degree-p face of cx_to, its position among those of
-    cx_from, or None: the 0/1 chain matrix, one 1 per row at most, of
-    restriction (cx_to inside cx_from) and of inclusion (the reverse)."""
-    index = {mask: i for i, mask in enumerate(cx_from.basis(p))}
-    return [index.get(mask) for mask in cx_to.basis(p)]
+def face_positions(bases_from, bases_to, p):
+    """For each degree-p face of the bases list bases_to, its position
+    among those of bases_from, or None: the 0/1 chain matrix, one 1 per
+    row at most, of restriction (bases_to inside bases_from) and of
+    inclusion (the reverse)."""
+    index = {mask: i for i, mask in enumerate(_basis(bases_from, p))}
+    return [index.get(mask) for mask in _basis(bases_to, p)]
 
 
 def induced_map(src_coh, dst_coh, positions, p):

@@ -9,7 +9,9 @@ decomposition, of homology_of_pair and of a PresentedGroup, scale an
 IntMatrix, and build the 0/1 chain matrices of restriction and
 inclusion from face lists, with the class maps they induce: the
 block-by-block oracle of d', which shares nothing with face_positions,
-IntMatrix.rows_at or IntMatrix.from_blocks.
+IntMatrix.rows_at or IntMatrix.from_blocks.  coboundaries_by_column_scan
+builds the coboundaries of a full subcomplex column by column, on dense
+rows: the oracle of the facet-built homology.reduced_complex.
 """
 
 from macoh.linalg import (
@@ -201,19 +203,48 @@ def scaled(a, c):
     return IntMatrix.from_entries(a.nrows, a.ncols, [(r, j, c * v) for r, j, v in a.entries()])
 
 
-def restriction_matrix(cx_big, cx_small, p):
+def coboundaries_by_column_scan(k, support):
+    """The coboundary matrices of the reduced cochain complex of the full
+    subcomplex on support, as DenseMatrix, built column by column: the
+    column of a face L holds (-1)^#{i in L : i < j} in the row of L + j
+    for every vertex j of support outside L with L + j a face.  Entry q
+    maps the faces with q vertices to those with q + 1."""
+    groups = k.faces_within(support)
+    out = []
+    for q, cols in enumerate(groups):
+        rows = groups[q + 1] if q + 1 < len(groups) else []
+        row_index = {mask: i for i, mask in enumerate(rows)}
+        mat = DenseMatrix.zeros(len(rows), len(cols))
+        for ci, face in enumerate(cols):
+            for j in range(1, k.m + 1):
+                bit = 1 << (j - 1)
+                if support & bit and not face & bit and face | bit in row_index:
+                    below = (face & (bit - 1)).bit_count()
+                    mat.rows[row_index[face | bit]][ci] = -1 if below & 1 else 1
+        out.append(mat)
+    return out
+
+
+def _faces_of_degree(bases, p):
+    """The faces with p + 1 vertices of a bases list (bases[q] holds the
+    faces with q vertices), or []."""
+    return bases[p + 1] if 0 <= p + 1 < len(bases) else []
+
+
+def restriction_matrix(bases_big, bases_small, p):
     """Cochain restriction C^p(K_I) -> C^p(K_J) for J a subset of I, from
-    the bases of the two FaceBases (or ReducedComplexes): row r holds one
-    1, in the column of the r-th face of K_J among the faces of K_I."""
-    small = cx_small.basis(p)
-    index = {mask: i for i, mask in enumerate(cx_big.basis(p))}
+    the bases lists of the two subsets (a sweep's cxs, or the bases of
+    ReducedComplexes): row r holds one 1, in the column of the r-th face
+    of K_J among the faces of K_I."""
+    small = _faces_of_degree(bases_small, p)
+    index = {mask: i for i, mask in enumerate(_faces_of_degree(bases_big, p))}
     return IntMatrix.from_entries(len(small), len(index),
                                   [(r, index[mask], 1) for r, mask in enumerate(small)])
 
 
-def inclusion_matrix(cx_small, cx_big, p):
+def inclusion_matrix(bases_small, bases_big, p):
     """Chain inclusion C_p(K_I) -> C_p(K_J) for I a subset of J."""
-    return restriction_matrix(cx_big, cx_small, p).transpose()
+    return restriction_matrix(bases_big, bases_small, p).transpose()
 
 
 def induced_by_chain(src_coh, dst_coh, chain, p):

@@ -260,6 +260,19 @@ def test_fuzz_clean_run(capsys):
     assert "5 trials, 0 violations" in out
 
 
+def test_fuzz_help_names_every_option_and_the_fixed_first_trials(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["fuzz", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+    for option in ("--seed SEED seed of the random complexes",
+                   "--m-max M_MAX most vertices of a random complex",
+                   "--trials TRIALS number of complexes",
+                   "--inject-sign-fault negative control"):
+        assert option in text
+    assert "trials 1 and 2 are always rp2 and two_squares, whatever --m-max" in text
+
+
 def test_fuzz_zero_trials(capsys):
     code, out, _ = run(["fuzz", "--trials", "0"], capsys)
     assert code == 0

@@ -43,7 +43,6 @@ from macoh.hochster import (
     hochster_homology,
 )
 from macoh.homology import (
-    FaceBases,
     FieldComplexCohomology,
     cohomology,
     face_positions,
@@ -288,7 +287,7 @@ def test_subcomplex_pushforward_kernel_is_generated_by_vertex_differences():
     # the kernel class at (1,2) is the difference of the two chord endpoints
     layout = hd_src.layouts[(1, 2)]
     summand = next(s for s in layout.summands if s.mask == mask_of([1, 3]))
-    basis = hd_src.cxs[summand.mask].basis(0)
+    basis = hd_src.cxs[summand.mask][1]  # the faces with one vertex
     assert basis == [mask_of([1]), mask_of([3])]
     coords = summand.group.express([1, -1])
     ambient = [0] * layout.group.n_gens
@@ -450,6 +449,19 @@ def test_the_sweep_builds_no_complex_where_the_new_vertex_is_isolated_or_coned_o
     assert len(built) == len(set(built)) == 69
 
 
+def test_a_read_off_class_is_built_once_for_all_its_degrees(monkeypatch):
+    # a square with the isolated points 5 and 6: {1..5} has the groups of the
+    # square plus a point, in degrees 0 and 1, and d' reads both
+    k = SimplicialComplex.from_maximal_faces(6, [[1, 2], [2, 3], [3, 4], [1, 4]])
+    hd = hochster_cohomology(k)
+    assert [type(g).__name__ for g in hd.cohs[0b11111].groups.values()] == ["ReadOffGroup"] * 2
+    built = []
+    monkeypatch.setattr(hochster, "reduced_complex",
+                        lambda *args: built.append(args[1]) or reduced_complex(*args))
+    double_cohomology(hd)
+    assert 0b11111 in built and len(built) == len(set(built))
+
+
 def test_read_off_groups_that_disagree_with_their_built_complex_raise(monkeypatch):
     real = hochster.read_off_cohomology
 
@@ -459,6 +471,16 @@ def test_read_off_groups_that_disagree_with_their_built_complex_raise(monkeypatc
     monkeypatch.setattr(hochster, "read_off_cohomology", one_more_generator)
     with pytest.raises(LinalgError, match="groups read off a smaller subset"):
         double_cohomology(cycle(6))
+
+
+def test_the_sweep_checks_d_squared_on_facet_built_coboundaries(monkeypatch):
+    # negative control: with every sign +1 the coboundaries do not square
+    # to zero, and homology_of_pair's g∘f check must say so during the sweep
+    monkeypatch.setattr("macoh.homology.sign_eps", lambda j, mask: 1)
+    with pytest.raises(LinalgError):
+        hochster_cohomology(cycle(5))
+    with pytest.raises(LinalgError):
+        hochster_homology(rp2_minimal())
 
 
 def test_sweep_shares_results_between_repeated_subcomplexes():
@@ -471,9 +493,9 @@ def test_the_sweep_keeps_bases_and_no_coboundary_matrix():
     for hd in (hochster_cohomology(k), hochster_homology(k), hochster_field(k, 2)):
         assert len(hd.cxs) == 1 << k.m
         for mask, cx in hd.cxs.items():
-            # a FaceBases has the fields support and bases only, and no coboundary
-            assert type(cx) is FaceBases and not hasattr(cx, "coboundary")
-            assert vars(cx) == {"support": mask, "bases": k.faces_within(mask)}
+            # a plain bases list per subset, and no coboundary matrix
+            assert type(cx) is list and all(type(group) is list for group in cx)
+            assert cx == k.faces_within(mask)
 
 
 def _relabelled_faces(bases):
@@ -498,7 +520,7 @@ def _check_sweep_against_the_oracle(hd):
     oracle = {}  # relabelled faces -> class index, in order of first appearance
     for mask in masks:
         faces = k.faces_within(mask)
-        assert hd.cxs[mask].bases == faces, mask
+        assert hd.cxs[mask] == faces, mask
         assert hd.classes[mask] == oracle.setdefault(_relabelled_faces(faces), len(oracle)), mask
     shared = {}
     for mask in masks:
