@@ -162,6 +162,7 @@ def cmd_compute(args):
     need_hh = what in ("HH", "all")
     need_hhhom = what in ("HHhom", "all")
     started = time.monotonic()
+    summary = _input_summary(k, source, coeff_label)  # the predicates, once for both formats
 
     h_rows = hh_rows = hhhom_rows = None
     euler = None
@@ -189,7 +190,7 @@ def cmd_compute(args):
 
     if args.json:
         report = {
-            "input": _input_summary(k, source, coeff_label),
+            "input": summary,
             "H": h_rows,
             "HH": hh_rows,
             "HH_hom": hhhom_rows,
@@ -200,10 +201,10 @@ def cmd_compute(args):
     else:
         out = print
         out(f"complex: m={k.m}, facets={len(k.maximal_faces)} ({source})")
-        out(f"predicates: simplex={_yesno(k.is_simplex())}"
-            f" flag={_yesno(k.is_flag())}"
-            f" chordal={_yesno(k.is_chordal_skeleton()[0])}"
-            f" wedge-decomposable={_yesno(k.is_wedge_decomposable() is not None)}")
+        out(f"predicates: simplex={_yesno(summary['simplex'])}"
+            f" flag={_yesno(summary['flag'])}"
+            f" chordal={_yesno(summary['chordal_skeleton'])}"
+            f" wedge-decomposable={_yesno(summary['wedge_decomposable'])}")
         out(f"coefficients: {coeff_label}")
         if h_rows is not None:
             _print_rows("H (bigraded cohomology)", h_rows, out)

@@ -178,11 +178,8 @@ class SimplicialComplex:
 
     def edges(self):
         """1-based label pairs of the 1-skeleton."""
-        out = []
-        for u, v in combinations(range(1, self.m + 1), 2):
-            if self.has_face((1 << (u - 1)) | (1 << (v - 1))):
-                out.append((u, v))
-        return out
+        return [(u, v) for u, v in combinations(range(1, self.m + 1), 2)
+                if self.has_face((1 << (u - 1)) | (1 << (v - 1)))]
 
     def faces_within(self, support_mask):
         """Faces contained in the support, grouped by cardinality, masks ascending."""
@@ -265,34 +262,29 @@ class SimplicialComplex:
         return True, [v + 1 for v in order]
 
     def is_wedge_decomposable(self):
-        """Search for K = K_{A∪τ} ∪_{τ} K_{B∪τ} with A, B nonempty.
+        """K = K_{A∪τ} ∪_τ K_{B∪τ} with A, B nonempty, as a WedgeDecomposition, or None.
 
-        Returns a WedgeDecomposition or None.  Brute force over faces τ
-        and bipartitions of the remaining vertices.
+        Every maximal face lies in A ∪ τ or in B ∪ τ exactly when A and B
+        are unions of groups, the pieces top - τ of the maximal faces merged
+        while they meet.  τ is the first face by mask with two groups or more;
+        A holds the lowest vertex outside τ, B is the least group without it.
         """
-        full = self.full_mask()
-        for tau in sorted(self.faces):
-            if tau == 0:
-                continue
-            rest = full & ~tau
-            if rest.bit_count() < 2:
-                continue
-            low = rest & -rest  # fix the lowest leftover vertex on side A
-            others = rest ^ low
-            for part in submasks(others):
-                a = low | part
-                b = rest ^ a
-                if b == 0:
-                    continue
-                if all((top & ~(a | tau) == 0) or (top & ~(b | tau) == 0)
-                       for top in self.maximal_faces):
-                    return WedgeDecomposition(
-                        tau=vertices_of(tau),
-                        left_vertices=vertices_of(a | tau),
-                        right_vertices=vertices_of(b | tau),
-                        left=self.full_subcomplex(a | tau),
-                        right=self.full_subcomplex(b | tau),
-                    )
+        for tau in sorted(self.faces)[1:]:  # the empty face comes first
+            groups = []  # pairwise disjoint
+            for top in self.maximal_faces:
+                piece, kept = top & ~tau, []
+                for group in groups:
+                    if group & piece:
+                        piece |= group
+                    else:
+                        kept.append(group)
+                groups = kept + [piece] if piece else kept
+            if len(groups) > 1:
+                rest = self.full_mask() & ~tau
+                right = tau | min(g for g in groups if not g & rest & -rest)
+                left = tau | rest & ~right
+                return WedgeDecomposition(vertices_of(tau), vertices_of(left), vertices_of(right),
+                                          self.full_subcomplex(left), self.full_subcomplex(right))
         return None
 
     def relabeled(self, perm):

@@ -194,7 +194,7 @@ def _decompose(k, side, field=None):
             offset = ends.get(b, 0)
             ends[b] = offset + group.n_gens
             summands.setdefault(b, []).append(Summand(mask, p, offset, group))
-    layouts = {b: BidegreeLayout(ss, PresentedGroup(d for s in ss for d in s.group.orders))
+    layouts = {b: BidegreeLayout(ss, PresentedGroup.direct_sum(s.group for s in ss))
                for b, ss in summands.items()}
     return HochsterDecomposition(k, side, field, ops, cxs, cohs, classes, layouts)
 

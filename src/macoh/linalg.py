@@ -643,6 +643,13 @@ class PresentedGroup:
         group.orders = (0,) * n  # n zeros need no check
         return group
 
+    @classmethod
+    def direct_sum(cls, groups):
+        """The sum of groups whose orders were checked when they were built."""
+        group = cls.__new__(cls)
+        group.orders = tuple(d for g in groups for d in g.orders)
+        return group
+
     @property
     def n_gens(self):
         return len(self.orders)

@@ -1,19 +1,25 @@
 """Dense integer matrix arithmetic on lists of rows, with a literal Smith
 normal form: the oracle that the sparse IntMatrix operations and the
-eliminations of macoh.linalg are checked against.
+eliminations of macoh.linalg are checked against, and the searches that
+faster routines elsewhere replace.
 
 A DenseMatrix holds its rows as lists and its width, so 0 x n and n x 0
 shapes keep their shape.  Nothing here shares code with macoh.linalg,
-except the helpers at the end, which read what tests ask of the Smith
-decomposition, of homology_of_pair and of a PresentedGroup, scale an
+except the helpers after the Smith form, which read what tests ask of
+the Smith decomposition, of homology_of_pair and of a PresentedGroup, scale an
 IntMatrix, and build the 0/1 chain matrices of restriction and
 inclusion from face lists, with the class maps they induce: the
 block-by-block oracle of d', which shares nothing with face_positions,
 IntMatrix.rows_at or IntMatrix.from_blocks.  coboundaries_by_column_scan
 builds the coboundaries of a full subcomplex column by column, on dense
 rows: the oracle of the facet-built homology.reduced_complex.
+wedge_decomposition_by_search tries every nonempty face τ and every
+bipartition of the vertices outside it: the oracle of
+SimplicialComplex.is_wedge_decomposable, which merges the pieces of the
+maximal faces outside τ that meet instead.
 """
 
+from macoh.complexes import WedgeDecomposition, submasks, vertices_of
 from macoh.linalg import (
     GroupMorphism,
     IntMatrix,
@@ -256,3 +262,32 @@ def induced_by_chain(src_coh, dst_coh, chain, p):
     if n_src == 0 or n_dst == 0:
         return IntMatrix.zeros(n_dst, n_src)
     return dst.express_columns(chain @ src.gens)
+
+
+def wedge_decomposition_by_search(k):
+    """The WedgeDecomposition K = K_{A∪τ} ∪_τ K_{B∪τ} with A, B nonempty
+    that a search finds, or None: over the nonempty faces τ in ascending
+    mask order, and for each over the bipartitions of the vertices
+    outside τ, A holding the lowest of them and A descending, the first
+    with every maximal face in A ∪ τ or in B ∪ τ."""
+    full = k.full_mask()
+    for tau in sorted(k.faces):
+        if tau == 0:
+            continue
+        rest = full & ~tau
+        if rest.bit_count() < 2:
+            continue
+        low = rest & -rest
+        for part in submasks(rest ^ low):
+            a = low | part
+            b = rest ^ a
+            if b and all(top & ~(a | tau) == 0 or top & ~(b | tau) == 0
+                         for top in k.maximal_faces):
+                return WedgeDecomposition(
+                    tau=vertices_of(tau),
+                    left_vertices=vertices_of(a | tau),
+                    right_vertices=vertices_of(b | tau),
+                    left=k.full_subcomplex(a | tau),
+                    right=k.full_subcomplex(b | tau),
+                )
+    return None

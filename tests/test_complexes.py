@@ -6,8 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from dense_oracle import wedge_decomposition_by_search
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import macoh
+from macoh import complexes
 from macoh.complexes import (
     ComplexError,
     SimplicialComplex,
@@ -255,6 +259,58 @@ def test_wedge_decompositions():
     assert cycle(5).is_wedge_decomposable() is None
     assert rp2_minimal().is_wedge_decomposable() is None
     assert two_triangles().is_wedge_decomposable() is not None
+
+
+def _check_wedge_definition(k, dec):
+    """τ is a face, A and B are nonempty and split the vertices outside τ,
+    every maximal face lies in A ∪ τ or in B ∪ τ, and the sides are the
+    full subcomplexes on them."""
+    tau, left, right = (mask_of(vs) for vs in (dec.tau, dec.left_vertices, dec.right_vertices))
+    a, b = left & ~tau, right & ~tau
+    assert tau in k.faces and tau
+    assert a and b and not a & b and a | b | tau == k.full_mask() and left & right == tau
+    assert all(top & ~left == 0 or top & ~right == 0 for top in k.maximal_faces)
+    assert dec.left == k.full_subcomplex(left) and dec.right == k.full_subcomplex(right)
+
+
+@st.composite
+def wedge_candidates(draw):
+    """Complexes on m <= 9 vertices from large faces (the ground set minus
+    a hole) and small ones, so that both verdicts come up at every m."""
+    m = draw(st.sampled_from(range(9, 0, -1)))
+    full = (1 << m) - 1
+    holes = draw(st.lists(st.integers(1, full), max_size=2 * m))
+    small = draw(st.lists(st.sets(st.integers(1, m), min_size=1, max_size=3), max_size=m))
+    return SimplicialComplex.from_maximal_faces(
+        m, [full & ~hole for hole in holes] + [sorted(face) for face in small])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(wedge_candidates())
+def test_wedge_decomposition_equals_the_search_and_the_definition(k):
+    dec = k.is_wedge_decomposable()
+    assert dec == wedge_decomposition_by_search(k)
+    if dec is not None:
+        _check_wedge_definition(k, dec)
+
+
+def test_wedge_decomposition_of_the_zoo_equals_the_search():
+    for name, k in zoo():
+        dec = k.is_wedge_decomposable()
+        assert dec == wedge_decomposition_by_search(k), name
+        if dec is not None:
+            _check_wedge_definition(k, dec)
+
+
+def test_wedge_decomposition_enumerates_no_subsets(monkeypatch):
+    k = boundary_simplex(12)
+    assert k.faces  # built before submasks is refused
+
+    def refused(mask):
+        raise AssertionError("the wedge test enumerated the subsets of a mask")
+
+    monkeypatch.setattr(complexes, "submasks", refused)
+    assert k.is_wedge_decomposable() is None
 
 
 def test_iterated_attachment_is_deterministic():

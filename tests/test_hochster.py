@@ -528,6 +528,20 @@ def _check_sweep_against_the_oracle(hd):
     assert len({id(coh) for coh in shared.values()}) == len(oracle)
 
 
+@pytest.mark.parametrize("field", [None, 3], ids=["Z", "F_3"])
+@pytest.mark.parametrize("side", ["cohomology", "homology"])
+def test_the_bidegree_sums_check_no_order_again(monkeypatch, side, field):
+    def refused(self, orders):
+        raise AssertionError("a bidegree's orders were checked again")
+
+    monkeypatch.setattr(PresentedGroup, "__init__", refused)
+    for _, k in zoo() + [("cycle:10", cycle(10))]:
+        hd = hochster._decompose(k, side, field)
+        assert all(type(layout.group) is PresentedGroup for layout in hd.layouts.values())
+        assert all(layout.group.orders == tuple(d for s in layout.summands for d in s.group.orders)
+                   for layout in hd.layouts.values())
+
+
 @st.composite
 def full_subcomplexes(draw):
     m = draw(st.sampled_from(range(8, 0, -1)))  # hypothesis favours the first: m = 8

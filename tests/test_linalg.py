@@ -220,6 +220,16 @@ def test_presented_group_invariants():
     assert not element_is_zero(diag, [0, 1, 0])
 
 
+def test_direct_sum_joins_checked_orders_and_the_constructor_still_checks():
+    total = PresentedGroup.direct_sum([PresentedGroup((0, 4)), PresentedGroup.free(0),
+                                       PresentedGroup((2,))])
+    assert type(total) is PresentedGroup
+    assert total.orders == (0, 4, 2) and total.invariants() == (1, (2, 4))
+    for orders in [(-1,), (2, 1.5), ("3",)]:
+        with pytest.raises(LinalgError, match="non-negative"):
+            PresentedGroup(orders)
+
+
 def test_presentation_independence():
     # C6 from two sets of orders and from a det -6 relation matrix
     assert PresentedGroup((6,)).invariants() == (0, (6,))
