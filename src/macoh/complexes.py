@@ -80,6 +80,16 @@ def submasks(mask):
         sub = (sub - 1) & mask
 
 
+def merged(pieces):
+    """The nonempty masks of pieces merged while they meet, as pairwise
+    disjoint masks: of a graph's vertices and edges, its components."""
+    groups = []
+    for piece in pieces:
+        kept = [g for g in groups if not g & piece]
+        groups = kept + [piece | sum(g for g in groups if g & piece)] if piece else groups
+    return groups
+
+
 def sign_eps(j, mask):
     """(-1)^#{i in mask : i < j} for a 1-based label j."""
     below = mask & ((1 << (j - 1)) - 1)
@@ -222,24 +232,15 @@ class SimplicialComplex:
         return self.has_face(self.full_mask())
 
     def minimal_non_faces(self):
-        """Masks S not in K with every proper subset in K, ascending."""
+        """Masks S not in K with every proper subset in K, ascending.  Each
+        is f | v for its face f = S - v, v its highest vertex, so only those
+        are tried: S is kept when it is no face but every S - u is."""
         if self._min_non_faces is None:
-            out = []
             faces = self.faces
-            for mask in range(1, 1 << self.m):
-                if mask in faces:
-                    continue
-                rest = mask
-                minimal = True
-                while rest:
-                    low = rest & -rest
-                    if (mask ^ low) not in faces:
-                        minimal = False
-                        break
-                    rest ^= low
-                if minimal:
-                    out.append(mask)
-            self._min_non_faces = tuple(out)
+            self._min_non_faces = tuple(sorted(
+                s for f in faces for j in range(f.bit_length(), self.m)
+                if (s := f | 1 << j) not in faces
+                and all(s ^ 1 << (u - 1) in faces for u in vertices_of(f))))
         return self._min_non_faces
 
     def is_flag(self):
@@ -270,15 +271,7 @@ class SimplicialComplex:
         A holds the lowest vertex outside τ, B is the least group without it.
         """
         for tau in sorted(self.faces)[1:]:  # the empty face comes first
-            groups = []  # pairwise disjoint
-            for top in self.maximal_faces:
-                piece, kept = top & ~tau, []
-                for group in groups:
-                    if group & piece:
-                        piece |= group
-                    else:
-                        kept.append(group)
-                groups = kept + [piece] if piece else kept
+            groups = merged(top & ~tau for top in self.maximal_faces)
             if len(groups) > 1:
                 rest = self.full_mask() & ~tau
                 right = tau | min(g for g in groups if not g & rest & -rest)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .complexes import sign_eps, vertices_of
+from .complexes import merged, sign_eps, vertices_of
 from .errors import VerificationError
 from .homology import (
     FieldComplexCohomology,
@@ -116,12 +116,13 @@ def _sweep(k, compute):
     (class of P, positions of the nonempty link faces) names the class.  A
     repeat builds no matrix, and a class is its index in results.
 
-    A new class whose P is nonempty and whose link of t is the simplex on
-    the union of the link faces (union | t a face of K) builds no matrix
-    either: t is isolated (union empty) or coned off, so K_I has the
-    groups of P, plus one free generator in degree 0 when t is isolated
-    (see homology).  read_off_cohomology builds its reduced complex only
-    when d' reads representatives, and checks the orders then.
+    A new class whose P is nonempty builds no matrix either when the link
+    of t in K_P has c components, each a simplex (its vertex set | t a face
+    of K), that lie in c distinct components of K_P; c = 0 when t is
+    isolated.  K_I then has the groups of P, with 1 - c more free
+    generators in degree 0 (see homology).  read_off_cohomology builds its
+    reduced complex only when d' reads representatives, and checks the
+    orders then.
     """
     lower = {}  # t -> the lower link of t without its empty face
     for g in k.faces:
@@ -160,20 +161,29 @@ def _sweep(k, compute):
 
 def _new_class(compute, k, mask, bases, below):
     """The (co)homology of I = mask, the first subset of its class: read
-    off below, that of P, where t is isolated or coned off, else computed."""
+    off below, that of P, where the link of t in K_P has c components, each
+    a simplex, in c distinct components of K_P, with 1 - c more generators
+    in degree 0 (see homology); else computed.  The link's components come
+    from the edges and triangles through t, K_P's, for c >= 2, from P's edges."""
     top = 1 << (mask.bit_length() - 1)
-    # t and the union of its link faces, its neighbours: distinct bits, so + is |
-    cone = top + sum(g ^ top for edges in bases[2:3] for g in edges if g & top)
 
     def build():
         return compute(reduced_complex(k, mask, bases))
 
-    if mask == top or cone not in k.faces:
+    # the vertices and edges of the link: the edges and triangles through t, less t
+    link = merged(g ^ top for faces in bases[2:4] for g in faces if g & top)
+    if mask == top or any(part | top not in k.faces for part in link):
         return build()
+    if len(link) > 1:  # the components of K_P, from P's vertices and edges, that it meets
+        union = sum(link)
+        parts = merged(g for faces in bases[1:3] for g in faces if not g & top)
+        if sum(1 for part in parts if part & union) < len(link):
+            return build()
     orders = {p: g.orders for p, g in below.groups.items()}
-    if cone == top:  # t is isolated: one more generator in degree 0
-        orders = {0: orders.pop(0, ()) + (0,), **orders}
-    return read_off_cohomology(orders, build)
+    # degree 0 is free: P's generators and one for t, less one per component of the link
+    zero = orders.pop(0, ()) + (0,)
+    zero = zero[:len(zero) - len(link)]
+    return read_off_cohomology({0: zero, **orders} if zero else orders, build)
 
 
 def _decompose(k, side, field=None):

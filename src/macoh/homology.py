@@ -17,15 +17,21 @@ inclusion into a larger subset is the dual injection on chains.  Both
 are face_positions, and induced_map gathers rows of representatives by it.
 
 Some groups are known before their complex is built.  Let t be the
-highest vertex of I, P = I - t nonempty, and L the link of t in K_P.
-Then K_I = K_P ∪ t*L.  If L is only the empty face, K_I is K_P plus the
-isolated point t: the same groups, and one more free generator in
-degree 0.  If L is the simplex σ on the union of its faces, t*L is the
-simplex σ + t, which meets K_P in σ; both are contractible, so K_I
-collapses onto K_P and has its groups (Barmak–Minian, "Strong homotopy
-types, nerves and collapses", 2012).  Either way this holds over Z, Q
-and F_p, for homology and cohomology.  read_off_cohomology holds such
-groups and builds the complex itself only when representatives are read.
+highest vertex of I, P = I - t nonempty, and L the link of t in K_P, so
+that K_I = K_P ∪ t*L with K_P ∩ t*L = L.  Let L have c components, each
+a simplex, lying in c distinct components of K_P.  If c = 0, K_I is K_P
+plus the isolated point t.  Otherwise the cone t*L is acyclic, and L has
+H~_0 = Z^{c-1} and nothing above, so the reduced Mayer–Vietoris sequence
+of K_P and t*L gives H~_n(K_I) = H~_n(K_P) for n >= 1 and
+
+    0 -> H~_0(L) -> H~_0(K_P) -> H~_0(K_I) -> 0,
+
+exact on the left because no component of K_P meets two of L.  Either
+way K_I has the groups of K_P in every degree, with 1 - c more free
+generators in degree 0: t joins c components into one.  The same holds
+over Q and F_p, and for cohomology by the dual sequence.
+read_off_cohomology holds such groups and builds the complex itself
+only when representatives are read.
 """
 
 from __future__ import annotations

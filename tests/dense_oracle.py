@@ -16,7 +16,9 @@ rows: the oracle of the facet-built homology.reduced_complex.
 wedge_decomposition_by_search tries every nonempty face τ and every
 bipartition of the vertices outside it: the oracle of
 SimplicialComplex.is_wedge_decomposable, which merges the pieces of the
-maximal faces outside τ that meet instead.
+maximal faces outside τ that meet instead.  minimal_non_faces_by_scan
+tests every vertex mask: the oracle of SimplicialComplex.minimal_non_faces,
+which tries only a face plus one vertex above its highest.
 """
 
 from macoh.complexes import WedgeDecomposition, submasks, vertices_of
@@ -291,3 +293,16 @@ def wedge_decomposition_by_search(k):
                     right=k.full_subcomplex(b | tau),
                 )
     return None
+
+
+def minimal_non_faces_by_scan(k):
+    """The masks S not in K with every proper subset in K, ascending, from
+    a scan of all 2^m vertex masks: the oracle of
+    SimplicialComplex.minimal_non_faces, which tries only a face plus one
+    vertex above its highest."""
+    faces = k.faces
+    out = []
+    for mask in range(1, 1 << k.m):
+        if mask not in faces and all(mask ^ 1 << (v - 1) in faces for v in vertices_of(mask)):
+            out.append(mask)
+    return tuple(out)

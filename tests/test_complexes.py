@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from dense_oracle import wedge_decomposition_by_search
+from dense_oracle import minimal_non_faces_by_scan, wedge_decomposition_by_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +311,17 @@ def test_wedge_decomposition_enumerates_no_subsets(monkeypatch):
 
     monkeypatch.setattr(complexes, "submasks", refused)
     assert k.is_wedge_decomposable() is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(wedge_candidates())
+def test_minimal_non_faces_equal_the_scan(k):
+    assert k.minimal_non_faces() == minimal_non_faces_by_scan(k)
+
+
+def test_minimal_non_faces_of_the_zoo_equal_the_scan():
+    for name, k in zoo() + [("cycle:12", cycle(12)), ("boundary:10", boundary_simplex(10))]:
+        assert k.minimal_non_faces() == minimal_non_faces_by_scan(k), name
 
 
 def test_iterated_attachment_is_deterministic():

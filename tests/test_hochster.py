@@ -438,15 +438,17 @@ def test_the_sweep_builds_no_complex_where_the_new_vertex_is_isolated_or_coned_o
     built = []
     monkeypatch.setattr(hochster, "reduced_complex",
                         lambda *args: built.append(args[1]) or reduced_complex(*args))
-    # points: only the empty set and one point; cycle(8): 29 of its 80 classes
-    for k, n_built, n_classes in ((disjoint_points(6), 2, 7), (cycle(8), 29, 80)):
+    # points: only the empty set and one point; cycle(8): 3 of its 80 classes,
+    # as t glues disjoint simplices onto distinct components of every other
+    # subset but the whole cycle
+    for k, n_built, n_classes in ((disjoint_points(6), 2, 7), (cycle(8), 3, 80)):
         del built[:]
         hd = hochster_cohomology(k)
         assert (len(built), len(set(hd.classes.values()))) == (n_built, n_classes)
-    # d' then builds the read-off classes that it reads, each once: 40 of 51
+    # d' then builds the read-off classes that it reads, each once
     del built[:]
     double_cohomology(cycle(8))
-    assert len(built) == len(set(built)) == 69
+    assert len(built) == len(set(built)) == 54
 
 
 def test_a_read_off_class_is_built_once_for_all_its_degrees(monkeypatch):
@@ -471,6 +473,102 @@ def test_read_off_groups_that_disagree_with_their_built_complex_raise(monkeypatc
     monkeypatch.setattr(hochster, "read_off_cohomology", one_more_generator)
     with pytest.raises(LinalgError, match="groups read off a smaller subset"):
         double_cohomology(cycle(6))
+
+
+@st.composite
+def paths_cycles_and_random_complexes(draw):
+    """A random_complex, or a disjoint union of paths and cycles with its
+    vertices shuffled, on m <= 8 vertices."""
+    m = draw(st.sampled_from(range(8, 0, -1)))  # hypothesis favours the first: m = 8
+    if draw(st.booleans()):
+        return random_complex(random.Random(draw(st.integers(0, 1 << 20))), m)
+    order, edges, start = draw(st.permutations(range(1, m + 1))), [], 0
+    while start < m:
+        run = order[start:start + draw(st.integers(1, m - start))]
+        edges += [[a, b] for a, b in zip(run, run[1:])]
+        if len(run) > 2 and draw(st.booleans()):
+            edges.append([run[-1], run[0]])  # close the path into a cycle
+        start += len(run)
+    return SimplicialComplex.from_maximal_faces(m, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(paths_cycles_and_random_complexes())
+def test_every_subset_has_the_groups_of_its_reduced_complex(k):
+    # the orders of every subset, read off or built, then, once gens has
+    # built the read-off ones, its generators, on both sides over Z and F_2
+    for side, direct in (("cohomology", cohomology), ("homology", homology)):
+        for field in (None, 2):
+            hd = hochster._decompose(k, side, field)
+            for mask, coh in hd.cohs.items():
+                cx = reduced_complex(k, mask)
+                expected = direct(cx) if field is None else FieldComplexCohomology(cx, hd.ops, side)
+                assert coh.degrees() == expected.degrees(), mask
+                assert all(coh.group(p).orders == expected.group(p).orders
+                           for p in expected.degrees()), mask
+                for p in expected.degrees():
+                    got, want = coh.group(p).gens, expected.group(p).gens
+                    assert (got.rows == want.rows) if field is None else got == want, mask
+
+
+def _built_and_groups(monkeypatch, k):
+    """The masks whose complexes hochster_cohomology(k) builds, and the
+    groups of the whole ground set, type and orders per degree."""
+    built = []
+    monkeypatch.setattr(hochster, "reduced_complex",
+                        lambda *args: built.append(args[1]) or reduced_complex(*args))
+    coh = hochster_cohomology(k).cohs[k.full_mask()]
+    monkeypatch.undo()
+    return built, {p: (type(g).__name__, g.orders) for p, g in coh.groups.items()}
+
+
+def test_two_link_simplices_in_distinct_components_are_read_off(monkeypatch):
+    # 6 joins the square 1234 to the point 5 along the edges 16 and 56: the
+    # link {1} + {5} lies in two components of K_P, which merge
+    square = [[1, 2], [2, 3], [3, 4], [1, 4]]
+    built, groups = _built_and_groups(
+        monkeypatch, SimplicialComplex.from_maximal_faces(6, square + [[1, 6], [5, 6]]))
+    assert 0b111111 not in built and groups == {1: ("ReadOffGroup", (0,))}
+    # two filled triangles 125 and 345: the link of 5 is the edges 12 and 34
+    built, groups = _built_and_groups(
+        monkeypatch, SimplicialComplex.from_maximal_faces(5, [[1, 2, 5], [3, 4, 5]]))
+    assert 0b11111 not in built and groups == {}
+
+
+def test_a_link_in_one_component_or_not_a_simplex_is_built(monkeypatch):
+    # the closing vertex 5 of cycle(5) has the link {1} + {4}, both on the path 1234
+    built, groups = _built_and_groups(monkeypatch, cycle(5))
+    assert 0b11111 in built and groups == {1: ("Subquotient", (0,))}
+    # the link of 5 is the point 1 and the hollow triangle 234, which is no simplex
+    built, groups = _built_and_groups(monkeypatch, SimplicialComplex.from_maximal_faces(
+        5, [[1, 5], [2, 3, 5], [3, 4, 5], [2, 4, 5]]))
+    assert 0b11111 in built and groups == {}
+
+
+def test_a_read_off_that_drops_c_generators_raises(monkeypatch):
+    # negative control: where the link has c >= 2 components, so that degree
+    # 0 has fewer generators than P's, drop c of P's instead of c - 1; then
+    # I = {1,3,5,7,8} of cycle(8) reads (0,) for (0, 0), and d' reads it.
+    # (In cycle(6) the one such class, {1,3,5,6}, would lose its only group,
+    # which no read can see.)
+    real_new_class, real_read_off = hochster._new_class, hochster.read_off_cohomology
+    below = []
+
+    def new_class(compute, k, mask, bases, below_coh):
+        below[:] = [below_coh.group(0)]
+        return real_new_class(compute, k, mask, bases, below_coh)
+
+    def one_merge_too_many(orders, build):
+        zero = orders.get(0, ())
+        if below[0] and len(zero) < below[0].n_gens:
+            orders = {**orders, 0: zero[1:]} if len(zero) > 1 else {
+                p: g for p, g in orders.items() if p}
+        return real_read_off(orders, build)
+
+    monkeypatch.setattr(hochster, "_new_class", new_class)
+    monkeypatch.setattr(hochster, "read_off_cohomology", one_merge_too_many)
+    with pytest.raises(LinalgError, match="groups read off a smaller subset"):
+        double_cohomology(cycle(8))
 
 
 def test_the_sweep_checks_d_squared_on_facet_built_coboundaries(monkeypatch):
