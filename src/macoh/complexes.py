@@ -85,8 +85,15 @@ def merged(pieces):
     disjoint masks: of a graph's vertices and edges, its components."""
     groups = []
     for piece in pieces:
-        kept = [g for g in groups if not g & piece]
-        groups = kept + [piece | sum(g for g in groups if g & piece)] if piece else groups
+        if piece:  # the groups are disjoint, so one that meets piece | g met piece
+            kept = []
+            for g in groups:
+                if g & piece:
+                    piece |= g
+                else:
+                    kept.append(g)
+            kept.append(piece)
+            groups = kept
     return groups
 
 

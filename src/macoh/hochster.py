@@ -25,10 +25,8 @@ from functools import partial
 from .complexes import merged, sign_eps, vertices_of
 from .errors import VerificationError
 from .homology import (
-    FieldComplexCohomology,
-    cohomology,
+    Coefficients,
     face_positions,
-    homology,
     induced_map,
     read_off_cohomology,
     reduced_complex,
@@ -99,7 +97,7 @@ class HochsterDecomposition:
 
 def _sweep(k, compute):
     """The bases lists, compute(reduced complex) and the class of every
-    vertex subset of K.
+    vertex subset of K, compute a homology.Coefficients.
 
     Subsets come in ascending mask order, each I after P = I - t, t its
     highest vertex.  The faces of K_I with q + 1 vertices are those of P,
@@ -121,8 +119,9 @@ def _sweep(k, compute):
     of K), that lie in c distinct components of K_P; c = 0 when t is
     isolated.  K_I then has the groups of P, with 1 - c more free
     generators in degree 0 (see homology).  read_off_cohomology builds its
-    reduced complex only when d' reads representatives, and checks the
-    orders then.
+    reduced complex only when d' reads representatives above degree 0, and
+    checks the orders then; in degree 0 the components give them, and
+    their number is checked.
     """
     lower = {}  # t -> the lower link of t without its empty face
     for g in k.faces:
@@ -164,10 +163,13 @@ def _new_class(compute, k, mask, bases, below):
     off below, that of P, where the link of t in K_P has c components, each
     a simplex, in c distinct components of K_P, with 1 - c more generators
     in degree 0 (see homology); else computed.  The link's components come
-    from the edges and triangles through t, K_P's, for c >= 2, from P's edges."""
+    from the edges and triangles through t, K_P's, for c >= 2, from P's edges.
+    build() computes the complex, build(0) its group in degree 0 alone."""
     top = 1 << (mask.bit_length() - 1)
 
-    def build():
+    def build(degree=None):
+        if degree == 0:
+            return compute.degree_zero(bases)
         return compute(reduced_complex(k, mask, bases))
 
     # the vertices and edges of the link: the edges and triangles through t, less t
@@ -191,11 +193,7 @@ def _decompose(k, side, field=None):
     subset summands in ascending mask order (cohs ascends by mask, and each
     groups dict by degree), each at the offset where its generators start."""
     ops = None if field is None else FieldOps(field)
-    if ops is None:
-        compute = cohomology if side == "cohomology" else homology
-    else:
-        compute = partial(FieldComplexCohomology, ops=ops, side=side)
-    cxs, cohs, classes = _sweep(k, compute)
+    cxs, cohs, classes = _sweep(k, Coefficients(side, ops))
     summands, ends = {}, {}  # bidegree -> summands, and where their generators end
     for mask, coh in cohs.items():
         l = mask.bit_count()

@@ -31,15 +31,42 @@ way K_I has the groups of K_P in every degree, with 1 - c more free
 generators in degree 0: t joins c components into one.  The same holds
 over Q and F_p, and for cohomology by the dual sequence.
 read_off_cohomology holds such groups and builds the complex itself
-only when representatives are read.
+only when representatives in a degree above 0 are read.
+
+Degree 0 needs no elimination, on any ring.  Let K_I have the
+components C_0, ..., C_{c-1}, each given by its lowest vertex v_i, in
+ascending order, so that v_0 is the lowest vertex of I.  A 0-cochain x
+is a cocycle exactly when it is constant on each component, and the
+coboundaries are the constants, so H~^0 is free on the indicator
+cochains of C_1, ..., C_{c-1}, and the class of a cocycle x has the
+coordinates x(v_i) - x(v_0).  Dually a 0-chain is a boundary exactly
+when its coefficients sum to 0 over each component, so H~_0, the
+chains with coefficient sum 0 modulo boundaries, is free on v_i - v_0
+for i >= 1, and the class of a chain has as coordinates its
+coefficient sums over C_1, ..., C_{c-1}.  Both pairs are inverse on
+the nose, over Z and so over Q and F_p.  _components reads them off the
+vertices and edges (complexes.merged), for built and read-off groups
+alike; the orders of a built group still come from its differentials,
+those of a read-off one from the smaller subset, and either must equal
+the c - 1 free generators of the components, or LinalgError.
+express_columns tests that each column is a cocycle or a cycle of
+coefficient sum 0, over the ring, before it reads coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .complexes import sign_eps
-from .linalg import IntMatrix, LinalgError, PresentedGroup, free_homology
+from .complexes import merged, sign_eps
+from .linalg import (
+    IntMatrix,
+    LinalgError,
+    PresentedGroup,
+    Subquotient,
+    free_homology,
+    free_pair,
+)
 
 
 def _basis(bases, p):
@@ -84,28 +111,30 @@ class ReducedComplex:
 
 def reduced_complex(k, support=None, faces=None):
     """Reduced cochain complex of the full subcomplex on the support mask;
-    faces, when the caller has them, is k.faces_within(support).
-
-    Row g of each coboundary has one entry per facet g - j, with sign
-    sign_eps(j, g - j); a full subcomplex holds every facet of its faces.
-    The facets come by descending j, so each row's columns ascend."""
+    faces, when the caller has them, is k.faces_within(support)."""
     if support is None:
         support = k.full_mask()
     groups = k.faces_within(support) if faces is None else faces
-    coboundaries = []
-    for q, cols in enumerate(groups):
-        rows = groups[q + 1] if q + 1 < len(groups) else ()
-        index = {mask: i for i, mask in enumerate(cols)}
-        entries = []
-        for ri, g in enumerate(rows):
-            rest = g
-            while rest:
-                j = rest.bit_length()
-                bit = 1 << (j - 1)
-                rest ^= bit
-                entries.append((ri, index[g ^ bit], sign_eps(j, g ^ bit)))
-        coboundaries.append(IntMatrix.from_entries(len(rows), len(cols), entries))
-    return ReducedComplex(bases=groups, coboundaries=coboundaries)
+    return ReducedComplex(bases=groups, coboundaries=[_coboundary(groups, q)
+                                                      for q in range(len(groups))])
+
+
+def _coboundary(bases, q):
+    """The coboundary from the faces bases[q] to bases[q + 1] (none when
+    there are none).  Row g has one entry per facet g - j, with sign
+    sign_eps(j, g - j); a full subcomplex holds every facet of its faces.
+    The facets come by descending j, so each row's columns ascend."""
+    cols, rows = bases[q], bases[q + 1] if q + 1 < len(bases) else ()
+    index = {mask: i for i, mask in enumerate(cols)}
+    entries = []
+    for ri, g in enumerate(rows):
+        rest = g
+        while rest:
+            j = rest.bit_length()
+            bit = 1 << (j - 1)
+            rest ^= bit
+            entries.append((ri, index[g ^ bit], sign_eps(j, g ^ bit)))
+    return IntMatrix.from_entries(len(rows), len(cols), entries)
 
 
 class ComplexCohomology:
@@ -133,9 +162,12 @@ class ReadOffGroup(PresentedGroup):
 
     gens, express_columns and express read the group at p of build(), the
     (co)homology of the complex itself, which must have the orders of
-    read_off in every degree, or LinalgError.  The groups of one complex
-    share memo, [build, its result once called], and none refers back to
-    another, so a decomposition is freed without the cyclic collector.
+    read_off in every degree, or LinalgError.  At p = 0 they read that of
+    build(0) instead, the group in degree 0 alone from the components,
+    which must have the orders of read_off there.  The groups of one
+    complex share memo, [build, the result of build() once called], and
+    none refers back to another, so a decomposition is freed without the
+    cyclic collector.
     """
 
     __slots__ = ("_p", "_read_off", "_memo", "_group")
@@ -145,13 +177,17 @@ class ReadOffGroup(PresentedGroup):
         self._p, self._read_off, self._memo, self._group = p, read_off, memo, None
 
     def _read(self):
-        memo = self._memo
-        built = memo[1] = memo[1] or memo[0]()
+        memo, p, want = self._memo, self._p, self._read_off
+        if p == 0:
+            built, source, want = memo[0](0), "components", {0: want[0]}
+        else:
+            built = memo[1] = memo[1] or memo[0]()
+            source = "built complex"
         got = {q: built.group(q).orders for q in built.degrees()}
-        if got != self._read_off:
+        if got != want:
             raise LinalgError(f"groups read off a smaller subset have the orders "
-                              f"{self._read_off} per degree, their built complex {got}")
-        self._group = built.groups[self._p]
+                              f"{want} per degree, their {source} {got}")
+        self._group = built.groups[p]
         self._read_off = self._memo = None
         return self._group
 
@@ -169,18 +205,40 @@ class ReadOffGroup(PresentedGroup):
 def read_off_cohomology(orders, build):
     """ComplexCohomology of ReadOffGroups with orders[p] at each degree p;
     build() gives the (co)homology of the complex, on the first read of
-    representatives, once for all its degrees."""
+    representatives in a degree p > 0, once for all its degrees, and
+    build(0) its group in degree 0 alone, read off the components."""
     memo = [build, None]
     return ComplexCohomology({p: ReadOffGroup(p, orders, memo) for p in orders})
 
 
+def _components(bases, side):
+    """(orders, gens, coords) of the group in degree 0 of the complex on the
+    bases list, read off the components of its vertices and edges with no
+    elimination (see the module docstring): one free generator per
+    component but the one of the lowest vertex v_0."""
+    vertices = _basis(bases, 0)
+    at = {v: j for j, v in enumerate(vertices)}
+    parts = sorted(merged(_basis(bases, 1) + vertices), key=lambda part: part & -part)[1:]
+    # (vertex, component i) for each vertex of component i, and for its
+    # lowest vertex v_i with 1 and v_0 with -1
+    spread = [(at[v], i, 1) for i, part in enumerate(parts) for v in vertices if v & part]
+    pinned = [e for i, part in enumerate(parts) for e in ((at[part & -part], i, 1), (0, i, -1))]
+    gens, coords = (spread, pinned) if side == "cohomology" else (pinned, spread)
+    n, c = len(vertices), len(parts)
+    return ((0,) * c, IntMatrix.from_entries(n, c, gens),
+            IntMatrix.from_entries(c, n, [(i, j, x) for j, i, x in coords]))
+
+
 def _groups(cx, side, homology_at):
-    """Degree p -> the nontrivial homology_at(incoming, outgoing) at p."""
+    """Degree p -> the nontrivial homology_at(incoming, outgoing) at p; in
+    degree 0 its representatives come from the components."""
     groups = {}
     for q, basis in enumerate(cx.bases):
         if basis:
             sq = homology_at(*cx.differentials(q - 1, side))
             if not sq.is_trivial():
+                if q == 1:
+                    sq.represented_by(partial(_components, cx.bases, side))
                 groups[q - 1] = sq
     return groups
 
@@ -223,3 +281,33 @@ class FieldComplexCohomology(ComplexCohomology):
 
     def __init__(self, cx, ops, side="cohomology"):
         super().__init__(_groups(cx, side, ops.free_homology))
+
+
+class Coefficients:
+    """The (co)homology of reduced complexes on side ("cohomology" or
+    "homology"), over Z when ops is None, else over the field of the
+    FieldOps ops: self(cx) of a complex in every degree, and
+    degree_zero(bases) of the complex on a bases list in degree 0 alone."""
+
+    __slots__ = ("side", "ops")
+
+    def __init__(self, side, ops=None):
+        self.side, self.ops = side, ops
+
+    def __call__(self, cx):
+        if self.ops is not None:
+            return FieldComplexCohomology(cx, self.ops, self.side)
+        return (cohomology if self.side == "cohomology" else homology)(cx)
+
+    def degree_zero(self, bases):
+        """ComplexCohomology of the group in degree 0 alone, with no
+        elimination: its orders and representatives from _components, and
+        its differentials, for the kernel test of express_columns, from the
+        vertices and edges only."""
+        orders, *reps = _components(bases, self.side)
+        if not orders:
+            return ComplexCohomology({})
+        cx = ReducedComplex(bases=bases[:3], coboundaries=[_coboundary(bases, q) for q in (0, 1)])
+        pair = free_pair(*cx.differentials(0, self.side))
+        sq = Subquotient(*pair, orders, 0 if self.ops is None else self.ops.p)
+        return ComplexCohomology({0: sq.represented_by(lambda: (orders, *reps))})

@@ -714,33 +714,54 @@ class Subquotient(PresentedGroup):
     units dropped: torsion ones first, each with its order, then free
     ones; over a field every order is 0.  orders is known from the start;
     _representatives builds the representatives on first use, and must
-    find the same orders or raise LinalgError.  They keep the rows of g
-    under the coordinate map, so that one product gives a column's
-    coordinates and its test g x = 0.
+    find the same orders or raise LinalgError.  A caller that knows a
+    basis of the group without elimination supplies it instead, by
+    represented_by.  Either way the coordinate map is kept over the rows
+    of g, so that one product gives a column's coordinates and its test
+    g x = 0.
     """
 
-    __slots__ = ("_pair", "_reps", "p")
+    __slots__ = ("_pair", "_reps", "p", "_supplied")
 
     def __init__(self, f, g, orders=None, p=0):
         """With orders None, the representatives are built now and give them."""
         self.orders = orders
         self._pair = (f, g)
-        self._reps = None
+        self._reps = self._supplied = None
         self.p = p
         if orders is None:
             self._built()
 
+    def represented_by(self, represent):
+        """This group, whose representatives come on first read from
+        represent() = (orders, gens, coords) in place of _representatives:
+        gens the generators as columns, and coords the matrix that takes an
+        element of ker(g) to its coordinates in them, over the ring of p.
+        g.target must be free."""
+        self._supplied = represent
+        return self
+
     def _built(self):
-        """The representatives from _representatives, built on the first call."""
+        """The representatives, built on the first call."""
         if self._reps is None:
-            orders, *reps = _representatives(*self._pair, self.p)
+            f, g = self._pair
+            if self._supplied is None:
+                orders, *reps = _representatives(f, g, self.p)
+            else:
+                orders, gens, coords = self._supplied()
+                n = (g.matrix.ncols, len(orders))
+                if (gens.shape, coords.shape[::-1]) != (n, n) or any(g.target.orders):
+                    raise LinalgError("supplied representatives of the wrong shape, or "
+                                      "into a target with torsion")
+                reps = (gens, g.target, _stacked(coords, g.matrix),
+                        IntMatrix.zeros(len(orders), 0))
             if self.orders is None:
                 self.orders = orders
             elif orders != self.orders:
                 raise LinalgError(f"the representatives of ker(g)/im(f) give the orders "
                                   f"{orders}, the ranks and divisors {self.orders}")
             self._reps = reps
-            self._pair = None
+            self._pair = self._supplied = None
         return self._reps
 
     @property
@@ -848,11 +869,16 @@ def _representatives(f, g, p=0):
     gens = IntMatrix._adopt(gens, n_b).transpose()
     if not target.is_zero(IntMatrix._adopt(_mod((g.matrix @ gens)._rows, p), gens.ncols)):
         raise LinalgError("the representatives of ker(g)/im(f) escape ker(g)")
-    return (orders, gens, target, IntMatrix._adopt(coords + list(map(dict, g.matrix._rows)), n_b),
+    return (orders, gens, target, _stacked(IntMatrix._adopt(coords, n_b), g.matrix),
             IntMatrix._adopt(z_coords, a.ncols - n_b))
 
 
-def _free_pair(d_in, d_out):
+def _stacked(coords, g):
+    """The rows of the coordinate map coords over copies of those of g."""
+    return IntMatrix._adopt(coords._rows + list(map(dict, g._rows)), g.ncols)
+
+
+def free_pair(d_in, d_out):
     """(f, g): the matrices as morphisms between free groups."""
     mid = PresentedGroup.free(d_out.ncols)
     return (GroupMorphism(PresentedGroup.free(d_in.ncols), mid, d_in),
@@ -861,7 +887,7 @@ def _free_pair(d_in, d_out):
 
 def free_homology(d_in, d_out):
     """ker(d_out)/im(d_in) for integer matrices Z^a --d_in--> Z^n --d_out--> Z^b."""
-    return homology_of_pair(*_free_pair(d_in, d_out))
+    return homology_of_pair(*free_pair(d_in, d_out))
 
 
 def graded_homology(morphisms, step, homology_at):
@@ -1008,7 +1034,7 @@ class FieldOps:
     def free_homology(self, d_in, d_out):
         """ker(d_out)/im(d_in) for F^a --d_in--> F^n --d_out--> F^b, integer
         (over Q, also Fraction) entries."""
-        return self.homology_of_pair(*_free_pair(d_in, d_out))
+        return self.homology_of_pair(*free_pair(d_in, d_out))
 
     def homology_of_pair(self, f, g):
         """ker(g)/im(f) over the field, graded_homology's spot routine: a

@@ -1,6 +1,7 @@
 """Bigraded cohomology via subsets, connecting differential, double groups."""
 
 import random
+from functools import partial
 
 import pytest
 from dense_oracle import (
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macoh import hochster, linalg
+from macoh import homology as homology_module
 from macoh.complexes import (
     SimplicialComplex,
     boundary_simplex,
@@ -21,6 +23,7 @@ from macoh.complexes import (
     disjoint_points,
     join,
     mask_of,
+    merged,
     random_complex,
     rp2_minimal,
     sign_eps,
@@ -56,6 +59,7 @@ from macoh.linalg import (
     IntMatrix,
     LinalgError,
     PresentedGroup,
+    free_homology,
     homology_of_pair,
     smith_normal_form,
 )
@@ -445,10 +449,11 @@ def test_the_sweep_builds_no_complex_where_the_new_vertex_is_isolated_or_coned_o
         del built[:]
         hd = hochster_cohomology(k)
         assert (len(built), len(set(hd.classes.values()))) == (n_built, n_classes)
-    # d' then builds the read-off classes that it reads, each once
+    # d' builds none of the read-off classes: it reads them in degree 0
+    # only, where the components give the representatives
     del built[:]
     double_cohomology(cycle(8))
-    assert len(built) == len(set(built)) == 54
+    assert len(built) == len(set(built)) == 3
 
 
 def test_a_read_off_class_is_built_once_for_all_its_degrees(monkeypatch):
@@ -509,6 +514,160 @@ def test_every_subset_has_the_groups_of_its_reduced_complex(k):
                 for p in expected.degrees():
                     got, want = coh.group(p).gens, expected.group(p).gens
                     assert (got.rows == want.rows) if field is None else got == want, mask
+
+
+def _reduced_mod(mat, field):
+    """mat with its entries reduced into [0, p) over F_p; as it is otherwise."""
+    if field in (None, "Q"):
+        return mat
+    return IntMatrix.from_entries(mat.nrows, mat.ncols,
+                                  [(r, c, v % field) for r, c, v in mat.entries()])
+
+
+def _check_degree_zero_against_elimination(k, mask, side, field):
+    """The group in degree 0 of K_mask read off the components, both as the
+    built complex has it and as Coefficients.degree_zero reads it, against
+    free_homology or FieldOps.free_homology of the reduced complex: the
+    same orders, and the generators of each expressed in the coordinates
+    of the other give inverse matrices over the ring.  A vertex that is not
+    a cocycle (one with an edge) or not a cycle (any) has no coordinates."""
+    cx = reduced_complex(k, mask)
+    ops = None if field is None else FieldOps(field)
+    eliminated = (free_homology if ops is None else ops.free_homology)(
+        *cx.differentials(0, side))
+    compute = homology_module.Coefficients(side, ops)
+    groups = [compute(cx).group(0), compute.degree_zero(cx.bases).group(0)]
+    if eliminated.is_trivial():
+        assert groups == [None, None]
+        return
+    vertices, edges = cx.bases[1], cx.bases[2] if len(cx.bases) > 2 else []
+    ends = [j for j, v in enumerate(vertices) if side == "homology" or any(v & e for e in edges)]
+    for group in groups:
+        assert group.orders == eliminated.orders
+        there = group.express_columns(eliminated.gens)
+        back = eliminated.express_columns(group.gens)
+        identity = IntMatrix.identity(eliminated.n_gens)
+        assert _reduced_mod(there @ back, field) == _reduced_mod(back @ there, field) == identity
+        for j in ends[:1]:
+            try:
+                group.express([int(i == j) for i in range(len(vertices))])
+            except LinalgError as exc:
+                assert "does not lie in the kernel subgroup" in str(exc)
+            else:
+                raise AssertionError("a vertex outside the kernel has coordinates")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(paths_cycles_and_random_complexes(), st.data())
+def test_degree_zero_read_off_the_components_equals_elimination(k, data):
+    # the whole ground set, which hypothesis favours, or a subset of it
+    mask = data.draw(st.sampled_from((k.full_mask(), *range(1, k.full_mask()))))
+    for side in ("cohomology", "homology"):
+        for field in (None, "Q", 2, 3):
+            _check_degree_zero_against_elimination(k, mask, side, field)
+
+
+# a path 1-2, the point 3 and the square 4567: three components
+THREE_PARTS = SimplicialComplex.from_maximal_faces(
+    7, [[1, 2], [3], [4, 5], [5, 6], [6, 7], [4, 7]])
+
+
+def _coordinates_that_drop_the_last_component(bases, side, real):
+    """Negative control for homology._components (real): its generators,
+    which leave out the component of the lowest vertex v_0, with the
+    coordinates of a basis that leaves out the last component instead."""
+    orders, gens, _ = real(bases, side)
+    vertices = bases[1]
+    at = {v: j for j, v in enumerate(vertices)}
+    parts = sorted(merged(bases[2] + vertices), key=lambda part: part & -part)
+    last, kept = at[parts[-1] & -parts[-1]], parts[:-1]
+    if side == "cohomology":  # x(v_i) - x(the lowest vertex of the last)
+        entries = [e for i, part in enumerate(kept)
+                   for e in ((i, at[part & -part], 1), (i, last, -1))]
+    else:  # the coefficient sums over every component but the last
+        entries = [(i, at[v], 1) for i, part in enumerate(kept) for v in vertices if v & part]
+    return orders, gens, IntMatrix.from_entries(len(kept), len(vertices), entries)
+
+
+@pytest.mark.parametrize("side", ["cohomology", "homology"])
+@pytest.mark.parametrize("field", [None, "Q", 2, 3])
+def test_coordinates_that_drop_the_wrong_component_fail_the_oracle(monkeypatch, side, field):
+    _check_degree_zero_against_elimination(THREE_PARTS, THREE_PARTS.full_mask(), side, field)
+    monkeypatch.setattr(homology_module, "_components",
+                        partial(_coordinates_that_drop_the_last_component,
+                                real=homology_module._components))
+    with pytest.raises(AssertionError):
+        _check_degree_zero_against_elimination(THREE_PARTS, THREE_PARTS.full_mask(), side, field)
+
+
+@pytest.mark.parametrize("side", ["cohomology", "homology"])
+@pytest.mark.parametrize("field", [None, "Q", 2, 3])
+def test_coordinates_that_skip_the_kernel_test_fail_the_oracle(monkeypatch, side, field):
+    # zero rows in place of those of g: every vector passes the kernel test
+    real = linalg._stacked
+    monkeypatch.setattr(linalg, "_stacked",
+                        lambda coords, g: real(coords, IntMatrix.zeros(g.nrows, g.ncols)))
+    with pytest.raises(AssertionError, match="outside the kernel has coordinates"):
+        _check_degree_zero_against_elimination(THREE_PARTS, THREE_PARTS.full_mask(), side, field)
+
+
+def test_components_that_contradict_the_orders_of_a_built_group_raise(monkeypatch):
+    # negative control: components that give one generator too few, where
+    # the differentials of the built complex give the orders
+    real = homology_module._components
+
+    def one_too_few(bases, side):  # drop the first generator and its coordinate
+        orders, gens, coords = real(bases, side)
+        return (orders[1:],
+                IntMatrix.from_entries(gens.nrows, gens.ncols - 1,
+                                       [(r, c - 1, v) for r, c, v in gens.entries() if c]),
+                IntMatrix.from_entries(coords.nrows - 1, coords.ncols,
+                                       [(r - 1, c, v) for r, c, v in coords.entries() if r]))
+
+    monkeypatch.setattr(homology_module, "_components", one_too_few)
+    for direct in (cohomology, homology):
+        group = direct(reduced_complex(disjoint_points(3))).group(0)
+        assert group.orders == (0, 0)
+        for _ in range(2):  # and again: nothing of the failed read is kept
+            with pytest.raises(LinalgError, match="the representatives of ker"):
+                group.gens
+
+
+def test_supplied_representatives_must_fit_the_kernel_of_a_free_target():
+    d0 = reduced_complex(disjoint_points(2)).coboundary(-1)  # Z -> Z^2, both ones
+    b, c = PresentedGroup.free(2), PresentedGroup((0, 2))
+    pair = (GroupMorphism(PresentedGroup.free(1), b, d0),)
+    one = IntMatrix([[1], [0]])
+    for g, gens, coords in ((GroupMorphism(b, PresentedGroup.free(1), IntMatrix([[1, 1]])),
+                             one, IntMatrix([[1, 0], [0, 1]])),  # two coordinate rows
+                            (GroupMorphism(b, c, IntMatrix.zeros(2, 2)),
+                             one, one.transpose())):  # a target with torsion
+        group = linalg.Subquotient(*pair, g, (0,)).represented_by(lambda: ((0,), gens, coords))
+        with pytest.raises(LinalgError, match="supplied representatives"):
+            group.gens
+
+
+def test_d_prime_of_a_cycle_reads_degree_zero_off_the_components(monkeypatch):
+    # HH^*, HH_* and HH over F_2 of cycle(8) build only the sweep's 3
+    # complexes and no representative: each d' block it reads lies in
+    # degree 0, where the components give them
+    calls = {"representatives": 0, "reduced complexes": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(linalg, "_representatives",
+                        counted("representatives", linalg._representatives))
+    monkeypatch.setattr(hochster, "reduced_complex",
+                        counted("reduced complexes", reduced_complex))
+    for double in (double_cohomology, double_homology, lambda k: double_field(k, 2)):
+        for _ in range(2):  # and the same again
+            calls.update(dict.fromkeys(calls, 0))
+            double(cycle(8))
+            assert calls == {"representatives": 0, "reduced complexes": 3}
 
 
 def _built_and_groups(monkeypatch, k):

@@ -19,7 +19,7 @@ from dense_oracle import (
     smith_divisors_by_full_scan,
 )
 from macoh import linalg
-from macoh.complexes import cycle, rp2_minimal
+from macoh.complexes import SimplicialComplex, cycle, rp2_minimal
 from macoh.hochster import double_cohomology, double_field, hochster_cohomology, hochster_field
 from macoh.linalg import (
     FieldOps,
@@ -300,16 +300,23 @@ def test_representatives_match_the_dense_oracle(kind, torsion, data):
             sq.express(v)
 
 
+# the square 1234 with the diagonal 24 and the triangle 234 filled: d' reads
+# the class of the hollow triangle 124 in degree 1, whose kernel is eliminated
+KITE = SimplicialComplex.from_maximal_faces(4, [[1, 2], [1, 4], [2, 3, 4]])
+
+
 @pytest.mark.parametrize("k, field", [
-    pytest.param(cycle(6), None, id="cycle:6"),
+    pytest.param(KITE, None, id="kite"),
     pytest.param(rp2_minimal(), None, id="rp2"),
     *(pytest.param(k, field, id=f"{name}-{field}")
-      for field in ("Q", 3) for name, k in (("cycle:6", cycle(6)), ("rp2", rp2_minimal()))),
+      for field in ("Q", 3) for name, k in (("kite", KITE), ("rp2", rp2_minimal()))),
 ])
 def test_a_sign_flipped_by_back_substitution_fails_the_build(monkeypatch, k, field):
     # negative control: one entry of the first pivot variable that has
     # one, with its sign flipped, in every back-substitution; over F_2 a
-    # flipped sign changes nothing, so the fields are Q and F_3
+    # flipped sign changes nothing, so the fields are Q and F_3.  Degree 0
+    # reads its representatives off the components, so each input has a
+    # class that d' reads in degree 1
     real = linalg._back_substitute
 
     def flipped(pivots, p=0):
